@@ -33,6 +33,7 @@ from .errors import ChecksumError, ConfigError, WeedoutError
 from .network import LayerSpec
 from .pipeline import Splits, TrainConfig
 from .search import STRATEGIES, WINNER_SCOPES, SearchConfig
+from .sparsity import MASK_MODES
 
 SCHEMA_VERSION = 1
 DEFAULT_ETAS = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -199,8 +200,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if search.get("winner_scope") not in WINNER_SCOPES:
         problems.append(f"search.winner_scope: must be one of {WINNER_SCOPES}, "
                         f"got {search.get('winner_scope')!r}")
-    if search.get("mask_mode") not in ("structured", "unstructured", "global", "nonuniform"):
-        problems.append(f"search.mask_mode: unknown mode {search.get('mask_mode')!r}")
+    if search.get("mask_mode") not in MASK_MODES:
+        problems.append(f"search.mask_mode: must be one of {MASK_MODES}, "
+                        f"got {search.get('mask_mode')!r}")
     etas = search.pop("etas")
     if not isinstance(etas, list) or not etas:
         problems.append("search.etas: expected a non-empty list")

@@ -1,12 +1,18 @@
 """The overparameterized parent network: layer stack, masked passes, SGD.
 
 A network is a flat list of :class:`LayerSpec` plus per-layer parameter
-tensors. Sparsity is applied at run time: each maskable layer's output is
-multiplied by a binary node mask (structured mode) or its weight tensor is
-multiplied by a binary weight mask (unstructured mode). Backpropagation is
-hand-written per layer kind, which keeps the masked gradient flow exact:
-weights incident only to deactivated nodes receive gradients that are zero
-bit-for-bit.
+tensors. The passes here take an optional mask: each maskable layer's
+output is multiplied by a binary node mask (structured mode) or its weight
+tensor is multiplied by a binary weight mask (unstructured mode).
+Backpropagation is hand-written per layer kind, which keeps the masked
+gradient flow exact: weights incident only to deactivated nodes receive
+gradients that are zero bit-for-bit.
+
+Search and training run unstructured masks through these masked passes.
+Structured masks execute on the smaller network that
+``sparsity.reduce_network`` builds, with no mask (see
+``sparsity.sub_network``); the masked structured pass is the oracle that
+the reduced network is checked against.
 """
 
 from __future__ import annotations
@@ -199,8 +205,7 @@ def _check_mask(net: Network, mask: "MaskSet | None") -> None:
         raise MaskMismatchError(
             f"mask covers layers {sorted(keys)} but maskable layers are {sorted(allowed)}")
     for i, m in mask.masks.items():
-        values = np.unique(m)
-        if not np.isin(values, (0.0, 1.0)).all():
+        if not ((m == 0.0) | (m == 1.0)).all():
             raise MaskMismatchError(f"mask for layer {i} has non-binary entries")
         if mask.mode == "structured":
             width = net.spec[i].width

@@ -29,7 +29,8 @@ from .network import (Network, SgdState, _forward_backward, evaluate,
                       init_network, parent_checksum, sgd_step)
 from .numerics import RngStream
 from .search import HistoryRow, SearchConfig, run_search
-from .sparsity import MaskSet, realized_sparsity, sample_mask
+from .sparsity import (MaskSet, active_parameter_count, realized_sparsity,
+                       sample_mask, sub_network)
 
 ARMS = ("weedout", "random_baseline", "dense")
 
@@ -113,8 +114,14 @@ def _parent_for(spec, input_shape, seed: int, arm: str,
 
 
 def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
-           rng_train: RngStream, run_id: str) -> tuple[list[EpochRow], float]:
-    """Train in place; returns epoch rows and seconds spent in evaluation."""
+           rng_train: RngStream, run_id: str) -> tuple[list[EpochRow], float, int]:
+    """Train the sub-network ``mask`` selects from ``net``.
+
+    A structured mask trains its reduced network and leaves ``net``
+    untouched; an unstructured mask trains ``net`` in place. Returns epoch
+    rows, seconds spent in evaluation and the active parameter count.
+    """
+    net, mask = sub_network(net, mask)
     state = SgdState.zeros(net)
     rows: list[EpochRow] = []
     eval_seconds = 0.0
@@ -148,16 +155,16 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
         rows.append(EpochRow(epoch=epoch, train_accuracy=correct / seen,
                              train_loss=loss_sum / seen,
                              test_accuracy=test_acc, test_loss=test_loss))
-    return rows, eval_seconds
+    return rows, eval_seconds, active_parameter_count(net, mask)
 
 
-def _finish_record(record: RunRecord, net: Network, mask: MaskSet) -> RunRecord:
+def _finish_record(record: RunRecord, mask: MaskSet, active_parameters: int) -> RunRecord:
     record.mask_mode = mask.mode
     record.mask_sample_seed = mask.sample_seed
     record.mask_layer_zeros = {
         i: (int((m == 0.0).sum()), int(m.size)) for i, m in mask.masks.items()}
     record.realized_sparsity = realized_sparsity(mask)
-    record.active_parameters = mask.active_parameter_count(net)
+    record.active_parameters = active_parameters
     return record
 
 
@@ -180,12 +187,13 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
     record.fitness_evaluations = result.evaluations
     mask = result.best.mask
     t2 = time.perf_counter()
-    record.epoch_rows, eval_s = _train(net, mask, train_cfg, splits,
-                                       RngStream(seed).split("train"), record.run_id)
+    record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
+                                               RngStream(seed).split("train"),
+                                               record.run_id)
     t3 = time.perf_counter()
     record.wall_clock = {"init": t1 - t0, "weedout_phase": t2 - t1,
                          "training_phase": t3 - t2 - eval_s, "evaluation": eval_s}
-    return _finish_record(record, net, mask)
+    return _finish_record(record, mask, active)
 
 
 def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
@@ -201,12 +209,13 @@ def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
     mask = sample_mask(spec, input_shape, eta, mask_mode,
                        RngStream(seed).split("baseline-mask"))
     t1 = time.perf_counter()
-    record.epoch_rows, eval_s = _train(net, mask, train_cfg, splits,
-                                       RngStream(seed).split("train"), record.run_id)
+    record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
+                                               RngStream(seed).split("train"),
+                                               record.run_id)
     t2 = time.perf_counter()
     record.wall_clock = {"init": t1 - t0, "weedout_phase": 0.0,
                          "training_phase": t2 - t1 - eval_s, "evaluation": eval_s}
-    return _finish_record(record, net, mask)
+    return _finish_record(record, mask, active)
 
 
 def dense_run(spec, input_shape, train_cfg: TrainConfig, splits: Splits,

@@ -2,9 +2,10 @@
 
 One generation: draw a fresh validation batch, score every candidate mask on
 that same batch (fitness = negative mean cross-entropy of the masked,
-untrained parent), keep the fittest, and refill the rest of the population
-with new random masks. No weight updates happen here; the only signal is the
-initialization quality of each mask.
+untrained parent; a structured mask is scored on its reduced network), keep
+the fittest, and refill the rest of the population with new random masks.
+No weight updates happen here; the only signal is the initialization
+quality of each mask.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .data import Dataset, sample_batch
 from .errors import EvaluationIncompleteError
 from .network import Network, mean_loss
 from .numerics import RngStream
-from .sparsity import MaskSet, sample_mask
+from .sparsity import MaskSet, sample_mask, sub_network
 
 STRATEGIES = ("random_search",)
 WINNER_SCOPES = ("final_generation", "all_generations")
@@ -92,12 +93,13 @@ def fitness(net: Network, cand: Candidate, validation_batch) -> float:
     """Score a candidate: negative mean cost on the given validation batch.
 
     The parent's weights are used untouched; this is a pre-training signal.
-    The value is stored on the candidate.
+    A structured candidate is scored on its reduced network. The value is
+    stored on the candidate.
     """
     x, y = validation_batch
     if len(y) == 0:
         raise ValueError("validation batch is empty")
-    cand.fitness = -mean_loss(net, cand.mask, x, y)
+    cand.fitness = -mean_loss(*sub_network(net, cand.mask), x, y)
     return cand.fitness
 
 

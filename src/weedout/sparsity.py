@@ -5,10 +5,13 @@ every maskable layer gets exactly ``round_half_up(eta * width)`` zeros,
 placed uniformly at random. That keeps every member of a search population
 at identical sparsity, so configuration quality is the only variable.
 
-``reduce_network`` is the equivalence oracle for the masking implementation:
-it physically deletes deactivated nodes (dense units or conv channels) and
-their incident weight rows/columns, and the reduced network must reproduce
-the masked parent's outputs.
+``reduce_network`` physically deletes deactivated nodes (dense units or conv
+channels) and their incident weight rows/columns. ``sub_network`` is the one
+place a mask becomes something to run: a structured mask is scored, trained
+and evaluated as its reduced network, with no mask, while an unstructured
+mask keeps the parent and its masked kernels. The masked structured forward
+in ``network`` stays as the equivalence oracle the reduced network must
+reproduce.
 """
 
 from __future__ import annotations
@@ -40,21 +43,6 @@ class MaskSet:
     masks: dict[int, np.ndarray]
     eta: float = 0.0
     sample_seed: int = 0
-
-    def active_parameter_count(self, net: Network) -> int:
-        """Number of parent weights that can still influence the output."""
-        reduced = reduce_network(net, self) if self.mode == "structured" else None
-        if reduced is not None:
-            return reduced.parameter_count()
-        total = 0
-        for i, p in enumerate(net.params):
-            if p is None:
-                continue
-            if i in self.masks:
-                total += int(self.masks[i].sum()) + p.bias.size
-            else:
-                total += p.weight.size + p.bias.size
-        return total
 
 
 def _validate_eta(eta: float) -> float:
@@ -196,12 +184,9 @@ def reduce_network(net: Network, mask: MaskSet) -> Network:
             keep_out = (mask.masks[i] > 0.0) if i in mask.masks \
                 else np.ones(layer.width, dtype=bool)
             p = net.params[i]
-            if layer.kind == "dense":
-                w = p.weight[selector][:, keep_out]
-            else:
-                w = p.weight[:, :, selector][:, :, :, keep_out]
-            b = p.bias[keep_out]
-            new_params.append(LayerParams(w.copy(), b.copy()))
+            w = p.weight.take(np.flatnonzero(selector), axis=-2) \
+                .take(np.flatnonzero(keep_out), axis=-1)
+            new_params.append(LayerParams(w, p.bias[keep_out]))
             new_spec.append(LayerSpec(layer.kind, width=int(keep_out.sum()),
                                       kernel_size=layer.kernel_size,
                                       stride=layer.stride, maskable=layer.maskable))
@@ -216,3 +201,36 @@ def reduce_network(net: Network, mask: MaskSet) -> Network:
             new_params.append(None)
         prev_shape = shapes[i]
     return Network(new_spec, tuple(net.input_shape), new_params, net.init_seed)
+
+
+def sub_network(net: Network, mask: MaskSet) -> tuple[Network, MaskSet | None]:
+    """The network and mask that compute ``net`` under ``mask``.
+
+    A structured mask yields its reduced network, run with no mask; it
+    shares no arrays with ``net``, so training it leaves the parent intact.
+    A deactivated node gets exactly zero gradient and momentum in the
+    masked parent, so the reduced network trains to the same values up to
+    the order of summation. An unstructured mask keeps ``net`` and ``mask``.
+    """
+    if mask.mode == "structured":
+        return reduce_network(net, mask), None
+    return net, mask
+
+
+def active_parameter_count(net: Network, mask: MaskSet | None) -> int:
+    """Number of parameters of ``net`` that can still influence the output.
+
+    A structured mask counts its reduced network's parameters; pass the
+    :func:`sub_network` pair when it is already built. An unstructured mask
+    counts the weights it leaves on plus every bias.
+    """
+    if mask is not None and mask.mode == "structured":
+        net, mask = sub_network(net, mask)
+    total = 0
+    for i, p in enumerate(net.params):
+        if p is None:
+            continue
+        kept = int(mask.masks[i].sum()) if mask is not None and i in mask.masks \
+            else p.weight.size
+        total += kept + p.bias.size
+    return total

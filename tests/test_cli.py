@@ -7,6 +7,8 @@ import pytest
 from weedout.cli import (aggregate_records, arm_differences, canonical_json,
                          load_config, main, parse_config, pooled_ci_half_width)
 from weedout.errors import ConfigError
+from weedout.network import default_dense_spec, init_network
+from weedout.numerics import round_half_up
 from weedout.pipeline import EpochRow, RunRecord, run_label, write_run_record
 
 T_975_DF4 = 2.7764451051977987  # Student-t, two-sided 95%, n=5
@@ -130,6 +132,56 @@ class TestCmdRun:
         raw = minimal_raw(search={"etas": [0.3], "validation_batch_size": 10**6})
         assert self.run_cli(tmp_path, raw) == 2
         assert "validation_batch_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["global", "nonuniform"])
+    def test_unimplemented_mask_mode_exits_two(self, tmp_path, capsys, mode):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"),
+                          search={"etas": [0.3], "mask_mode": mode})
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        assert "search.mask_mode" in captured.err and repr(mode) in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_unstructured_sweep_end_to_end(self, tmp_path):
+        """Unstructured masks in both sparse arms: exact zero counts, the
+        parent's masked path, identical output at every thread count."""
+        etas = [0.3, 0.6]
+        raw = minimal_raw(arms=["weedout", "random_baseline"], seeds=[0, 1],
+                          search={"population_size": 6, "generations": 2,
+                                  "validation_batch_size": 16, "etas": etas,
+                                  "mask_mode": "unstructured"})
+        outputs = {}
+        for parallel in (1, 2):
+            out = tmp_path / f"p{parallel}"
+            assert self.run_cli(tmp_path, raw, "--out", str(out),
+                                "--parallel", str(parallel)) == 0
+            outputs[parallel] = out
+        total = init_network(default_dense_spec(4), (12,), 0).parameter_count()
+        cells = sorted(p.name for p in outputs[1].iterdir() if p.is_dir())
+        assert cells == sorted(run_label(arm, eta, seed)
+                               for arm in ("weedout", "random_baseline")
+                               for eta in etas for seed in (0, 1))
+        for name in cells:
+            manifests = [json.loads((outputs[p] / name / "manifest.json").read_text())
+                         for p in (1, 2)]
+            m = manifests[0]
+            assert m["status"] == "completed"
+            assert m["mask"]["mode"] == "unstructured"
+            zeros = 0
+            for entry in m["mask"]["per_layer"].values():
+                assert entry["zeros"] == round_half_up(m["eta"] * entry["size"])
+                zeros += entry["zeros"]
+            # the masked parent keeps every node: only masked weights drop out
+            assert m["active_parameters"] == total - zeros
+            for manifest in manifests:  # timings and out_dir differ by design
+                del manifest["wall_clock"], manifest["effective_config"]
+            assert manifests[0] == manifests[1]
+            for file in ("metrics.csv", "search.csv"):
+                a, b = (outputs[p] / name / file for p in (1, 2))
+                assert a.exists() == (m["arm"] == "weedout" or file == "metrics.csv")
+                if a.exists():
+                    assert a.read_bytes() == b.read_bytes()
 
 
 def fabricate_sweep(tmp_path, arm_values, epochs=3):

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from weedout.data import Dataset, batches
 from weedout.errors import InfeasibleSparsityError, UnsupportedModeError
-from weedout.network import (dense, forward, init_network, loss_and_grads,
-                             relu_layer)
+from weedout.network import (SgdState, _forward_backward, conv2d, dense,
+                             evaluate, flatten_layer, forward, init_network,
+                             loss_and_grads, mean_loss, parent_checksum,
+                             relu_layer, sgd_step)
 from weedout.numerics import RngStream, round_half_up
-from weedout.sparsity import (MaskSet, all_ones_mask, per_layer_sparsity,
-                              realized_sparsity, reduce_network, resample_mask,
-                              sample_mask, sample_structured,
-                              sample_unstructured)
+from weedout.pipeline import Splits, TrainConfig, _train
+from weedout.search import Candidate, fitness
+from weedout.sparsity import (MaskSet, active_parameter_count, all_ones_mask,
+                              per_layer_sparsity, realized_sparsity,
+                              reduce_network, resample_mask, sample_mask,
+                              sample_structured, sample_unstructured,
+                              sub_network)
 
 import helpers
 
@@ -211,6 +217,66 @@ class TestReduceNetwork:
         counts = []
         for eta in (0.0, 0.2, 0.4, 0.6, 0.8):
             mask = sample_structured(spec, eta, RngStream(8).split("m"))
-            counts.append(mask.active_parameter_count(net))
+            counts.append(active_parameter_count(net, mask))
+            assert counts[-1] == active_parameter_count(*sub_network(net, mask))
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == net.parameter_count()
+
+
+class TestSubNetwork:
+    """Scoring and training the reduced network reproduce the masked parent."""
+
+    SPEC = [conv2d(4, 3, stride=2), relu_layer(), conv2d(5, 2), relu_layer(),
+            flatten_layer(), dense(6), relu_layer(), dense(3, maskable=False)]
+    SHAPE = (9, 9, 2)
+
+    def splits(self):
+        rng = RngStream(41)
+        x = rng.split("x").normal((112,) + self.SHAPE)
+        y = (x[:, :4, :4, 0].sum(axis=(1, 2)) > 0).astype(int) \
+            + (x[:, 5:, 5:, 1].sum(axis=(1, 2)) > 0)
+        part = lambda lo, hi: Dataset(x[lo:hi], y[lo:hi], 3)
+        return Splits(part(0, 64), part(64, 80), part(80, 112))
+
+    def test_training_matches_masked_parent(self):
+        splits = self.splits()
+        cfg = TrainConfig(epochs=4, batch_size=16, lr=0.05, momentum=0.9)
+        net = init_network(self.SPEC, self.SHAPE, seed=9)
+        mask = sample_structured(self.SPEC, 0.4, RngStream(5))
+        before = parent_checksum(net)
+        rows, _, active = _train(net, mask, cfg, splits, RngStream(7), "oracle")
+        assert parent_checksum(net) == before  # the reduced copy was trained
+        assert active == reduce_network(net, mask).parameter_count()
+
+        oracle = net.copy()
+        state = SgdState.zeros(oracle)
+        for epoch, row in enumerate(rows, start=1):
+            loss_sum, correct = 0.0, 0
+            for x, y in batches(splits.train, cfg.batch_size,
+                                RngStream(7).split(f"epoch{epoch}")):
+                loss, grads, logits = _forward_backward(oracle, mask, x, y)
+                sgd_step(oracle, grads, cfg.lr, cfg.momentum, state)
+                loss_sum += loss * len(y)
+                correct += int((logits.argmax(axis=1) == y).sum())
+            test = evaluate(oracle, mask, splits.test)
+            assert abs(row.train_loss - loss_sum / len(splits.train)) < 1e-9
+            assert abs(row.test_loss - test.mean_loss) < 1e-9
+            assert row.train_accuracy == correct / len(splits.train)
+            assert row.test_accuracy == test.accuracy
+
+    @pytest.mark.parametrize("eta", [0.2, 0.6])
+    def test_fitness_matches_masked_parent(self, eta):
+        splits = self.splits()
+        net = init_network(self.SPEC, self.SHAPE, seed=10)
+        x, y = splits.validation.inputs, splits.validation.labels
+        rng = RngStream(12)
+        for trial in range(4):
+            mask = sample_structured(self.SPEC, eta, rng.split(f"m{trial}"))
+            score = fitness(net, Candidate(mask, trial, 1), (x, y))
+            assert abs(score + mean_loss(net, mask, x, y)) < 1e-12
+
+    def test_unstructured_mask_keeps_parent(self, rng):
+        net = init_network(self.SPEC, self.SHAPE, seed=11)
+        mask = sample_unstructured(self.SPEC, self.SHAPE, 0.5, rng)
+        run_net, run_mask = sub_network(net, mask)
+        assert run_net is net and run_mask is mask
