@@ -8,6 +8,12 @@ Backpropagation is hand-written per layer kind, which keeps the masked
 gradient flow exact: weights incident only to deactivated nodes receive
 gradients that are zero bit-for-bit.
 
+A convolution runs as im2col GEMMs: the input's windows, unrolled in the
+weight's (kh, kw, c_in) order, multiply the flattened weight, one
+cache-sized block of examples at a time. The backward pass skips the
+gradient with respect to the first parameterized layer's input, which
+nothing reads.
+
 Search and training run unstructured masks through these masked passes.
 Structured masks execute on the smaller network that
 ``sparsity.reduce_network`` builds, with no mask (see
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MaskMismatchError, ShapeMismatchError, SpecValidationError
 from .numerics import RngStream, Tensor, he_normal
@@ -221,41 +228,64 @@ def _check_mask(net: Network, mask: "MaskSet | None") -> None:
             raise MaskMismatchError(f"unknown mask mode {mask.mode!r}")
 
 
+# A convolution runs as im2col GEMMs over blocks of examples; each block's
+# patch matrix holds at most this many bytes. A cache-sized block is faster
+# than one GEMM over the whole batch, and memory does not grow with the batch.
+_BLOCK_BYTES = 2 << 20
+
+
+def _patch_blocks(x: Tensor, kh: int, kw: int, stride: int):
+    """Yield ``(examples, patches)`` for consecutive blocks of examples.
+
+    ``patches`` has one row per output position of the block, holding that
+    position's window in the weight's (kh, kw, c_in) order.
+    """
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
+    step = max(1, _BLOCK_BYTES // (int(np.prod(windows.shape[1:])) * x.itemsize))
+    for start in range(0, x.shape[0], step):
+        examples = slice(start, start + step)
+        yield examples, windows[examples].reshape(-1, kh * kw * x.shape[3])
+
+
 def _conv_forward(x: Tensor, w: Tensor, b: Tensor, stride: int) -> Tensor:
-    n, h, wd, c_in = x.shape
+    n, h, wd, _ = x.shape
     kh, kw, _, c_out = w.shape
     oh = (h - kh) // stride + 1
     ow = (wd - kw) // stride + 1
-    acc = np.zeros((n * oh * ow, c_out))
-    for a in range(kh):
-        for bb in range(kw):
-            xs = x[:, a:a + stride * oh:stride, bb:bb + stride * ow:stride, :]
-            acc += xs.reshape(-1, c_in) @ w[a, bb]
-    return acc.reshape(n, oh, ow, c_out) + b
+    out = np.empty((n, oh, ow, c_out))
+    w_mat = w.reshape(-1, c_out)
+    for examples, patches in _patch_blocks(x, kh, kw, stride):
+        np.matmul(patches, w_mat, out=out[examples].reshape(-1, c_out))
+    out += b
+    return out
 
 
-def _conv_backward(x: Tensor, w: Tensor, stride: int, dout: Tensor):
-    n, h, wd, c_in = x.shape
-    kh, kw, _, c_out = w.shape
+def _conv_backward(x: Tensor, w: Tensor, stride: int, dout: Tensor,
+                   input_grad: bool = True):
+    """``(dw, db, dx)`` of a convolution; ``dx`` is None unless ``input_grad``."""
+    kh, kw, c_in, c_out = w.shape
     oh, ow = dout.shape[1], dout.shape[2]
-    dflat = dout.reshape(-1, c_out)
-    dw = np.zeros_like(w)
-    dx = np.zeros_like(x)
-    for a in range(kh):
-        for bb in range(kw):
-            xs = x[:, a:a + stride * oh:stride, bb:bb + stride * ow:stride, :]
-            dw[a, bb] = xs.reshape(-1, c_in).T @ dflat
-            dx[:, a:a + stride * oh:stride, bb:bb + stride * ow:stride, :] += \
-                (dflat @ w[a, bb].T).reshape(n, oh, ow, c_in)
+    dw = np.zeros((kh * kw * c_in, c_out))
+    dx = np.zeros_like(x) if input_grad else None
+    for examples, patches in _patch_blocks(x, kh, kw, stride):
+        dflat = dout[examples].reshape(-1, c_out)
+        dw += patches.T @ dflat
+        if dx is None:
+            continue
+        dx_block = dx[examples]
+        for a in range(kh):
+            for bb in range(kw):
+                dx_block[:, a:a + stride * oh:stride, bb:bb + stride * ow:stride, :] += \
+                    (dflat @ w[a, bb].T).reshape(len(dx_block), oh, ow, c_in)
     db = dout.sum(axis=(0, 1, 2))
-    return dw, db, dx
+    return dw.reshape(w.shape), db, dx
 
 
-def _effective_weight(net: Network, mask, i: int) -> Tensor:
-    w = net.params[i].weight
+def _weight_mask(mask, i: int):
     if mask is not None and mask.mode == "unstructured" and i in mask.masks:
-        return w * mask.masks[i]
-    return w
+        return mask.masks[i]
+    return None
 
 
 def _node_mask(mask, i: int):
@@ -265,24 +295,31 @@ def _node_mask(mask, i: int):
 
 
 def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool):
-    """Run the stack; optionally keep each layer's input for backprop."""
+    """Run the stack; optionally keep each layer's input for backprop.
+
+    Returns the logits, the kept inputs and, per layer, the weight the layer
+    multiplied by (for an unstructured mask, the masked product), so that the
+    backward pass reuses it.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeMismatchError(
             f"batch shape {x.shape[1:]} does not match input shape {net.input_shape}")
     inputs: list[Tensor | None] = []
+    weights: list[Tensor | None] = [None] * len(net.spec)
     h = x
     for i, layer in enumerate(net.spec):
         inputs.append(h if keep_inputs else None)
-        if layer.kind == "dense":
-            w = _effective_weight(net, mask, i)
-            h = h @ w + net.params[i].bias
-            m = _node_mask(mask, i)
-            if m is not None:
-                h = h * m
-        elif layer.kind == "conv2d":
-            w = _effective_weight(net, mask, i)
-            h = _conv_forward(h, w, net.params[i].bias, layer.stride)
+        if layer.kind in PARAM_KINDS:
+            w = net.params[i].weight
+            wm = _weight_mask(mask, i)
+            if wm is not None:
+                w = w * wm
+            weights[i] = w
+            if layer.kind == "dense":
+                h = h @ w + net.params[i].bias
+            else:
+                h = _conv_forward(h, w, net.params[i].bias, layer.stride)
             m = _node_mask(mask, i)
             if m is not None:
                 h = h * m
@@ -290,44 +327,42 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool):
             h = np.maximum(h, 0.0)
         elif layer.kind == "flatten":
             h = h.reshape(h.shape[0], -1)
-    return h, inputs
+    return h, inputs, weights
 
 
 def forward(net: Network, mask: "MaskSet | None", batch: Tensor) -> Tensor:
     """Logits of the masked network on a batch; logits are never masked."""
     _check_mask(net, mask)
-    logits, _ = _forward_pass(net, mask, batch, keep_inputs=False)
+    logits, _, _ = _forward_pass(net, mask, batch, keep_inputs=False)
     return logits
 
 
 def _forward_backward(net: Network, mask, x: Tensor, labels):
     from .numerics import softmax_cross_entropy
 
-    logits, inputs = _forward_pass(net, mask, x, keep_inputs=True)
+    logits, inputs, weights = _forward_pass(net, mask, x, keep_inputs=True)
     loss, dh = softmax_cross_entropy(logits, labels)
     grads: Gradients = [None] * len(net.spec)
-    for i in range(len(net.spec) - 1, -1, -1):
+    # Nothing reads the gradient with respect to the first parameterized
+    # layer's input, so it is not computed.
+    first = next(i for i, p in enumerate(net.params) if p is not None)
+    for i in range(len(net.spec) - 1, first - 1, -1):
         layer = net.spec[i]
         h_in = inputs[i]
-        if layer.kind == "dense":
+        if layer.kind in PARAM_KINDS:
             m = _node_mask(mask, i)
             if m is not None:
                 dh = dh * m
-            w = _effective_weight(net, mask, i)
-            dw = h_in.T @ dh
-            db = dh.sum(axis=0)
-            dh = dh @ w.T
-            if mask is not None and mask.mode == "unstructured" and i in mask.masks:
-                dw *= mask.masks[i]
-            grads[i] = LayerParams(dw, db)
-        elif layer.kind == "conv2d":
-            m = _node_mask(mask, i)
-            if m is not None:
-                dh = dh * m
-            w = _effective_weight(net, mask, i)
-            dw, db, dh = _conv_backward(h_in, w, layer.stride, dh)
-            if mask is not None and mask.mode == "unstructured" and i in mask.masks:
-                dw *= mask.masks[i]
+            input_grad = i > first
+            if layer.kind == "dense":
+                dw = h_in.T @ dh
+                db = dh.sum(axis=0)
+                dh = dh @ weights[i].T if input_grad else None
+            else:
+                dw, db, dh = _conv_backward(h_in, weights[i], layer.stride, dh, input_grad)
+            wm = _weight_mask(mask, i)
+            if wm is not None:
+                dw *= wm
             grads[i] = LayerParams(dw, db)
         elif layer.kind == "relu":
             dh = dh * (h_in > 0.0)
@@ -370,7 +405,7 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     for start in range(0, n, batch_size):
         x = dataset.inputs[start:start + batch_size]
         y = dataset.labels[start:start + batch_size]
-        logits, _ = _forward_pass(net, mask, x, keep_inputs=False)
+        logits, _, _ = _forward_pass(net, mask, x, keep_inputs=False)
         loss, _ = softmax_cross_entropy(logits, y)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())

@@ -22,7 +22,7 @@ def kink_distance(net, mask, x):
     """
     from weedout.network import _forward_pass
 
-    _, inputs = _forward_pass(net, mask, x, keep_inputs=True)
+    _, inputs, _ = _forward_pass(net, mask, x, keep_inputs=True)
     dist = float("inf")
     for i, layer in enumerate(net.spec):
         if layer.kind == "relu":
