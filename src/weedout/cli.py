@@ -20,11 +20,11 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import data as data_mod
 from . import network as net_mod
@@ -309,7 +309,7 @@ def build_experiment(cfg: ExperimentConfig):
             raise ConfigError(["splits.test: must be positive for blobs"])
         splits = Splits(result.train, result.validation, result.test)
     elif ds_cfg["kind"] == "mnist":
-        source = data_mod.load_idx(ds_cfg["train_images"], ds_cfg["train_labels"],
+        source = data_mod.read_idx(ds_cfg["train_images"], ds_cfg["train_labels"],
                                    num_classes=10)
         test = data_mod.load_idx(ds_cfg["test_images"], ds_cfg["test_labels"],
                                  num_classes=10)
@@ -318,7 +318,7 @@ def build_experiment(cfg: ExperimentConfig):
             int(sp["train"]), int(sp["validation"]), 0, sp["seed"]))
         splits = Splits(result.train, result.validation, test)
     else:
-        source = data_mod.load_cifar10_binary(ds_cfg["train_files"])
+        source = data_mod.read_cifar10_binary(ds_cfg["train_files"])
         test = data_mod.load_cifar10_binary(ds_cfg["test_file"])
         sp = cfg.splits
         result = data_mod.split(source, data_mod.SplitSpec(
@@ -390,13 +390,23 @@ class AggregateRow:
     n_runs: int
 
 
+def _t975(df: int) -> float:
+    """Student-t 97.5% quantile, the two-sided 95% CI multiplier.
+
+    ``scipy.special`` is imported here, so ``weedout run`` never loads scipy.
+    """
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.975))
+
+
 def _mean_ci(values: list[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
     mean = float(np.mean(values))
     if len(values) < 2:
         return mean, None
-    half = float(stats.t.ppf(0.975, len(values) - 1)
+    half = float(_t975(len(values) - 1)
                  * np.std(values, ddof=1) / math.sqrt(len(values)))
     return mean, half
 
@@ -439,7 +449,7 @@ def pooled_ci_half_width(a: list[float], b: list[float]) -> float:
     s1 = np.var(a, ddof=1)
     s2 = np.var(b, ddof=1)
     sp2 = ((n1 - 1) * s1 + (n2 - 1) * s2) / (n1 + n2 - 2)
-    return float(stats.t.ppf(0.975, n1 + n2 - 2)
+    return float(_t975(n1 + n2 - 2)
                  * math.sqrt(sp2) * math.sqrt(1 / n1 + 1 / n2))
 
 
@@ -530,6 +540,8 @@ def write_report(records, report_dir) -> dict[str, Path]:
 
 def cmd_run(args) -> int:
     try:
+        if args.parallel < 1:
+            raise ConfigError([f"--parallel: must be >= 1, got {args.parallel}"])
         cfg = load_config(args.config)
         if args.seed_offset:
             cfg.seeds = [s + args.seed_offset for s in cfg.seeds]
@@ -554,11 +566,16 @@ def cmd_run(args) -> int:
             acc = "" if row.test_accuracy is None else f" test_acc={row.test_accuracy:.4f}"
             print(f"[{cell.status:>9}] {label}{acc}")
 
-    results = pipeline.sweep(layers, input_shape, cfg.etas, cfg.arms, cfg.seeds,
-                             search_cfg, train_cfg, splits, out_dir,
-                             parallel=args.parallel, resume=args.resume,
-                             independent_parents=cfg.independent_parents,
-                             effective_config=effective, progress=progress)
+    try:
+        results = pipeline.sweep(layers, input_shape, cfg.etas, cfg.arms, cfg.seeds,
+                                 search_cfg, train_cfg, splits, out_dir,
+                                 parallel=args.parallel, resume=args.resume,
+                                 independent_parents=cfg.independent_parents,
+                                 effective_config=effective, progress=progress)
+    except BrokenProcessPool as exc:
+        print(f"sweep aborted, a worker process died: {exc} "
+              "Cells not yet written are recomputed on resume.", file=sys.stderr)
+        return 1
     failed = [r for r in results if r.status == "failed"]
     done = sum(1 for r in results if r.status == "completed")
     cached = sum(1 for r in results if r.status == "cached")
@@ -672,7 +689,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     p_run.add_argument("--out", help="override the output directory")
     p_run.add_argument("--parallel", type=int, default=1,
-                       help="threads for fitness evaluation (default 1)")
+                       help="workers (default 1): one process per pending cell "
+                            "up to N, the rest as candidate-scoring threads "
+                            "within each cell")
     p_run.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
                        help="skip completed cells (default on)")
     p_run.add_argument("--seed-offset", type=int, default=0,

@@ -61,12 +61,49 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
 
+@dataclass(frozen=True)
+class Pixels:
+    """uint8 images and integer labels as read from an image file.
+
+    The model reads pixels as ``pixels / 255.0`` in float64, eight times the
+    bytes. ``subset`` converts only the examples it takes, so splitting a
+    large file never holds the whole of it as floats.
+    """
+
+    pixels: np.ndarray
+    labels: np.ndarray
+    num_classes: int
+    provenance: str = ""
+
+    def __post_init__(self):
+        if len(self.labels) and (self.labels.min() < 0
+                                 or self.labels.max() >= self.num_classes):
+            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def subset(self, indices, provenance: str | None = None) -> Dataset:
+        return Dataset(self.pixels[indices] / 255.0, self.labels[indices],
+                       self.num_classes,
+                       provenance if provenance is not None else self.provenance)
+
+    def dataset(self) -> Dataset:
+        """Every example, scaled."""
+        return self.subset(slice(None))
+
+
 # ---------------------------------------------------------------------------
 # IDX (MNIST-style) format
 # ---------------------------------------------------------------------------
 
 def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
     """Read big-endian IDX image/label files; pixels scaled to [0, 1]."""
+    return read_idx(images_path, labels_path, num_classes).dataset()
+
+
+def read_idx(images_path, labels_path, num_classes: int | None = None) -> Pixels:
+    """Read big-endian IDX image/label files; pixels stay uint8."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     raw = images_path.read_bytes()
     if len(raw) < 16:
@@ -96,8 +133,7 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if n else 0
-    return Dataset(pixels / 255.0, labels, num_classes,
-                   provenance=f"idx:{images_path.name}")
+    return Pixels(pixels, labels, num_classes, provenance=f"idx:{images_path.name}")
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -122,6 +158,11 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 def load_cifar10_binary(batch_paths) -> Dataset:
     """Read CIFAR-10 binary batch files (3073-byte records) into HWC layout."""
+    return read_cifar10_binary(batch_paths).dataset()
+
+
+def read_cifar10_binary(batch_paths) -> Pixels:
+    """Read CIFAR-10 binary batch files into HWC layout; pixels stay uint8."""
     if isinstance(batch_paths, (str, Path)):
         batch_paths = [batch_paths]
     if not batch_paths:
@@ -141,8 +182,7 @@ def load_cifar10_binary(batch_paths) -> Dataset:
         raise FormatError(f"label byte {labels.max()} out of range for CIFAR-10")
     # channel-major planes (R, G, B) -> HWC
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    return Dataset(pixels / 255.0, labels, 10,
-                   provenance=f"cifar10:{len(batch_paths)} file(s)")
+    return Pixels(pixels, labels, 10, provenance=f"cifar10:{len(batch_paths)} file(s)")
 
 
 def encode_cifar10_records(inputs: Tensor, labels: np.ndarray) -> bytes:
@@ -217,8 +257,12 @@ class SplitResult:
                 if getattr(self, name) is not None}
 
 
-def split(ds: Dataset, spec: SplitSpec) -> SplitResult:
-    """Deterministic disjoint partition of ``ds`` per ``spec``."""
+def split(ds: Dataset | Pixels, spec: SplitSpec) -> SplitResult:
+    """Deterministic disjoint partition of ``ds`` per ``spec``.
+
+    The parts are Datasets either way; from ``Pixels`` only the examples a
+    part keeps are converted to floats.
+    """
     n = len(ds)
     parts = (spec.train, spec.validation, spec.test)
     if all(isinstance(p, float) for p in parts):

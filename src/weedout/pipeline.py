@@ -8,8 +8,9 @@ Three arms share one code path and differ only in where the mask comes from:
 
 By default both sparse arms share the parent initialization for a given seed,
 so the mask is the only difference between them. Every run is a pure function
-of (spec, configs, seed); per-cell results are persisted incrementally so a
-killed sweep resumes without recomputing finished cells.
+of (spec, configs, seed), so a sweep may compute cells in worker processes
+and still write them in a fixed order; per-cell results are persisted
+incrementally so a killed sweep resumes without recomputing finished cells.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import io
 import json
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing import get_context
 from pathlib import Path
 
 from .data import Dataset, batches
@@ -433,6 +436,42 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
     raise ValueError(f"unknown arm {arm!r}; available: {ARMS}")
 
 
+@dataclass(frozen=True)
+class _SweepInputs:
+    """What every cell of a sweep shares; forked workers inherit it unpickled."""
+
+    spec: list
+    input_shape: tuple
+    search_cfg: SearchConfig
+    train_cfg: TrainConfig
+    splits: Splits
+    independent_parents: bool
+
+    def attempt(self, arm: str, eta: float, seed: int,
+                threads: int) -> tuple[RunRecord | None, str | None]:
+        """Run one cell; any exception becomes its error text, for the manifest."""
+        try:
+            return run_cell(self.spec, self.input_shape, arm, eta, seed,
+                            self.search_cfg, self.train_cfg, self.splits,
+                            parallel=threads,
+                            independent_parents=self.independent_parents), None
+        except Exception as exc:  # a failing cell must not end the sweep
+            return None, f"{type(exc).__name__}: {exc}"
+
+
+# set once per pool worker by _init_worker, before it takes any cell
+_worker_inputs: _SweepInputs | None = None
+
+
+def _init_worker(inputs: _SweepInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _attempt_in_worker(arm: str, eta: float, seed: int, threads: int):
+    return _worker_inputs.attempt(arm, eta, seed, threads)
+
+
 def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
           train_cfg: TrainConfig, splits: Splits, out_dir, *,
           parallel: int = 1, resume: bool = True,
@@ -441,33 +480,60 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
           progress=None) -> list[CellResult]:
     """Full factorial (eta x arm x seed) execution with per-cell persistence.
 
-    Completed cells are skipped on resume; failed cells are recorded with
-    their error and the sweep continues.
+    Completed cells are skipped on resume; a cell that raises is recorded
+    with its error in a failure manifest and the sweep continues.
+
+    ``parallel`` workers go to cells first. When ``min(parallel, pending)``
+    is two or more, that many forked worker processes compute the pending
+    cells, each scoring search candidates on ``parallel // workers``
+    threads; otherwise (``parallel`` 1, or a lone pending cell) cells run in
+    this process on ``parallel`` threads. Fork hands the splits to the
+    workers without pickling them; it assumes the calling process runs no
+    other thread then, as the CLI does. This process writes every cell and
+    calls ``progress`` in ``sweep_cells`` order, so outputs are identical
+    for every ``parallel``. A worker that dies raises ``BrokenProcessPool``;
+    cells not written by then have no manifest and resume recomputes them.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cells = [(arm, eta, seed, out_dir / run_label(arm, eta, seed))
+             for arm, eta, seed in sweep_cells(etas, arms, seeds)]
+    cached = [resume and is_completed(cell_dir) for *_, cell_dir in cells]
+    pending = [cell[:3] for cell, done in zip(cells, cached) if not done]
+    workers = min(parallel, len(pending))
+    threads = parallel // max(workers, 1)
+    inputs = _SweepInputs(spec, input_shape, search_cfg, train_cfg, splits,
+                          independent_parents)
+    pool = None
+    if workers >= 2:
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                   initializer=_init_worker, initargs=(inputs,))
+        futures = {cell: pool.submit(_attempt_in_worker, *cell, threads)
+                   for cell in pending}
     results: list[CellResult] = []
-    for arm, eta, seed in sweep_cells(etas, arms, seeds):
-        cell_dir = out_dir / run_label(arm, eta, seed)
-        if resume and is_completed(cell_dir):
-            results.append(CellResult(arm, eta, seed, "cached", cell_dir,
-                                      record=read_run_record(cell_dir)))
+    try:
+        for (arm, eta, seed, cell_dir), done in zip(cells, cached):
+            if done:
+                result = CellResult(arm, eta, seed, "cached", cell_dir,
+                                    record=read_run_record(cell_dir))
+            else:
+                cell = (arm, eta, seed)
+                record, error = (futures[cell].result() if pool is not None
+                                 else inputs.attempt(*cell, threads))
+                if error is None:
+                    write_run_record(record, cell_dir, effective_config)
+                    result = CellResult(arm, eta, seed, "completed", cell_dir,
+                                        record=record)
+                else:
+                    write_failure(cell_dir, arm, eta, seed, error, effective_config)
+                    result = CellResult(arm, eta, seed, "failed", cell_dir,
+                                        error=error)
+            results.append(result)
             if progress:
-                progress(results[-1])
-            continue
-        try:
-            record = run_cell(spec, input_shape, arm, eta, seed, search_cfg,
-                              train_cfg, splits, parallel=parallel,
-                              independent_parents=independent_parents)
-        except (ValueError, ArithmeticError, DivergenceError) as exc:
-            write_failure(cell_dir, arm, eta, seed, f"{type(exc).__name__}: {exc}",
-                          effective_config)
-            results.append(CellResult(arm, eta, seed, "failed", cell_dir,
-                                      error=str(exc)))
-        else:
-            write_run_record(record, cell_dir, effective_config)
-            results.append(CellResult(arm, eta, seed, "completed", cell_dir,
-                                      record=record))
-        if progress:
-            progress(results[-1])
+                progress(result)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return results

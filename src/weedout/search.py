@@ -160,7 +160,8 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
     Each generation draws a fresh validation batch and scores all candidates
     on that same batch, so within-generation comparisons are fair. Candidate
     evaluations are pure and may run on ``parallel`` threads without changing
-    any value.
+    any value. A sweep hands its workers to cells first, so a cell gets the
+    threads left over: all of them when it is the only cell to compute.
     """
     cfg.validate()
     if len(d_validation) == 0:

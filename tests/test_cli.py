@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weedout.cli import (aggregate_records, arm_differences, canonical_json,
-                         load_config, main, parse_config, pooled_ci_half_width)
+import weedout
+from weedout.cli import (_mean_ci, aggregate_records, arm_differences,
+                         canonical_json, load_config, main, parse_config,
+                         pooled_ci_half_width)
 from weedout.errors import ConfigError
 from weedout.network import default_dense_spec, init_network
 from weedout.numerics import round_half_up
@@ -128,6 +134,29 @@ class TestCmdRun:
         assert (tmp_path / "flag" / run_label("weedout", 0.3, 0)).exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_run_never_imports_scipy(self, tmp_path):
+        """scipy serves only ``report``; ``run`` starts without it."""
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"),
+                          search={"population_size": 6, "generations": 2,
+                                  "validation_batch_size": 16, "etas": [0.3, 0.6]})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        script = ("import sys\n"
+                  "from weedout.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('scipy modules:', sorted(m for m in sys.modules\n"
+                  "      if m == 'scipy' or m.startswith('scipy.')))\n"
+                  "sys.exit(code)\n")
+        src = Path(weedout.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(cfg_path),
+             "--parallel", "2"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert "2 computed" in proc.stdout
+        assert "scipy modules: []" in proc.stdout
+
     def test_validation_batch_too_large_exits_two(self, tmp_path, capsys):
         raw = minimal_raw(search={"etas": [0.3], "validation_batch_size": 10**6})
         assert self.run_cli(tmp_path, raw) == 2
@@ -249,6 +278,23 @@ class TestAggregation:
         from scipy import stats
         expected = stats.t.ppf(0.975, 3) * math.sqrt(sp2) * math.sqrt(1 / 3 + 1 / 2)
         assert pooled_ci_half_width(a, b) == pytest.approx(expected, abs=1e-12)
+
+    def test_ci_half_widths_equal_scipy_stats(self):
+        """The report's t quantile is exactly ``scipy.stats.t.ppf``."""
+        from scipy import stats
+        rng = np.random.default_rng(0)
+        for n in range(2, 40):
+            values = rng.uniform(0.5, 1.0, size=n).tolist()
+            expected = float(stats.t.ppf(0.975, n - 1)
+                             * np.std(values, ddof=1) / math.sqrt(n))
+            assert _mean_ci(values)[1] == expected
+            a, b = values[:n // 2 + 1], values[n // 2 - 1:]
+            n1, n2 = len(a), len(b)
+            sp2 = ((n1 - 1) * np.var(a, ddof=1)
+                   + (n2 - 1) * np.var(b, ddof=1)) / (n1 + n2 - 2)
+            expected = float(stats.t.ppf(0.975, n1 + n2 - 2)
+                             * math.sqrt(sp2) * math.sqrt(1 / n1 + 1 / n2))
+            assert pooled_ci_half_width(a, b) == expected
 
     def test_arm_difference_verdicts(self, tmp_path):
         sweep_dir = fabricate_sweep(tmp_path, {

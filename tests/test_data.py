@@ -5,7 +5,8 @@ import pytest
 
 from weedout.data import (Dataset, SplitSpec, batches, encode_cifar10_records,
                           load_cifar10_binary, load_dataset, load_idx,
-                          sample_batch, save_dataset, split, synthetic_blobs,
+                          read_cifar10_binary, read_idx, sample_batch,
+                          save_dataset, split, synthetic_blobs,
                           write_idx_images, write_idx_labels)
 from weedout.errors import FormatError
 from weedout.network import default_dense_spec
@@ -123,6 +124,57 @@ class TestCifar10:
         p2.write_bytes(r1.tobytes())
         ds = load_cifar10_binary([p1, p2])
         assert len(ds) == 6
+
+
+class TestPixels:
+    """Images stay uint8 until a split picks its examples; the floats match
+    converting the whole file first, bit for bit."""
+
+    def read(self, tmp_path, kind):
+        """(uint8 pixels as read, the whole file converted the old way)."""
+        rng = np.random.default_rng(7)
+        if kind == "idx":
+            img, lbl, images, labels = make_idx_pair(tmp_path, n=60, seed=7)
+            full = Dataset(images[..., None] / 255.0, labels, 10, "idx:images.idx")
+            return read_idx(img, lbl, num_classes=10), full
+        records = rng.integers(0, 256, size=(60, 3073), dtype=np.uint8)
+        records[:, 0] %= 10
+        path = tmp_path / "batch.bin"
+        path.write_bytes(records.tobytes())
+        planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+        full = Dataset(planes / 255.0, records[:, 0], 10, "cifar10:1 file(s)")
+        return read_cifar10_binary(path), full
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10"])
+    def test_split_equals_full_conversion(self, tmp_path, kind):
+        pixels, full = self.read(tmp_path, kind)
+        assert pixels.pixels.dtype == np.uint8
+        spec = SplitSpec(30, 10, 15, seed=3)
+        parts, expected = split(pixels, spec), split(full, spec)
+        assert parts.discarded == expected.discarded == 5
+        for name in ("train", "validation", "test"):
+            got, want = getattr(parts, name), getattr(expected, name)
+            assert got.inputs.dtype == np.float64
+            assert got.inputs.shape == want.inputs.shape
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.provenance == want.provenance
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar10"])
+    def test_loaders_equal_full_conversion(self, tmp_path, kind):
+        pixels, full = self.read(tmp_path, kind)
+        load = load_idx if kind == "idx" else load_cifar10_binary
+        args = ((tmp_path / "images.idx", tmp_path / "labels.idx", 10)
+                if kind == "idx" else (tmp_path / "batch.bin",))
+        loaded = load(*args)
+        assert loaded.inputs.tobytes() == full.inputs.tobytes()
+        np.testing.assert_array_equal(loaded.labels, full.labels)
+
+    def test_label_out_of_range_rejected(self, tmp_path):
+        img, _, _, _ = make_idx_pair(tmp_path, n=3)
+        write_idx_labels(tmp_path / "bad", np.array([1, 12, 3], dtype=np.uint8))
+        with pytest.raises(ValueError, match="labels must lie"):
+            read_idx(img, tmp_path / "bad", num_classes=10)
 
 
 class TestBlobs:
