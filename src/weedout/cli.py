@@ -690,8 +690,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="override the output directory")
     p_run.add_argument("--parallel", type=int, default=1,
                        help="workers (default 1): one process per pending cell "
-                            "up to N, the rest as candidate-scoring threads "
-                            "within each cell")
+                            "up to N, the rest as threads within each cell, "
+                            "which score search candidates and then run the "
+                            "training and evaluation kernels")
     p_run.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
                        help="skip completed cells (default on)")
     p_run.add_argument("--seed-offset", type=int, default=0,

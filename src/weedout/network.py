@@ -10,9 +10,16 @@ gradients that are zero bit-for-bit.
 
 A convolution runs as im2col GEMMs: the input's windows, unrolled in the
 weight's (kh, kw, c_in) order, multiply the flattened weight, one
-cache-sized block of examples at a time. The backward pass skips the
-gradient with respect to the first parameterized layer's input, which
-nothing reads.
+cache-sized block of examples at a time. A large dense GEMM runs as row
+chunks. The backward pass skips the gradient with respect to the first
+parameterized layer's input, which nothing reads.
+
+Blocks and chunks depend only on array shapes, and each writes its own
+rows of the result; per-block weight gradients are summed in block order.
+Training and evaluation may pass a :class:`KernelPool`, whose threads then
+run the pieces of each kernel in contiguous runs. The threads only choose
+who computes a piece, so every result is the same bytes for any thread
+count, ``None`` (one thread) included.
 
 Search and training run unstructured masks through these masked passes.
 Structured masks execute on the smaller network that
@@ -23,7 +30,9 @@ the reduced network is checked against.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -228,56 +237,144 @@ def _check_mask(net: Network, mask: "MaskSet | None") -> None:
             raise MaskMismatchError(f"unknown mask mode {mask.mode!r}")
 
 
+class KernelPool:
+    """Threads on which one cell runs the pieces of its kernels.
+
+    ``run`` splits a kernel's pieces into ``threads`` contiguous runs; the
+    calling thread takes the first run and ``threads - 1`` pool threads the
+    others. A pool is owned by one cell and never submits work to itself.
+    """
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self._executor = ThreadPoolExecutor(threads - 1, thread_name_prefix="weedout-kernel")
+
+    def __enter__(self) -> "KernelPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._executor.shutdown()
+
+    def run(self, piece, count: int) -> None:
+        """Call ``piece(k)`` once for every k in ``range(count)``."""
+        runs = min(self.threads, count)
+        bounds = [r * count // runs for r in range(runs + 1)]
+
+        def run_pieces(first: int, stop: int) -> None:
+            for k in range(first, stop):
+                piece(k)
+
+        futures = [self._executor.submit(run_pieces, bounds[r], bounds[r + 1])
+                   for r in range(1, runs)]
+        try:
+            run_pieces(bounds[0], bounds[1])
+        finally:
+            wait(futures)  # no piece may outlive the call that owns its output
+        for future in futures:
+            future.result()
+
+
+def _run_pieces(pool: KernelPool | None, piece, count: int) -> None:
+    if pool is None or count < 2:
+        for k in range(count):
+            piece(k)
+    else:
+        pool.run(piece, count)
+
+
+# A dense GEMM is cut into chunks of whole multiples of this many output
+# rows, each holding at least _CHUNK_MACS multiply-adds; a GEMM smaller than
+# two chunks (every GEMM of the desk-scale dense net) stays one call.
+_CHUNK_ROWS = 64
+_CHUNK_MACS = 1 << 23
+
+
+def _gemm(a: Tensor, b: Tensor, pool: KernelPool | None = None) -> Tensor:
+    """``a @ b``, computed as row chunks chosen from the shapes alone."""
+    m, k = a.shape
+    n = b.shape[1]
+    rows = _CHUNK_ROWS * -(-_CHUNK_MACS // (_CHUNK_ROWS * k * n))
+    if rows >= m:
+        return a @ b
+    out = np.empty((m, n))
+
+    def chunk(c: int) -> None:
+        r = slice(c * rows, (c + 1) * rows)
+        np.matmul(a[r], b, out=out[r])
+
+    _run_pieces(pool, chunk, -(-m // rows))
+    return out
+
+
 # A convolution runs as im2col GEMMs over blocks of examples; each block's
 # patch matrix holds at most this many bytes. A cache-sized block is faster
 # than one GEMM over the whole batch, and memory does not grow with the batch.
 _BLOCK_BYTES = 2 << 20
 
 
-def _patch_blocks(x: Tensor, kh: int, kw: int, stride: int):
-    """Yield ``(examples, patches)`` for consecutive blocks of examples.
+def _patch_blocks(x: Tensor, kh: int, kw: int, stride: int) -> list:
+    """One function per block of examples, returning ``(examples, patches)``.
 
     ``patches`` has one row per output position of the block, holding that
-    position's window in the weight's (kh, kw, c_in) order.
+    position's window in the weight's (kh, kw, c_in) order. It is built only
+    when its block's function is called, so no two blocks need exist at once.
     """
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     windows = windows.transpose(0, 1, 2, 4, 5, 3)
     step = max(1, _BLOCK_BYTES // (int(np.prod(windows.shape[1:])) * x.itemsize))
-    for start in range(0, x.shape[0], step):
+
+    def block(start: int):
         examples = slice(start, start + step)
-        yield examples, windows[examples].reshape(-1, kh * kw * x.shape[3])
+        return examples, windows[examples].reshape(-1, kh * kw * x.shape[3])
+
+    return [partial(block, start) for start in range(0, x.shape[0], step)]
 
 
-def _conv_forward(x: Tensor, w: Tensor, b: Tensor, stride: int) -> Tensor:
+def _conv_forward(x: Tensor, w: Tensor, b: Tensor, stride: int,
+                  pool: KernelPool | None = None) -> Tensor:
     n, h, wd, _ = x.shape
     kh, kw, _, c_out = w.shape
     oh = (h - kh) // stride + 1
     ow = (wd - kw) // stride + 1
     out = np.empty((n, oh, ow, c_out))
     w_mat = w.reshape(-1, c_out)
-    for examples, patches in _patch_blocks(x, kh, kw, stride):
-        np.matmul(patches, w_mat, out=out[examples].reshape(-1, c_out))
-    out += b
+    blocks = _patch_blocks(x, kh, kw, stride)
+
+    def forward_block(k: int) -> None:
+        examples, patches = blocks[k]()
+        out_block = out[examples]
+        np.matmul(patches, w_mat, out=out_block.reshape(-1, c_out))
+        out_block += b
+
+    _run_pieces(pool, forward_block, len(blocks))
     return out
 
 
 def _conv_backward(x: Tensor, w: Tensor, stride: int, dout: Tensor,
-                   input_grad: bool = True):
+                   input_grad: bool = True, pool: KernelPool | None = None):
     """``(dw, db, dx)`` of a convolution; ``dx`` is None unless ``input_grad``."""
     kh, kw, c_in, c_out = w.shape
     oh, ow = dout.shape[1], dout.shape[2]
-    dw = np.zeros((kh * kw * c_in, c_out))
     dx = np.zeros_like(x) if input_grad else None
-    for examples, patches in _patch_blocks(x, kh, kw, stride):
+    blocks = _patch_blocks(x, kh, kw, stride)
+    dw_blocks: list[Tensor | None] = [None] * len(blocks)
+
+    def backward_block(k: int) -> None:
+        examples, patches = blocks[k]()
         dflat = dout[examples].reshape(-1, c_out)
-        dw += patches.T @ dflat
+        dw_blocks[k] = patches.T @ dflat
         if dx is None:
-            continue
+            return
         dx_block = dx[examples]
         for a in range(kh):
             for bb in range(kw):
                 dx_block[:, a:a + stride * oh:stride, bb:bb + stride * ow:stride, :] += \
                     (dflat @ w[a, bb].T).reshape(len(dx_block), oh, ow, c_in)
+
+    _run_pieces(pool, backward_block, len(blocks))
+    dw = np.zeros((kh * kw * c_in, c_out))
+    for dw_block in dw_blocks:
+        dw += dw_block
     db = dout.sum(axis=(0, 1, 2))
     return dw.reshape(w.shape), db, dx
 
@@ -294,12 +391,13 @@ def _node_mask(mask, i: int):
     return None
 
 
-def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool):
+def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
+                  pool: KernelPool | None = None):
     """Run the stack; optionally keep each layer's input for backprop.
 
     Returns the logits, the kept inputs and, per layer, the weight the layer
     multiplied by (for an unstructured mask, the masked product), so that the
-    backward pass reuses it.
+    backward pass reuses it. ``pool`` runs the kernels' pieces.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
@@ -317,9 +415,10 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool):
                 w = w * wm
             weights[i] = w
             if layer.kind == "dense":
-                h = h @ w + net.params[i].bias
+                h = _gemm(h, w, pool)
+                h += net.params[i].bias
             else:
-                h = _conv_forward(h, w, net.params[i].bias, layer.stride)
+                h = _conv_forward(h, w, net.params[i].bias, layer.stride, pool)
             m = _node_mask(mask, i)
             if m is not None:
                 h = h * m
@@ -337,10 +436,11 @@ def forward(net: Network, mask: "MaskSet | None", batch: Tensor) -> Tensor:
     return logits
 
 
-def _forward_backward(net: Network, mask, x: Tensor, labels):
+def _forward_backward(net: Network, mask, x: Tensor, labels,
+                      pool: KernelPool | None = None):
     from .numerics import softmax_cross_entropy
 
-    logits, inputs, weights = _forward_pass(net, mask, x, keep_inputs=True)
+    logits, inputs, weights = _forward_pass(net, mask, x, True, pool)
     loss, dh = softmax_cross_entropy(logits, labels)
     grads: Gradients = [None] * len(net.spec)
     # Nothing reads the gradient with respect to the first parameterized
@@ -355,11 +455,12 @@ def _forward_backward(net: Network, mask, x: Tensor, labels):
                 dh = dh * m
             input_grad = i > first
             if layer.kind == "dense":
-                dw = h_in.T @ dh
+                dw = _gemm(h_in.T, dh, pool)
                 db = dh.sum(axis=0)
-                dh = dh @ weights[i].T if input_grad else None
+                dh = _gemm(dh, weights[i].T, pool) if input_grad else None
             else:
-                dw, db, dh = _conv_backward(h_in, weights[i], layer.stride, dh, input_grad)
+                dw, db, dh = _conv_backward(h_in, weights[i], layer.stride, dh,
+                                            input_grad, pool)
             wm = _weight_mask(mask, i)
             if wm is not None:
                 dw *= wm
@@ -392,8 +493,12 @@ class EvalResult(NamedTuple):
     mean_loss: float
 
 
-def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 512) -> EvalResult:
-    """Accuracy and mean loss over a dataset; deterministic, in dataset order."""
+def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 512,
+             pool: KernelPool | None = None) -> EvalResult:
+    """Accuracy and mean loss over a dataset; deterministic, in dataset order.
+
+    ``pool`` runs the kernels' pieces; the result does not depend on it.
+    """
     from .numerics import softmax_cross_entropy
 
     n = len(dataset.labels)
@@ -405,7 +510,7 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     for start in range(0, n, batch_size):
         x = dataset.inputs[start:start + batch_size]
         y = dataset.labels[start:start + batch_size]
-        logits, _, _ = _forward_pass(net, mask, x, keep_inputs=False)
+        logits, _, _ = _forward_pass(net, mask, x, False, pool)
         loss, _ = softmax_cross_entropy(logits, y)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())

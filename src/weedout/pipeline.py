@@ -11,6 +11,14 @@ so the mask is the only difference between them. Every run is a pure function
 of (spec, configs, seed), so a sweep may compute cells in worker processes
 and still write them in a fixed order; per-cell results are persisted
 incrementally so a killed sweep resumes without recomputing finished cells.
+
+A cell gets the threads of ``--parallel`` that the sweep's worker processes
+leave over. Its threads score search candidates, then run the kernel pieces
+of training and evaluation; results are the same for any thread count.
+
+Each cell file is written under a temporary name and renamed into place,
+the manifest last and only after any old one is removed, so a cell killed
+mid-write has no manifest and resume recomputes it.
 """
 
 from __future__ import annotations
@@ -20,15 +28,17 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
 
 from .data import Dataset, batches
 from .errors import ChecksumError, DivergenceError
-from .network import (Network, SgdState, _forward_backward, evaluate,
+from .network import (KernelPool, Network, SgdState, _forward_backward, evaluate,
                       init_network, parent_checksum, sgd_step)
 from .numerics import RngStream
 from .search import HistoryRow, SearchConfig, run_search
@@ -117,47 +127,52 @@ def _parent_for(spec, input_shape, seed: int, arm: str,
 
 
 def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
-           rng_train: RngStream, run_id: str) -> tuple[list[EpochRow], float, int]:
+           rng_train: RngStream, run_id: str,
+           threads: int = 1) -> tuple[list[EpochRow], float, int]:
     """Train the sub-network ``mask`` selects from ``net``.
 
     A structured mask trains its reduced network and leaves ``net``
-    untouched; an unstructured mask trains ``net`` in place. Returns epoch
-    rows, seconds spent in evaluation and the active parameter count.
+    untouched; an unstructured mask trains ``net`` in place. With two or
+    more ``threads`` the cell's kernels run on a pool of that many threads,
+    with the same results as on one. Returns epoch rows, seconds spent in
+    evaluation and the active parameter count.
     """
-    net, mask = sub_network(net, mask)
-    state = SgdState.zeros(net)
-    rows: list[EpochRow] = []
-    eval_seconds = 0.0
-    for epoch in range(1, train_cfg.epochs + 1):
-        seen = 0
-        correct = 0
-        loss_sum = 0.0
-        for batch_no, (x, y) in enumerate(
-                batches(splits.train, train_cfg.batch_size, rng_train.split(f"epoch{epoch}"))):
-            try:
-                loss, grads, logits = _forward_backward(net, mask, x, y)
-            except ValueError as exc:
-                # forward/loss refuse non-finite values once weights blow up
-                raise DivergenceError(
-                    f"{run_id}: loss diverged at epoch {epoch}, batch {batch_no}: {exc}"
-                ) from exc
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"{run_id}: non-finite loss at epoch {epoch}, batch {batch_no}")
-            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state)
-            n = len(y)
-            seen += n
-            loss_sum += loss * n
-            correct += int((logits.argmax(axis=1) == y).sum())
-        test_acc = test_loss = None
-        if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
-            t_eval = time.perf_counter()
-            res = evaluate(net, mask, splits.test)
-            eval_seconds += time.perf_counter() - t_eval
-            test_acc, test_loss = res.accuracy, res.mean_loss
-        rows.append(EpochRow(epoch=epoch, train_accuracy=correct / seen,
-                             train_loss=loss_sum / seen,
-                             test_accuracy=test_acc, test_loss=test_loss))
+    with KernelPool(threads) if threads >= 2 else nullcontext() as pool:
+        net, mask = sub_network(net, mask)
+        state = SgdState.zeros(net)
+        rows: list[EpochRow] = []
+        eval_seconds = 0.0
+        for epoch in range(1, train_cfg.epochs + 1):
+            seen = 0
+            correct = 0
+            loss_sum = 0.0
+            for batch_no, (x, y) in enumerate(
+                    batches(splits.train, train_cfg.batch_size,
+                            rng_train.split(f"epoch{epoch}"))):
+                try:
+                    loss, grads, logits = _forward_backward(net, mask, x, y, pool)
+                except ValueError as exc:
+                    # forward/loss refuse non-finite values once weights blow up
+                    raise DivergenceError(
+                        f"{run_id}: loss diverged at epoch {epoch}, batch {batch_no}: {exc}"
+                    ) from exc
+                if not math.isfinite(loss):
+                    raise DivergenceError(
+                        f"{run_id}: non-finite loss at epoch {epoch}, batch {batch_no}")
+                sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state)
+                n = len(y)
+                seen += n
+                loss_sum += loss * n
+                correct += int((logits.argmax(axis=1) == y).sum())
+            test_acc = test_loss = None
+            if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
+                t_eval = time.perf_counter()
+                res = evaluate(net, mask, splits.test, pool=pool)
+                eval_seconds += time.perf_counter() - t_eval
+                test_acc, test_loss = res.accuracy, res.mean_loss
+            rows.append(EpochRow(epoch=epoch, train_accuracy=correct / seen,
+                                 train_loss=loss_sum / seen,
+                                 test_accuracy=test_acc, test_loss=test_loss))
     return rows, eval_seconds, active_parameter_count(net, mask)
 
 
@@ -175,7 +190,11 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
                 train_cfg: TrainConfig, splits: Splits, seed: int, *,
                 arm: str = "weedout", parallel: int = 1,
                 independent_parents: bool = False) -> RunRecord:
-    """Full selected-mask run: init parent, search, train winner, evaluate."""
+    """Full selected-mask run: init parent, search, train winner, evaluate.
+
+    ``parallel`` threads score search candidates, then run the training and
+    evaluation kernels.
+    """
     search_cfg.validate()
     train_cfg.validate()
     record = RunRecord(run_id=run_label(arm, search_cfg.eta, seed), arm=arm,
@@ -192,7 +211,7 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
     t2 = time.perf_counter()
     record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
                                                RngStream(seed).split("train"),
-                                               record.run_id)
+                                               record.run_id, parallel)
     t3 = time.perf_counter()
     record.wall_clock = {"init": t1 - t0, "weedout_phase": t2 - t1,
                          "training_phase": t3 - t2 - eval_s, "evaluation": eval_s}
@@ -201,9 +220,12 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
 
 def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
                  splits: Splits, seed: int, *, arm: str = "random_baseline",
-                 mask_mode: str = "structured",
+                 mask_mode: str = "structured", parallel: int = 1,
                  independent_parents: bool = False) -> RunRecord:
-    """Control arm: one randomly drawn mask at the same eta, trained identically."""
+    """Control arm: one randomly drawn mask at the same eta, trained identically.
+
+    ``parallel`` threads run the training and evaluation kernels.
+    """
     train_cfg.validate()
     record = RunRecord(run_id=run_label(arm, eta, seed), arm=arm, eta=eta, seed=seed)
     t0 = time.perf_counter()
@@ -214,7 +236,7 @@ def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
     t1 = time.perf_counter()
     record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
                                                RngStream(seed).split("train"),
-                                               record.run_id)
+                                               record.run_id, parallel)
     t2 = time.perf_counter()
     record.wall_clock = {"init": t1 - t0, "weedout_phase": 0.0,
                          "training_phase": t2 - t1 - eval_s, "evaluation": eval_s}
@@ -222,10 +244,12 @@ def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
 
 
 def dense_run(spec, input_shape, train_cfg: TrainConfig, splits: Splits,
-              seed: int, *, independent_parents: bool = False) -> RunRecord:
+              seed: int, *, parallel: int = 1,
+              independent_parents: bool = False) -> RunRecord:
     """Dense arm: the eta = 0 control, reported under eta = 0."""
     return baseline_run(spec, input_shape, 0.0, train_cfg, splits, seed,
-                        arm="dense", independent_parents=independent_parents)
+                        arm="dense", parallel=parallel,
+                        independent_parents=independent_parents)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +291,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` under a temporary name beside ``path``, then rename it."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_manifest(cell_dir: Path, manifest: dict) -> None:
+    _write_atomic(cell_dir / MANIFEST_NAME,
+                  (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
 def write_run_record(record: RunRecord, cell_dir, effective_config: dict | None = None,
                      status: str = "completed", error: str | None = None) -> Path:
-    """Persist one cell: metrics.csv, search.csv (if any), manifest.json."""
+    """Persist one cell: metrics.csv, search.csv (if any), manifest.json.
+
+    Each file appears whole or not at all. Any old manifest is removed
+    first and the new one appears last, so until the cell is whole it has
+    no manifest.
+    """
     cell_dir = Path(cell_dir)
     cell_dir.mkdir(parents=True, exist_ok=True)
+    (cell_dir / MANIFEST_NAME).unlink(missing_ok=True)
     files: dict[str, str] = {}
     metrics = metrics_csv_bytes(record)
-    (cell_dir / METRICS_NAME).write_bytes(metrics)
+    _write_atomic(cell_dir / METRICS_NAME, metrics)
     files[METRICS_NAME] = _sha256(metrics)
     if record.search_history is not None:
         search = search_csv_bytes(record.search_history)
-        (cell_dir / SEARCH_NAME).write_bytes(search)
+        _write_atomic(cell_dir / SEARCH_NAME, search)
         files[SEARCH_NAME] = _sha256(search)
     manifest = {
         "schema_version": 1,
@@ -303,8 +349,7 @@ def write_run_record(record: RunRecord, cell_dir, effective_config: dict | None 
         "files": files,
         "effective_config": effective_config,
     }
-    (cell_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_manifest(cell_dir, manifest)
     return cell_dir
 
 
@@ -320,8 +365,7 @@ def write_failure(cell_dir, arm: str, eta: float, seed: int, error: str,
         "files": {},
         "effective_config": effective_config,
     }
-    (cell_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_manifest(cell_dir, manifest)
 
 
 def read_manifest(cell_dir) -> dict:
@@ -428,11 +472,11 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
                            independent_parents=independent_parents)
     if arm == "random_baseline":
         return baseline_run(spec, input_shape, eta, train_cfg, splits, seed,
-                            mask_mode=search_cfg.mask_mode,
+                            mask_mode=search_cfg.mask_mode, parallel=parallel,
                             independent_parents=independent_parents)
     if arm == "dense":
         return dense_run(spec, input_shape, train_cfg, splits, seed,
-                         independent_parents=independent_parents)
+                         parallel=parallel, independent_parents=independent_parents)
     raise ValueError(f"unknown arm {arm!r}; available: {ARMS}")
 
 
@@ -485,9 +529,10 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
 
     ``parallel`` workers go to cells first. When ``min(parallel, pending)``
     is two or more, that many forked worker processes compute the pending
-    cells, each scoring search candidates on ``parallel // workers``
-    threads; otherwise (``parallel`` 1, or a lone pending cell) cells run in
-    this process on ``parallel`` threads. Fork hands the splits to the
+    cells, each on ``parallel // workers`` threads; otherwise (``parallel``
+    1, or a lone pending cell) cells run in this process on ``parallel``
+    threads. A cell's threads score search candidates, then run its
+    training and evaluation kernels. Fork hands the splits to the
     workers without pickling them; it assumes the calling process runs no
     other thread then, as the CLI does. This process writes every cell and
     calls ``progress`` in ``sweep_cells`` order, so outputs are identical

@@ -6,6 +6,11 @@ untrained parent; a structured mask is scored on its reduced network), keep
 the fittest, and refill the rest of the population with new random masks.
 No weight updates happen here; the only signal is the initialization
 quality of each mask.
+
+A cell's ``parallel`` threads score candidates here, one candidate per
+thread at a time; during training and evaluation the same threads run
+kernel pieces instead (see ``network.KernelPool``). Scoring passes no
+kernel pool, so a pool never waits on itself.
 """
 
 from __future__ import annotations
@@ -142,17 +147,6 @@ def _evaluate_population(net: Network, population: list[Candidate],
             fitness(net, c, batch)
 
 
-def _random_search_replacement(population, best, spec, eta, rng, *,
-                               mask_mode, input_shape):
-    return next_generation(population, best, spec, eta, rng,
-                           mask_mode=mask_mode, input_shape=input_shape)
-
-
-# Replacement rule per strategy; further heuristics (binary tournament, ...)
-# plug in here without touching the generation loop.
-REPLACEMENT_RULES = {"random_search": _random_search_replacement}
-
-
 def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
                rng: RngStream, parallel: int = 1) -> SearchResult:
     """Run the full selection phase and return the winning candidate.
@@ -162,11 +156,11 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
     evaluations are pure and may run on ``parallel`` threads without changing
     any value. A sweep hands its workers to cells first, so a cell gets the
     threads left over: all of them when it is the only cell to compute.
+    Each candidate is scored on its own thread, without a kernel pool.
     """
     cfg.validate()
     if len(d_validation) == 0:
         raise ValueError("validation split is empty")
-    replace_population = REPLACEMENT_RULES[cfg.strategy]
     rng_masks = rng.split("masks")
     rng_batches = rng.split("batches")
     population = [
@@ -205,8 +199,8 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
             if stale >= cfg.early_stop_patience:
                 break
         if gen < cfg.generations:
-            population = replace_population(population, best_gen, net.spec, cfg.eta,
-                                            rng_masks, mask_mode=cfg.mask_mode,
-                                            input_shape=net.input_shape)
+            population = next_generation(population, best_gen, net.spec, cfg.eta,
+                                         rng_masks, mask_mode=cfg.mask_mode,
+                                         input_shape=net.input_shape)
     result.best = best_gen if cfg.winner_scope == "final_generation" else best_overall
     return result

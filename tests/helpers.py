@@ -13,23 +13,35 @@ from weedout.network import LayerParams, layer_output_shapes, mean_loss
 
 
 def kink_distance(net, mask, x):
-    """Smallest nonzero |pre-activation| entering any relu layer.
+    """Smallest |pre-activation| entering any relu layer, pinned entries aside.
 
     Central differences are invalid within eps of a relu kink; instances are
     only usable for gradient checking when this distance comfortably exceeds
-    the step size. Exact zeros (masked-off nodes) are excluded: they stay
-    pinned at zero under any parameter perturbation.
+    the step size. An entry is pinned when a structured node mask zeroes its
+    position: it stays exactly zero under any parameter perturbation, so it
+    is excluded. Every other exact zero (a unit whose inputs are all dead, a
+    column an unstructured mask removes whole) sits on the kink and gives
+    distance 0.
     """
     from weedout.network import _forward_pass
 
     _, inputs, _ = _forward_pass(net, mask, x, keep_inputs=True)
+    structured = mask is not None and mask.mode == "structured"
     dist = float("inf")
+    free = None  # per entry of the current activation: not pinned by a node mask
     for i, layer in enumerate(net.spec):
         if layer.kind == "relu":
             vals = np.abs(inputs[i])
-            nz = vals[vals > 0.0]
-            if nz.size:
-                dist = min(dist, float(nz.min()))
+            if free is not None:
+                vals = vals[free]
+            if vals.size:
+                dist = min(dist, float(vals.min()))
+        elif layer.kind in ("dense", "conv2d"):
+            free = None
+            if structured and i in mask.masks:  # never the logits layer
+                free = np.broadcast_to(mask.masks[i] != 0.0, inputs[i + 1].shape)
+        elif layer.kind == "flatten" and free is not None:
+            free = free.reshape(len(x), -1)
     return dist
 
 

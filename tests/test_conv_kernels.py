@@ -135,8 +135,9 @@ def nonzero_biases(net, rng):
     """Give every bias a random value.
 
     With the initial zero biases a layer whose inputs are all dead feeds an
-    exact zero into the next relu, a kink that ``kink_distance`` takes for a
-    masked node; nonzero biases leave masking as the only source of zeros.
+    exact zero into the next relu: a kink, at which ``kink_distance`` reads 0
+    and the instance is drawn again. Nonzero biases make such draws rare and
+    cover gradients through nonzero biases too.
     """
     for p in net.params:
         if p is not None:
@@ -217,8 +218,8 @@ class TestFirstLayerInputGradient:
         calls = []
         real = network._conv_backward
 
-        def spy(x, w, stride, dout, input_grad=True):
-            result = real(x, w, stride, dout, input_grad)
+        def spy(x, w, stride, dout, input_grad=True, pool=None):
+            result = real(x, w, stride, dout, input_grad, pool)
             calls.append((x.shape, input_grad, result[2] is None))
             return result
 

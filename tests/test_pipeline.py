@@ -1,13 +1,17 @@
+import json
+import os
 import time
+from pathlib import Path
 
 import pytest
 
+from weedout import pipeline
 from weedout.errors import DivergenceError
 from weedout.network import default_dense_spec
 from weedout.pipeline import (TrainConfig, baseline_run, dense_run,
                               is_completed, metrics_csv_bytes, read_run_record,
                               run_label, search_csv_bytes, sweep, sweep_cells,
-                              weedout_run, write_run_record)
+                              weedout_run, write_failure, write_run_record)
 from weedout.search import SearchConfig
 
 SPEC = default_dense_spec(10)
@@ -179,3 +183,59 @@ class TestSweep:
                         small_train(), blob_splits, out)
         assert results[0].status == "completed"
         assert is_completed(results[0].cell_dir)
+
+
+class TestAtomicWrites:
+    """Cell files are renamed into place, the manifest last: a write that
+    stops part way leaves no manifest, and resume recomputes the cell."""
+
+    @staticmethod
+    def cell_bytes(cell):
+        files = {}
+        for path in sorted(cell.iterdir()):
+            blob = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(blob)
+                manifest.pop("wall_clock")
+                blob = json.dumps(manifest, sort_keys=True).encode()
+            files[path.name] = blob
+        return files
+
+    @pytest.mark.parametrize("before", ["empty", "completed"])
+    def test_write_stopped_after_metrics_leaves_no_manifest(self, tmp_path, blob_splits,
+                                                            monkeypatch, before):
+        args = (SPEC, SHAPE, [0.4], ["weedout"], [0], small_search(), small_train(),
+                blob_splits)
+        clean = sweep(*args, tmp_path / "clean")[0].cell_dir
+        out = tmp_path / "sweep"
+        if before == "completed":
+            sweep(*args, out)
+        replace = os.replace
+
+        def stop_after_metrics(src, dst):
+            if Path(dst).name != "metrics.csv":
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", stop_after_metrics)
+        with pytest.raises(OSError, match="no space"):
+            sweep(*args, out, resume=False)
+        monkeypatch.undo()
+        cell = out / run_label("weedout", 0.4, 0)
+        names = sorted(p.name for p in cell.iterdir())
+        # no manifest and no temporary file; an old search.csv may stay
+        assert names == (["metrics.csv"] if before == "empty"
+                         else ["metrics.csv", "search.csv"])
+        assert not is_completed(cell)
+
+        results = sweep(*args, out)
+        assert results[0].status == "completed"
+        assert self.cell_bytes(cell) == self.cell_bytes(clean)
+
+    def test_failure_manifest_replaces_whole(self, tmp_path):
+        cell = tmp_path / "cell"
+        write_failure(cell, "weedout", 0.4, 0, "RuntimeError: first")
+        write_failure(cell, "weedout", 0.4, 0, "RuntimeError: second")
+        assert sorted(p.name for p in cell.iterdir()) == ["manifest.json"]
+        assert json.loads((cell / "manifest.json").read_text())["error"] == \
+            "RuntimeError: second"
