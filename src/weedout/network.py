@@ -16,8 +16,9 @@ parameterized layer's input, which nothing reads.
 
 Blocks and chunks depend only on array shapes, and each writes its own
 rows of the result; per-block weight gradients are summed in block order.
-Training and evaluation may pass a :class:`KernelPool`, whose threads then
-run the pieces of each kernel in contiguous runs. The threads only choose
+A cell with two or more threads scores its search candidates on a
+:class:`KernelPool`, and training and evaluation pass one to the kernels,
+which run their pieces on it in contiguous runs. The threads only choose
 who computes a piece, so every result is the same bytes for any thread
 count, ``None`` (one thread) included.
 
@@ -31,6 +32,7 @@ the reduced network is checked against.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
@@ -238,9 +240,9 @@ def _check_mask(net: Network, mask: "MaskSet | None") -> None:
 
 
 class KernelPool:
-    """Threads on which one cell runs the pieces of its kernels.
+    """Threads on which one cell scores candidates and runs kernel pieces.
 
-    ``run`` splits a kernel's pieces into ``threads`` contiguous runs; the
+    ``run`` splits a job's pieces into ``threads`` contiguous runs; the
     calling thread takes the first run and ``threads - 1`` pool threads the
     others. A pool is owned by one cell and never submits work to itself.
     """
@@ -260,21 +262,27 @@ class KernelPool:
         runs = min(self.threads, count)
         bounds = [r * count // runs for r in range(runs + 1)]
 
-        def run_pieces(first: int, stop: int) -> None:
+        def run_span(first: int, stop: int) -> None:
             for k in range(first, stop):
                 piece(k)
 
-        futures = [self._executor.submit(run_pieces, bounds[r], bounds[r + 1])
+        futures = [self._executor.submit(run_span, bounds[r], bounds[r + 1])
                    for r in range(1, runs)]
         try:
-            run_pieces(bounds[0], bounds[1])
+            run_span(bounds[0], bounds[1])
         finally:
             wait(futures)  # no piece may outlive the call that owns its output
         for future in futures:
             future.result()
 
 
-def _run_pieces(pool: KernelPool | None, piece, count: int) -> None:
+def kernel_pool(threads: int):
+    """A context giving a :class:`KernelPool` of ``threads``, or None for one."""
+    return KernelPool(threads) if threads >= 2 else nullcontext()
+
+
+def run_pieces(pool: KernelPool | None, piece, count: int) -> None:
+    """Call ``piece(k)`` for every k in ``range(count)``, on ``pool`` if any."""
     if pool is None or count < 2:
         for k in range(count):
             piece(k)
@@ -284,14 +292,20 @@ def _run_pieces(pool: KernelPool | None, piece, count: int) -> None:
 
 # A dense GEMM is cut into chunks of whole multiples of this many output
 # rows, each holding at least _CHUNK_MACS multiply-adds; a GEMM smaller than
-# two chunks (every GEMM of the desk-scale dense net) stays one call.
-_CHUNK_ROWS = 64
+# two chunks stays one call. Every chunk repacks the whole right operand, so
+# short chunks slow one thread down: ``h @ w`` with the 25088x128 weight took
+# one thread (OpenBLAS 0.3.31 on a 2-vCPU Xeon) 16-24% longer in 64-row
+# chunks than in one call, and 2% longer in 256-row chunks. The desk net's
+# GEMMs and a conv net's batch-128 ``h @ w`` and ``dh @ w.T`` stay one call.
+_CHUNK_ROWS = 256
 _CHUNK_MACS = 1 << 23
 
 
 def _gemm(a: Tensor, b: Tensor, pool: KernelPool | None = None) -> Tensor:
     """``a @ b``, computed as row chunks chosen from the shapes alone."""
     m, k = a.shape
+    if m <= _CHUNK_ROWS:  # too short for two chunks
+        return a @ b
     n = b.shape[1]
     rows = _CHUNK_ROWS * -(-_CHUNK_MACS // (_CHUNK_ROWS * k * n))
     if rows >= m:
@@ -302,7 +316,7 @@ def _gemm(a: Tensor, b: Tensor, pool: KernelPool | None = None) -> Tensor:
         r = slice(c * rows, (c + 1) * rows)
         np.matmul(a[r], b, out=out[r])
 
-    _run_pieces(pool, chunk, -(-m // rows))
+    run_pieces(pool, chunk, -(-m // rows))
     return out
 
 
@@ -346,7 +360,7 @@ def _conv_forward(x: Tensor, w: Tensor, b: Tensor, stride: int,
         np.matmul(patches, w_mat, out=out_block.reshape(-1, c_out))
         out_block += b
 
-    _run_pieces(pool, forward_block, len(blocks))
+    run_pieces(pool, forward_block, len(blocks))
     return out
 
 
@@ -357,12 +371,18 @@ def _conv_backward(x: Tensor, w: Tensor, stride: int, dout: Tensor,
     oh, ow = dout.shape[1], dout.shape[2]
     dx = np.zeros_like(x) if input_grad else None
     blocks = _patch_blocks(x, kh, kw, stride)
-    dw_blocks: list[Tensor | None] = [None] * len(blocks)
+    dw = np.zeros((kh * kw * c_in, c_out))
+    # One thread adds each block's dw as it goes; a pool keeps the blocks'
+    # dw and adds them afterwards in the same order, to the same bytes.
+    dw_blocks: list[Tensor | None] | None = None if pool is None else [None] * len(blocks)
 
     def backward_block(k: int) -> None:
         examples, patches = blocks[k]()
         dflat = dout[examples].reshape(-1, c_out)
-        dw_blocks[k] = patches.T @ dflat
+        if dw_blocks is None:
+            dw[...] += patches.T @ dflat
+        else:
+            dw_blocks[k] = patches.T @ dflat
         if dx is None:
             return
         dx_block = dx[examples]
@@ -371,9 +391,8 @@ def _conv_backward(x: Tensor, w: Tensor, stride: int, dout: Tensor,
                 dx_block[:, a:a + stride * oh:stride, bb:bb + stride * ow:stride, :] += \
                     (dflat @ w[a, bb].T).reshape(len(dx_block), oh, ow, c_in)
 
-    _run_pieces(pool, backward_block, len(blocks))
-    dw = np.zeros((kh * kw * c_in, c_out))
-    for dw_block in dw_blocks:
+    run_pieces(pool, backward_block, len(blocks))
+    for dw_block in dw_blocks or ():
         dw += dw_block
     db = dout.sum(axis=(0, 1, 2))
     return dw.reshape(w.shape), db, dx

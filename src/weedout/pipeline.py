@@ -31,7 +31,6 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -39,7 +38,7 @@ from pathlib import Path
 from .data import Dataset, batches
 from .errors import ChecksumError, DivergenceError
 from .network import (KernelPool, Network, SgdState, _forward_backward, evaluate,
-                      init_network, parent_checksum, sgd_step)
+                      init_network, kernel_pool, parent_checksum, sgd_step)
 from .numerics import RngStream
 from .search import HistoryRow, SearchConfig, run_search
 from .sparsity import (MaskSet, active_parameter_count, realized_sparsity,
@@ -128,51 +127,49 @@ def _parent_for(spec, input_shape, seed: int, arm: str,
 
 def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
            rng_train: RngStream, run_id: str,
-           threads: int = 1) -> tuple[list[EpochRow], float, int]:
+           pool: KernelPool | None = None) -> tuple[list[EpochRow], float, int]:
     """Train the sub-network ``mask`` selects from ``net``.
 
     A structured mask trains its reduced network and leaves ``net``
-    untouched; an unstructured mask trains ``net`` in place. With two or
-    more ``threads`` the cell's kernels run on a pool of that many threads,
-    with the same results as on one. Returns epoch rows, seconds spent in
-    evaluation and the active parameter count.
+    untouched; an unstructured mask trains ``net`` in place. The cell's
+    ``pool``, if any, runs the kernels, with the same results as one thread.
+    Returns epoch rows, seconds spent in evaluation and the active parameter
+    count.
     """
-    with KernelPool(threads) if threads >= 2 else nullcontext() as pool:
-        net, mask = sub_network(net, mask)
-        state = SgdState.zeros(net)
-        rows: list[EpochRow] = []
-        eval_seconds = 0.0
-        for epoch in range(1, train_cfg.epochs + 1):
-            seen = 0
-            correct = 0
-            loss_sum = 0.0
-            for batch_no, (x, y) in enumerate(
-                    batches(splits.train, train_cfg.batch_size,
-                            rng_train.split(f"epoch{epoch}"))):
-                try:
-                    loss, grads, logits = _forward_backward(net, mask, x, y, pool)
-                except ValueError as exc:
-                    # forward/loss refuse non-finite values once weights blow up
-                    raise DivergenceError(
-                        f"{run_id}: loss diverged at epoch {epoch}, batch {batch_no}: {exc}"
-                    ) from exc
-                if not math.isfinite(loss):
-                    raise DivergenceError(
-                        f"{run_id}: non-finite loss at epoch {epoch}, batch {batch_no}")
-                sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state)
-                n = len(y)
-                seen += n
-                loss_sum += loss * n
-                correct += int((logits.argmax(axis=1) == y).sum())
-            test_acc = test_loss = None
-            if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
-                t_eval = time.perf_counter()
-                res = evaluate(net, mask, splits.test, pool=pool)
-                eval_seconds += time.perf_counter() - t_eval
-                test_acc, test_loss = res.accuracy, res.mean_loss
-            rows.append(EpochRow(epoch=epoch, train_accuracy=correct / seen,
-                                 train_loss=loss_sum / seen,
-                                 test_accuracy=test_acc, test_loss=test_loss))
+    net, mask = sub_network(net, mask)
+    state = SgdState.zeros(net)
+    rows: list[EpochRow] = []
+    eval_seconds = 0.0
+    for epoch in range(1, train_cfg.epochs + 1):
+        seen = 0
+        correct = 0
+        loss_sum = 0.0
+        for batch_no, (x, y) in enumerate(
+                batches(splits.train, train_cfg.batch_size, rng_train.split(f"epoch{epoch}"))):
+            try:
+                loss, grads, logits = _forward_backward(net, mask, x, y, pool)
+            except ValueError as exc:
+                # forward/loss refuse non-finite values once weights blow up
+                raise DivergenceError(
+                    f"{run_id}: loss diverged at epoch {epoch}, batch {batch_no}: {exc}"
+                ) from exc
+            if not math.isfinite(loss):
+                raise DivergenceError(
+                    f"{run_id}: non-finite loss at epoch {epoch}, batch {batch_no}")
+            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state)
+            n = len(y)
+            seen += n
+            loss_sum += loss * n
+            correct += int((logits.argmax(axis=1) == y).sum())
+        test_acc = test_loss = None
+        if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
+            t_eval = time.perf_counter()
+            res = evaluate(net, mask, splits.test, pool=pool)
+            eval_seconds += time.perf_counter() - t_eval
+            test_acc, test_loss = res.accuracy, res.mean_loss
+        rows.append(EpochRow(epoch=epoch, train_accuracy=correct / seen,
+                             train_loss=loss_sum / seen,
+                             test_accuracy=test_acc, test_loss=test_loss))
     return rows, eval_seconds, active_parameter_count(net, mask)
 
 
@@ -192,8 +189,9 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
                 independent_parents: bool = False) -> RunRecord:
     """Full selected-mask run: init parent, search, train winner, evaluate.
 
-    ``parallel`` threads score search candidates, then run the training and
-    evaluation kernels.
+    With two or more ``parallel`` threads, a kernel pool of that many
+    threads scores the search's candidates, and another runs the training
+    and evaluation kernels.
     """
     search_cfg.validate()
     train_cfg.validate()
@@ -209,9 +207,10 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
     record.fitness_evaluations = result.evaluations
     mask = result.best.mask
     t2 = time.perf_counter()
-    record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
-                                               RngStream(seed).split("train"),
-                                               record.run_id, parallel)
+    with kernel_pool(parallel) as pool:
+        record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
+                                                   RngStream(seed).split("train"),
+                                                   record.run_id, pool)
     t3 = time.perf_counter()
     record.wall_clock = {"init": t1 - t0, "weedout_phase": t2 - t1,
                          "training_phase": t3 - t2 - eval_s, "evaluation": eval_s}
@@ -224,7 +223,8 @@ def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
                  independent_parents: bool = False) -> RunRecord:
     """Control arm: one randomly drawn mask at the same eta, trained identically.
 
-    ``parallel`` threads run the training and evaluation kernels.
+    With two or more ``parallel`` threads a kernel pool runs the training
+    and evaluation kernels.
     """
     train_cfg.validate()
     record = RunRecord(run_id=run_label(arm, eta, seed), arm=arm, eta=eta, seed=seed)
@@ -234,9 +234,10 @@ def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
     mask = sample_mask(spec, input_shape, eta, mask_mode,
                        RngStream(seed).split("baseline-mask"))
     t1 = time.perf_counter()
-    record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
-                                               RngStream(seed).split("train"),
-                                               record.run_id, parallel)
+    with kernel_pool(parallel) as pool:
+        record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
+                                                   RngStream(seed).split("train"),
+                                                   record.run_id, pool)
     t2 = time.perf_counter()
     record.wall_clock = {"init": t1 - t0, "weedout_phase": 0.0,
                          "training_phase": t2 - t1 - eval_s, "evaluation": eval_s}

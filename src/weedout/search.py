@@ -7,20 +7,20 @@ the fittest, and refill the rest of the population with new random masks.
 No weight updates happen here; the only signal is the initialization
 quality of each mask.
 
-A cell's ``parallel`` threads score candidates here, one candidate per
-thread at a time; during training and evaluation the same threads run
-kernel pieces instead (see ``network.KernelPool``). Scoring passes no
-kernel pool, so a pool never waits on itself.
+A cell's ``parallel`` threads score candidates here on a kernel pool (see
+``network.KernelPool``), each thread a contiguous run of them; during
+training and evaluation a pool of as many threads runs kernel pieces
+instead. Scoring passes no pool to the kernels, so a pool never waits on
+itself.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .data import Dataset, sample_batch
 from .errors import EvaluationIncompleteError
-from .network import Network, mean_loss
+from .network import KernelPool, Network, kernel_pool, mean_loss, run_pieces
 from .numerics import RngStream
 from .sparsity import MaskSet, sample_mask, sub_network
 
@@ -138,13 +138,8 @@ def next_generation(population: list[Candidate], best: Candidate,
 
 
 def _evaluate_population(net: Network, population: list[Candidate],
-                         batch, parallel: int) -> None:
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(lambda c: fitness(net, c, batch), population))
-    else:
-        for c in population:
-            fitness(net, c, batch)
+                         batch, pool: KernelPool | None) -> None:
+    run_pieces(pool, lambda k: fitness(net, population[k], batch), len(population))
 
 
 def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
@@ -154,9 +149,10 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
     Each generation draws a fresh validation batch and scores all candidates
     on that same batch, so within-generation comparisons are fair. Candidate
     evaluations are pure and may run on ``parallel`` threads without changing
-    any value. A sweep hands its workers to cells first, so a cell gets the
-    threads left over: all of them when it is the only cell to compute.
-    Each candidate is scored on its own thread, without a kernel pool.
+    any value: one kernel pool, made for the whole search, scores each
+    generation, and a candidate's kernels get no pool. A sweep hands its
+    workers to cells first, so a cell gets the threads left over: all of
+    them when it is the only cell to compute.
     """
     cfg.validate()
     if len(d_validation) == 0:
@@ -174,33 +170,34 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
     best_gen: Candidate | None = None
     prev_best_fitness: float | None = None
     stale = 0
-    for gen in range(1, cfg.generations + 1):
-        batch = sample_batch(d_validation, cfg.validation_batch_size,
-                             rng_batches.split(f"gen{gen}"))
-        _evaluate_population(net, population, batch, parallel)
-        for c in population:
-            result.history.append(HistoryRow(
-                generation=gen, candidate_id=c.candidate_id,
-                birth_generation=c.birth_generation, fitness=c.fitness,
-                is_elite=c.birth_generation < gen))
-        result.evaluations += len(population)
-        result.generations_run = gen
-        best_gen = select_best(population)
-        if best_overall is None or best_gen.fitness > best_overall.fitness:
-            best_overall = replace(best_gen)
-        if cfg.early_stop_tol is not None:
-            if prev_best_fitness is not None and \
-                    best_gen.fitness - prev_best_fitness < cfg.early_stop_tol:
-                stale += 1
-            else:
-                stale = 0
-            prev_best_fitness = max(best_gen.fitness, prev_best_fitness) \
-                if prev_best_fitness is not None else best_gen.fitness
-            if stale >= cfg.early_stop_patience:
-                break
-        if gen < cfg.generations:
-            population = next_generation(population, best_gen, net.spec, cfg.eta,
-                                         rng_masks, mask_mode=cfg.mask_mode,
-                                         input_shape=net.input_shape)
+    with kernel_pool(parallel) as pool:
+        for gen in range(1, cfg.generations + 1):
+            batch = sample_batch(d_validation, cfg.validation_batch_size,
+                                 rng_batches.split(f"gen{gen}"))
+            _evaluate_population(net, population, batch, pool)
+            for c in population:
+                result.history.append(HistoryRow(
+                    generation=gen, candidate_id=c.candidate_id,
+                    birth_generation=c.birth_generation, fitness=c.fitness,
+                    is_elite=c.birth_generation < gen))
+            result.evaluations += len(population)
+            result.generations_run = gen
+            best_gen = select_best(population)
+            if best_overall is None or best_gen.fitness > best_overall.fitness:
+                best_overall = replace(best_gen)
+            if cfg.early_stop_tol is not None:
+                if prev_best_fitness is not None and \
+                        best_gen.fitness - prev_best_fitness < cfg.early_stop_tol:
+                    stale += 1
+                else:
+                    stale = 0
+                prev_best_fitness = max(best_gen.fitness, prev_best_fitness) \
+                    if prev_best_fitness is not None else best_gen.fitness
+                if stale >= cfg.early_stop_patience:
+                    break
+            if gen < cfg.generations:
+                population = next_generation(population, best_gen, net.spec, cfg.eta,
+                                             rng_masks, mask_mode=cfg.mask_mode,
+                                             input_shape=net.input_shape)
     result.best = best_gen if cfg.winner_scope == "final_generation" else best_overall
     return result

@@ -213,7 +213,7 @@ def test_criterion_4_search_protocol(desk_splits):
     pop = [Candidate(mask=sample_structured(spec, 0.4, rng), candidate_id=i,
                      birth_generation=1) for i in range(100)]
     batch = sample_batch(desk_splits.validation, 256, RngStream(12).split("b"))
-    _evaluate_population(net, pop, batch, parallel=1)
+    _evaluate_population(net, pop, batch, None)
     best = select_best(pop)
     carried = next_generation(pop, best, spec, 0.4, rng)[0]
     elite_ok = all(np.array_equal(carried.mask.masks[i], best.mask.masks[i])
@@ -317,7 +317,7 @@ def test_criterion_8_fitness_pretraining_argmax(desk_splits):
     pop = [Candidate(mask=sample_structured(spec, 0.6, mask_rng),
                      candidate_id=i, birth_generation=1) for i in range(50)]
     batch = sample_batch(desk_splits.validation, 256, rng.split("b"))
-    _evaluate_population(net, pop, batch, parallel=1)
+    _evaluate_population(net, pop, batch, None)
     best = select_best(pop)
     spread = best.fitness - min(c.fitness for c in pop)
     ok = all(best.fitness >= c.fitness for c in pop) and spread > 0

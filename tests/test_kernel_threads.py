@@ -82,7 +82,7 @@ class TestKernelPool:
             calls.append((k, threading.get_ident()))
 
         with KernelPool(threads) as pool:
-            network._run_pieces(pool, piece, count)
+            network.run_pieces(pool, piece, count)
         assert sorted(k for k, _ in calls) == list(range(count))
         owners = [t for _, t in sorted(calls)]
         assert len(set(owners)) == runs
@@ -155,13 +155,27 @@ class TestKernels:
         def refuse(*args):
             raise AssertionError("a desk-scale GEMM was cut into chunks")
 
-        monkeypatch.setattr(network, "_run_pieces", refuse)
+        monkeypatch.setattr(network, "run_pieces", refuse)
         rng = np.random.default_rng(0)
         for k, n in ((16, 64), (64, 32), (32, 10)):
             a, w = rng.normal(size=(512, k)), rng.normal(size=(k, n))
             network._gemm(a, w)
             network._gemm(a.T, rng.normal(size=(512, n)))
             network._gemm(rng.normal(size=(512, n)), w.T)
+
+    def test_conv_net_cuts_only_the_large_weight_gradient(self, monkeypatch):
+        """At batch 128 on 32x32x3, ``h @ w`` and ``dh @ w.T`` with the
+        25088x128 weight stay one call; ``h_in.T @ dh`` runs as 512-row
+        chunks, and a 500-example evaluation as two 256-row chunks."""
+        counts = []
+        monkeypatch.setattr(network, "run_pieces",
+                            lambda pool, piece, count: counts.append(count))
+        h, w, dh = np.zeros((128, 25088)), np.zeros((25088, 128)), np.zeros((128, 128))
+        network._gemm(h, w)
+        network._gemm(dh, w.T)
+        network._gemm(h.T, dh)
+        network._gemm(np.zeros((500, 25088)), w)
+        assert counts == [49, 2]
 
 
 def instance(mode, batch=13):
@@ -196,12 +210,13 @@ def test_training_identical_for_every_thread_count(small_pieces, mode):
                     Dataset(x[32:], y[32:], 3))
     cfg = TrainConfig(epochs=2, batch_size=8, lr=0.05)
     outputs = []
-    for threads in (1, 2, 3):
-        trained = net.copy()
-        rows, _, active = pipeline._train(trained, mask, cfg, splits,
-                                          RngStream(5).split("train"), "cell", threads)
-        # an unstructured mask trains the parent in place
-        outputs.append((rows, active, as_bytes(trained.params)))
+    with pools() as by_threads:
+        for pool in by_threads.values():
+            trained = net.copy()
+            rows, _, active = pipeline._train(trained, mask, cfg, splits,
+                                              RngStream(5).split("train"), "cell", pool)
+            # an unstructured mask trains the parent in place
+            outputs.append((rows, active, as_bytes(trained.params)))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 
@@ -280,13 +295,13 @@ def test_conv_cell_outputs_identical_at_one_and_two_threads(tmp_path, capsys,
     monkeypatch.setattr(network, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(network, "_CHUNK_MACS", 1)
     pools_made = []
-    real_pool = pipeline.KernelPool
+    real_pool = network.KernelPool
 
     def recording_pool(threads):
         pools_made.append(threads)
         return real_pool(threads)
 
-    monkeypatch.setattr(pipeline, "KernelPool", recording_pool)
+    monkeypatch.setattr(network, "KernelPool", recording_pool)
     config = conv_config(tmp_path)
     runs = {}
     for parallel in (1, 2):
@@ -342,8 +357,9 @@ def test_fitness_scoring_never_receives_a_kernel_pool(monkeypatch):
     ([0.3, 0.6], ["weedout", "random_baseline"], 1, 0),
     # four cells on two forked workers, one thread each
     ([0.3, 0.6], ["weedout", "random_baseline"], 2, 0),
-    # a lone cell trains on the caller plus one pool thread
-    ([0.3], ["weedout"], 2, 1),
+    # a lone cell runs on the caller plus one pool thread: a weedout cell
+    # makes one pool for its search and one for training
+    ([0.3], ["weedout"], 2, 2),
     ([0.3], ["random_baseline"], 2, 1),
 ])
 def test_only_cells_with_two_threads_create_an_executor(tmp_path, capsys, monkeypatch,

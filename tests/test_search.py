@@ -5,7 +5,7 @@ import pytest
 
 from weedout.data import sample_batch
 from weedout.errors import EvaluationIncompleteError
-from weedout.network import init_network, mean_loss
+from weedout.network import KernelPool, init_network, mean_loss
 from weedout.numerics import RngStream
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
                             fitness, next_generation, run_search, select_best)
@@ -51,8 +51,9 @@ class TestFitness:
         batch = sample_batch(blob_splits.validation, 64, rng.split("b"))
         pop_serial = make_population(net16.spec, 0.4, 12, RngStream(5).split("m"))
         pop_parallel = make_population(net16.spec, 0.4, 12, RngStream(5).split("m"))
-        _evaluate_population(net16, pop_serial, batch, parallel=1)
-        _evaluate_population(net16, pop_parallel, batch, parallel=4)
+        _evaluate_population(net16, pop_serial, batch, None)
+        with KernelPool(4) as pool:
+            _evaluate_population(net16, pop_parallel, batch, pool)
         assert [c.fitness for c in pop_serial] == [c.fitness for c in pop_parallel]
 
 
