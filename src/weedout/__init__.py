@@ -12,8 +12,7 @@ from .network import (LayerSpec, Network, SgdState, conv2d,
                       default_conv_spec, default_dense_spec, dense, evaluate,
                       flatten_layer, forward, init_network, loss_and_grads,
                       relu_layer, sgd_step)
-from .numerics import (RngStream, Tensor, hadamard, he_normal,
-                       softmax_cross_entropy)
+from .numerics import RngStream, Tensor, he_normal, softmax_cross_entropy
 from .pipeline import (RunRecord, Splits, TrainConfig, baseline_run,
                        dense_run, sweep, weedout_run)
 from .search import (Candidate, SearchConfig, SearchResult, fitness,
@@ -28,8 +27,8 @@ __all__ = [
     "RunRecord", "SearchConfig", "SearchResult", "SgdState", "SplitSpec",
     "Splits", "Tensor", "TrainConfig", "all_ones_mask", "baseline_run",
     "batches", "conv2d", "default_conv_spec", "default_dense_spec", "dense",
-    "dense_run", "evaluate", "fitness", "flatten_layer", "forward", "hadamard",
-    "he_normal", "init_network", "load_cifar10_binary", "load_idx",
+    "dense_run", "evaluate", "fitness", "flatten_layer", "forward", "he_normal",
+    "init_network", "load_cifar10_binary", "load_idx",
     "loss_and_grads", "next_generation", "realized_sparsity", "reduce_network",
     "relu_layer", "run_search", "sample_batch", "sample_structured",
     "sample_unstructured", "select_best", "sgd_step", "softmax_cross_entropy",

@@ -47,6 +47,7 @@ AGGREGATE_COLUMNS = ("arm", "eta", "epoch", "mean_train_accuracy",
 DIFF_COLUMNS = ("eta", "epoch", "mean_weedout", "mean_baseline", "difference",
                 "pooled_ci95", "n_weedout", "n_baseline", "significant", "verdict")
 PLOT_COLUMNS = ("arm", "eta", "epoch", "metric", "mean", "ci95", "n_runs")
+SPREAD_COLUMNS = ("arm", "eta", "generation", "best", "median", "std", "n")
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +489,34 @@ def arm_differences(records) -> list[ArmDifference]:
     return out
 
 
+def search_spread(records) -> list[tuple]:
+    """Fitness spread per (arm, eta, generation), over every seed's candidates.
+
+    ``best`` and ``median`` are taken over the candidates of all seeds. ``std``
+    is the spread within a population, pooled over seeds: the root mean
+    square of each candidate's distance from its own population's mean. The
+    mean is taken after subtracting the population's first value, so a
+    population of equal values (eta 0) has a ``std`` of exactly 0.
+    """
+    groups: dict[tuple[str, float, int], list[list[float]]] = {}
+    for rec in records:
+        populations: dict[int, list[float]] = {}
+        for h in rec.search_history or ():
+            populations.setdefault(h.generation, []).append(h.fitness)
+        for gen, values in populations.items():
+            groups.setdefault((rec.arm, rec.eta, gen), []).append(values)
+    rows = []
+    for (arm, eta, gen), populations in sorted(groups.items()):
+        pooled = np.concatenate(populations)
+        squares = 0.0
+        for values in populations:
+            shifted = np.asarray(values) - values[0]
+            squares += float(((shifted - shifted.mean()) ** 2).sum())
+        rows.append((arm, eta, gen, float(pooled.max()), float(np.median(pooled)),
+                     math.sqrt(squares / len(pooled)), len(pooled)))
+    return rows
+
+
 def _write_csv(path: Path, columns, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -497,7 +526,8 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def write_report(records, report_dir) -> dict[str, Path]:
-    """Emit aggregate.csv, arm_difference.csv, and the long-format plot CSV."""
+    """Emit aggregate.csv, arm_difference.csv, the long-format plot CSV and
+    search_spread.csv."""
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     agg = aggregate_records(records)
@@ -531,6 +561,8 @@ def write_report(records, report_dir) -> dict[str, Path]:
             plot_rows.append((arm, eta, epoch, metric, mean, ci, len(values)))
     paths["plot"] = report_dir / "plot_long.csv"
     _write_csv(paths["plot"], PLOT_COLUMNS, plot_rows)
+    paths["search_spread"] = report_dir / "search_spread.csv"
+    _write_csv(paths["search_spread"], SPREAD_COLUMNS, search_spread(records))
     return paths
 
 

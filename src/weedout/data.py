@@ -20,8 +20,6 @@ from .numerics import RngStream, Tensor
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
-DATASET_MAGIC = b"WDST"
-DATASET_VERSION = 1
 
 
 @dataclass
@@ -320,44 +318,3 @@ def sample_batch(ds: Dataset, batch_size: int, rng: RngStream):
     idx = rng.choice_without_replacement(n, batch_size)
     return ds.inputs[idx], ds.labels[idx]
 
-
-# ---------------------------------------------------------------------------
-# Versioned binary container for synthetic/exported datasets
-# ---------------------------------------------------------------------------
-
-def save_dataset(path, ds: Dataset) -> None:
-    """Write a dataset to the versioned binary container."""
-    prov = ds.provenance.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<III", DATASET_VERSION, ds.num_classes, ds.inputs.ndim))
-        f.write(struct.pack(f"<{ds.inputs.ndim}Q", *ds.inputs.shape))
-        f.write(struct.pack("<I", len(prov)))
-        f.write(prov)
-        f.write(np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-
-
-def load_dataset(path) -> Dataset:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0")
-    version, num_classes, ndim = struct.unpack("<III", raw[4:16])
-    if version != DATASET_VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    off = 16
-    shape = struct.unpack(f"<{ndim}Q", raw[off:off + 8 * ndim])
-    off += 8 * ndim
-    (prov_len,) = struct.unpack("<I", raw[off:off + 4])
-    off += 4
-    prov = raw[off:off + prov_len].decode("utf-8")
-    off += prov_len
-    n_inputs = int(np.prod(shape))
-    expected = off + 8 * n_inputs + 8 * shape[0]
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)} "
-                          f"(mismatch at offset {min(len(raw), expected)})")
-    inputs = np.frombuffer(raw, dtype="<f8", count=n_inputs, offset=off).reshape(shape)
-    labels = np.frombuffer(raw, dtype="<i8", count=shape[0], offset=off + 8 * n_inputs)
-    return Dataset(inputs.copy(), labels.copy(), num_classes, prov)

@@ -503,7 +503,7 @@ def mean_loss(net: Network, mask: "MaskSet | None", batch: Tensor, labels) -> fl
     from .numerics import softmax_cross_entropy
 
     logits = forward(net, mask, batch)
-    loss, _ = softmax_cross_entropy(logits, labels)
+    loss, _ = softmax_cross_entropy(logits, labels, with_grad=False)
     return loss
 
 
@@ -530,7 +530,7 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
         x = dataset.inputs[start:start + batch_size]
         y = dataset.labels[start:start + batch_size]
         logits, _, _ = _forward_pass(net, mask, x, False, pool)
-        loss, _ = softmax_cross_entropy(logits, y)
+        loss, _ = softmax_cross_entropy(logits, y, with_grad=False)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())
     return EvalResult(accuracy=correct / n, mean_loss=loss_sum / n)

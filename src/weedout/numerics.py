@@ -21,11 +21,6 @@ Tensor = np.ndarray
 MAX_SEED = 2**64
 
 
-def as_tensor(values) -> Tensor:
-    """Coerce ``values`` to a float64 array without copying when possible."""
-    return np.asarray(values, dtype=np.float64)
-
-
 def check_finite(x: Tensor, context: str = "tensor") -> Tensor:
     """Return ``x`` unchanged, raising if it contains NaN or Inf."""
     if not np.isfinite(x).all():
@@ -39,10 +34,12 @@ class RngStream:
     Two streams with the same ``(seed, path)`` produce bit-identical draws on
     every run. ``split(label)`` derives an independent child stream; children
     are a pure function of their path, so results do not depend on creation
-    order, draw interleaving, or thread count.
+    order, draw interleaving, or thread count. The Philox generator is built
+    on the first draw, so a stream that is only split never builds one. A
+    stream is never shared between threads.
     """
 
-    __slots__ = ("seed", "_path", "_gen")
+    __slots__ = ("seed", "_path", "_generator")
 
     def __init__(self, seed: int, _path: tuple[str, ...] = ()):
         seed = int(seed)
@@ -50,8 +47,14 @@ class RngStream:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
         self._path = _path
-        key = np.frombuffer(self._derive_key(), dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._generator: np.random.Generator | None = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._generator is None:
+            key = np.frombuffer(self._derive_key(), dtype=np.uint64)
+            self._generator = np.random.Generator(np.random.Philox(key=key))
+        return self._generator
 
     def _derive_key(self) -> bytes:
         h = hashlib.sha256()
@@ -113,50 +116,15 @@ def he_normal(fan_in: int, shape, rng: RngStream) -> Tensor:
     return rng.normal(shape, scale=sigma)
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product.
-
-    Shapes must be equal, or ``b`` must align with the trailing axes of ``a``
-    (a mask vector applied to every batch row). Any other broadcast is
-    rejected.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.shape != b.shape:
-        if not (b.ndim <= a.ndim and a.shape[a.ndim - b.ndim:] == b.shape):
-            raise ShapeMismatchError(
-                f"cannot apply elementwise product of {b.shape} onto {a.shape}"
-            )
-    return a * b
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"cannot matmul {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    x = as_tensor(x)
-    bias = as_tensor(bias)
-    if bias.ndim != 1 or x.shape[-1] != bias.shape[0]:
-        raise ShapeMismatchError(f"bias {bias.shape} does not fit activations {x.shape}")
-    return x + bias
-
-
-def relu(x: Tensor) -> Tensor:
-    return np.maximum(as_tensor(x), 0.0)
-
-
-def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, Tensor]:
+def softmax_cross_entropy(logits: Tensor, labels, *,
+                          with_grad: bool = True) -> tuple[float, Tensor | None]:
     """Mean cross-entropy of softmax(logits) against integer class labels.
 
     Returns ``(loss, d_loss/d_logits)``. The gradient is for the mean, i.e.
-    already divided by the batch size.
+    already divided by the batch size. With ``with_grad=False`` the gradient
+    is not computed and ``None`` stands in its place; the loss is the same.
     """
-    logits = as_tensor(logits)
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ShapeMismatchError(f"logits must be [batch, classes], got {logits.shape}")
@@ -169,14 +137,16 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[float, Tensor]:
         raise ValueError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     check_finite(logits, "logits")
+    rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    loss = float(-log_probs[np.arange(n), labels].mean())
-    grad = np.exp(log_probs)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    check_finite(grad, "cross-entropy gradient")
+    loss = float(-(shifted[rows, labels] - log_z[:, 0]).mean())
     if not math.isfinite(loss):
         raise ValueError("cross-entropy loss is non-finite")
+    if not with_grad:
+        return loss, None
+    grad = np.exp(shifted - log_z)
+    grad[rows, labels] -= 1.0
+    grad /= n
+    check_finite(grad, "cross-entropy gradient")
     return loss, grad

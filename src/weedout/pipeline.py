@@ -189,9 +189,9 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
                 independent_parents: bool = False) -> RunRecord:
     """Full selected-mask run: init parent, search, train winner, evaluate.
 
-    With two or more ``parallel`` threads, a kernel pool of that many
-    threads scores the search's candidates, and another runs the training
-    and evaluation kernels.
+    With two or more ``parallel`` threads, one kernel pool of that many
+    threads scores the search's candidates, then runs the training and
+    evaluation kernels.
     """
     search_cfg.validate()
     train_cfg.validate()
@@ -200,14 +200,14 @@ def weedout_run(spec, input_shape, search_cfg: SearchConfig,
     t0 = time.perf_counter()
     net = _parent_for(spec, input_shape, seed, arm, independent_parents)
     record.parent_checksum = parent_checksum(net)
-    t1 = time.perf_counter()
-    result = run_search(net, search_cfg, splits.validation,
-                        RngStream(seed).split("search"), parallel)
-    record.search_history = result.history
-    record.fitness_evaluations = result.evaluations
-    mask = result.best.mask
-    t2 = time.perf_counter()
     with kernel_pool(parallel) as pool:
+        t1 = time.perf_counter()
+        result = run_search(net, search_cfg, splits.validation,
+                            RngStream(seed).split("search"), pool)
+        record.search_history = result.history
+        record.fitness_evaluations = result.evaluations
+        mask = result.best.mask
+        t2 = time.perf_counter()
         record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
                                                    RngStream(seed).split("train"),
                                                    record.run_id, pool)

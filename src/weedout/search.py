@@ -7,20 +7,28 @@ the fittest, and refill the rest of the population with new random masks.
 No weight updates happen here; the only signal is the initialization
 quality of each mask.
 
-A cell's ``parallel`` threads score candidates here on a kernel pool (see
-``network.KernelPool``), each thread a contiguous run of them; during
-training and evaluation a pool of as many threads runs kernel pieces
-instead. Scoring passes no pool to the kernels, so a pool never waits on
-itself.
+Candidates with identical masks are scored once per generation: the first
+of them is scored and the rest take its fitness, which is the same bits
+scoring them would give on the same batch. At eta 0 every candidate is the
+all-ones mask, so a generation costs one fitness evaluation. The search
+still counts every candidate in ``SearchResult.evaluations`` (a manifest's
+``fitness_evaluations``).
+
+A cell's kernel pool (see ``network.KernelPool``), when it has one, scores
+the distinct candidates here, each thread a contiguous run of them; the
+same pool then runs the kernel pieces of training and evaluation. Scoring
+passes no pool to the kernels, so a pool never waits on itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .data import Dataset, sample_batch
 from .errors import EvaluationIncompleteError
-from .network import KernelPool, Network, kernel_pool, mean_loss, run_pieces
+from .network import KernelPool, Network, mean_loss, run_pieces
 from .numerics import RngStream
 from .sparsity import MaskSet, sample_mask, sub_network
 
@@ -137,22 +145,37 @@ def next_generation(population: list[Candidate], best: Candidate,
     return out
 
 
+def _mask_key(mask: MaskSet) -> tuple:
+    """Exact identity of a binary mask: its mode and each layer's packed bits."""
+    return (mask.mode,) + tuple((i, m.shape, np.packbits(m != 0).tobytes())
+                                for i, m in sorted(mask.masks.items()))
+
+
 def _evaluate_population(net: Network, population: list[Candidate],
                          batch, pool: KernelPool | None) -> None:
-    run_pieces(pool, lambda k: fitness(net, population[k], batch), len(population))
+    """Score every candidate on ``batch``, each distinct mask once."""
+    keys = [_mask_key(c.mask) for c in population]
+    first: dict[tuple, Candidate] = {}
+    for key, c in zip(keys, population):
+        first.setdefault(key, c)
+    distinct = list(first.values())
+    run_pieces(pool, lambda k: fitness(net, distinct[k], batch), len(distinct))
+    for key, c in zip(keys, population):
+        c.fitness = first[key].fitness
 
 
 def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
-               rng: RngStream, parallel: int = 1) -> SearchResult:
+               rng: RngStream, pool: KernelPool | None = None) -> SearchResult:
     """Run the full selection phase and return the winning candidate.
 
     Each generation draws a fresh validation batch and scores all candidates
-    on that same batch, so within-generation comparisons are fair. Candidate
-    evaluations are pure and may run on ``parallel`` threads without changing
-    any value: one kernel pool, made for the whole search, scores each
-    generation, and a candidate's kernels get no pool. A sweep hands its
-    workers to cells first, so a cell gets the threads left over: all of
-    them when it is the only cell to compute.
+    on that same batch, so within-generation comparisons are fair.
+    Candidates with identical masks are scored once per generation, and
+    ``evaluations`` still counts every candidate. Candidate evaluations are
+    pure, so the cell's ``pool``, if any, may score them on its threads
+    without changing any value; a candidate's kernels get no pool. A sweep
+    hands its workers to cells first, so a cell gets the threads left over:
+    all of them when it is the only cell to compute.
     """
     cfg.validate()
     if len(d_validation) == 0:
@@ -170,34 +193,33 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
     best_gen: Candidate | None = None
     prev_best_fitness: float | None = None
     stale = 0
-    with kernel_pool(parallel) as pool:
-        for gen in range(1, cfg.generations + 1):
-            batch = sample_batch(d_validation, cfg.validation_batch_size,
-                                 rng_batches.split(f"gen{gen}"))
-            _evaluate_population(net, population, batch, pool)
-            for c in population:
-                result.history.append(HistoryRow(
-                    generation=gen, candidate_id=c.candidate_id,
-                    birth_generation=c.birth_generation, fitness=c.fitness,
-                    is_elite=c.birth_generation < gen))
-            result.evaluations += len(population)
-            result.generations_run = gen
-            best_gen = select_best(population)
-            if best_overall is None or best_gen.fitness > best_overall.fitness:
-                best_overall = replace(best_gen)
-            if cfg.early_stop_tol is not None:
-                if prev_best_fitness is not None and \
-                        best_gen.fitness - prev_best_fitness < cfg.early_stop_tol:
-                    stale += 1
-                else:
-                    stale = 0
-                prev_best_fitness = max(best_gen.fitness, prev_best_fitness) \
-                    if prev_best_fitness is not None else best_gen.fitness
-                if stale >= cfg.early_stop_patience:
-                    break
-            if gen < cfg.generations:
-                population = next_generation(population, best_gen, net.spec, cfg.eta,
-                                             rng_masks, mask_mode=cfg.mask_mode,
-                                             input_shape=net.input_shape)
+    for gen in range(1, cfg.generations + 1):
+        batch = sample_batch(d_validation, cfg.validation_batch_size,
+                             rng_batches.split(f"gen{gen}"))
+        _evaluate_population(net, population, batch, pool)
+        for c in population:
+            result.history.append(HistoryRow(
+                generation=gen, candidate_id=c.candidate_id,
+                birth_generation=c.birth_generation, fitness=c.fitness,
+                is_elite=c.birth_generation < gen))
+        result.evaluations += len(population)
+        result.generations_run = gen
+        best_gen = select_best(population)
+        if best_overall is None or best_gen.fitness > best_overall.fitness:
+            best_overall = replace(best_gen)
+        if cfg.early_stop_tol is not None:
+            if prev_best_fitness is not None and \
+                    best_gen.fitness - prev_best_fitness < cfg.early_stop_tol:
+                stale += 1
+            else:
+                stale = 0
+            prev_best_fitness = max(best_gen.fitness, prev_best_fitness) \
+                if prev_best_fitness is not None else best_gen.fitness
+            if stale >= cfg.early_stop_patience:
+                break
+        if gen < cfg.generations:
+            population = next_generation(population, best_gen, net.spec, cfg.eta,
+                                         rng_masks, mask_mode=cfg.mask_mode,
+                                         input_shape=net.input_shape)
     result.best = best_gen if cfg.winner_scope == "final_generation" else best_overall
     return result

@@ -330,6 +330,48 @@ class TestCmdReport:
         assert plot[0] == "arm,eta,epoch,metric,mean,ci95,n_runs"
         assert len(plot) > 1
 
+    def test_search_spread_matches_numpy_over_search_csv(self, tmp_path, capsys):
+        import csv
+
+        sweep_dir = tmp_path / "sweep"
+        raw = minimal_raw(out_dir=str(sweep_dir), seeds=[0, 1],
+                          arms=["weedout", "random_baseline"],
+                          search={"population_size": 6, "generations": 3,
+                                  "validation_batch_size": 16, "etas": [0.0, 0.5]})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["report", str(sweep_dir)]) == 0
+        assert "wrote search_spread:" in capsys.readouterr().out
+        populations = {}
+        for eta in (0.0, 0.5):
+            for seed in (0, 1):
+                path = sweep_dir / run_label("weedout", eta, seed) / "search.csv"
+                with open(path, newline="") as f:
+                    for row in csv.DictReader(f):
+                        populations.setdefault((eta, int(row["generation"])), []) \
+                            .append(float(row["fitness"]))
+        with open(sweep_dir / "report" / "search_spread.csv", newline="") as f:
+            spread = list(csv.DictReader(f))
+        assert list(spread[0]) == ["arm", "eta", "generation", "best", "median",
+                                   "std", "n"]
+        assert [(r["arm"], float(r["eta"]), int(r["generation"])) for r in spread] == \
+            [("weedout", eta, gen) for eta, gen in sorted(populations)]
+        for row in spread:
+            values = np.array(populations[(float(row["eta"]), int(row["generation"]))])
+            seeds = values.reshape(2, 6)  # seed 0's candidates, then seed 1's
+            assert int(row["n"]) == 12
+            assert float(row["best"]) == values.max()
+            assert float(row["median"]) == np.median(values)
+            pooled_std = math.sqrt(seeds.var(axis=1).mean())
+            assert float(row["std"]) == pytest.approx(pooled_std, rel=1e-9, abs=1e-15)
+            if float(row["eta"]) == 0.0:
+                assert row["std"] == "0.0"
+                assert len(set(seeds[0])) == len(set(seeds[1])) == 1
+                assert seeds[0, 0] != seeds[1, 0]  # seeds differ; std is within one
+            else:
+                assert float(row["std"]) > 0.0
+
     def test_empty_sweep_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()

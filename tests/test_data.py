@@ -1,12 +1,10 @@
-import struct
-
 import numpy as np
 import pytest
 
 from weedout.data import (Dataset, SplitSpec, batches, encode_cifar10_records,
-                          load_cifar10_binary, load_dataset, load_idx,
+                          load_cifar10_binary, load_idx,
                           read_cifar10_binary, read_idx, sample_batch,
-                          save_dataset, split, synthetic_blobs,
+                          split, synthetic_blobs,
                           write_idx_images, write_idx_labels)
 from weedout.errors import FormatError
 from weedout.network import default_dense_spec
@@ -295,39 +293,3 @@ class TestBatches:
         assert len(set(x1[:, 0].astype(int).tolist())) == 8  # without replacement
         with pytest.raises(ValueError):
             sample_batch(ds, 31, RngStream(0))
-
-
-class TestContainer:
-    def test_round_trip(self, tmp_path):
-        ds = synthetic_blobs(3, 10, 4, 0.3, seed=5)
-        path = tmp_path / "blobs.wdst"
-        save_dataset(path, ds)
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.inputs, ds.inputs)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.num_classes == ds.num_classes
-        assert back.provenance == ds.provenance
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.wdst"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError, match="magic"):
-            load_dataset(path)
-
-    def test_bad_version(self, tmp_path):
-        ds = synthetic_blobs(2, 4, 2, 0.3, seed=5)
-        path = tmp_path / "x.wdst"
-        save_dataset(path, ds)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 99)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
-            load_dataset(path)
-
-    def test_truncation_detected(self, tmp_path):
-        ds = synthetic_blobs(2, 4, 2, 0.3, seed=5)
-        path = tmp_path / "x.wdst"
-        save_dataset(path, ds)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError):
-            load_dataset(path)

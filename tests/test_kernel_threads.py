@@ -358,8 +358,8 @@ def test_fitness_scoring_never_receives_a_kernel_pool(monkeypatch):
     # four cells on two forked workers, one thread each
     ([0.3, 0.6], ["weedout", "random_baseline"], 2, 0),
     # a lone cell runs on the caller plus one pool thread: a weedout cell
-    # makes one pool for its search and one for training
-    ([0.3], ["weedout"], 2, 2),
+    # scores its search and trains on the same pool
+    ([0.3], ["weedout"], 2, 1),
     ([0.3], ["random_baseline"], 2, 1),
 ])
 def test_only_cells_with_two_threads_create_an_executor(tmp_path, capsys, monkeypatch,

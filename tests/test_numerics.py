@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from weedout.errors import ShapeMismatchError
-from weedout.numerics import (RngStream, hadamard, he_normal, matmul, add_bias,
-                              relu, round_half_up, softmax_cross_entropy)
+from weedout.numerics import (RngStream, he_normal, round_half_up,
+                              softmax_cross_entropy)
 
 
 class TestRngStream:
@@ -48,10 +47,61 @@ class TestRngStream:
         assert all(0 <= i < 10 for i in idx)
 
     def test_seed_range_validated(self):
+        # checked at construction, before any generator exists
         with pytest.raises(ValueError):
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2**64)
+
+
+class TestLazyGenerator:
+    """A stream builds its Philox generator on the first draw, never before."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        real, keys = np.random.Philox, []
+
+        def counting_philox(*args, **kw):
+            keys.append(kw.get("key"))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        return keys
+
+    def test_split_only_builds_nothing(self, built):
+        root = RngStream(7)
+        root.split("structured").split("layer0")
+        root.split("search").split("masks")
+        assert repr(root.split("a")) == "RngStream(seed=7, path='a')"
+        assert built == []
+
+    def test_first_draw_builds_once(self, built):
+        stream = RngStream(7).split("x")
+        stream.normal((2,))
+        stream.uniform((2,))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("draw,eager_draw", [
+        (lambda s: s.spawn_seed(),
+         lambda g: int(g.integers(0, 2**64, dtype=np.uint64))),
+        (lambda s: s.normal((3, 4), loc=1.0, scale=2.0),
+         lambda g: g.normal(loc=1.0, scale=2.0, size=(3, 4))),
+        (lambda s: s.uniform((5,), low=-1.0, high=3.0),
+         lambda g: g.uniform(low=-1.0, high=3.0, size=(5,))),
+        (lambda s: s.integers(0, 9, size=6), lambda g: g.integers(0, 9, size=6)),
+        (lambda s: s.permutation(11), lambda g: g.permutation(11)),
+        (lambda s: s.choice_without_replacement(20, 7),
+         lambda g: g.choice(20, size=7, replace=False)),
+    ], ids=["spawn_seed", "normal", "uniform", "integers", "permutation",
+            "choice_without_replacement"])
+    def test_draws_equal_an_eagerly_built_generator(self, draw, eager_draw):
+        stream = RngStream(2**63 + 5).split("a").split(3)
+        key = np.frombuffer(stream._derive_key(), dtype=np.uint64)
+        eager = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(2):  # the second draw continues the same generator
+            got, want = draw(stream), eager_draw(eager)
+            np.testing.assert_array_equal(got, want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
 
 
 class TestRoundHalfUp:
@@ -86,57 +136,6 @@ class TestHeNormal:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             he_normal(2, (0, 3), RngStream(0))
-
-
-class TestHadamard:
-    def test_basic(self):
-        np.testing.assert_array_equal(hadamard([1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
-                                      [1.0, 0.0, 3.0])
-
-    def test_identity_mask(self):
-        x = RngStream(1).normal((4, 5))
-        np.testing.assert_array_equal(hadamard(x, np.ones(5)), x)
-
-    def test_mask_broadcast_over_batch(self):
-        x = np.arange(6, dtype=float).reshape(2, 3)
-        out = hadamard(x, np.array([0.0, 1.0, 1.0]))
-        assert out[0, 0] == 0.0 and out[1, 0] == 0.0
-        np.testing.assert_array_equal(out[:, 1:], x[:, 1:])
-
-    def test_idempotent_for_binary_masks(self):
-        rng = RngStream(9)
-        for trial in range(20):
-            r = rng.split(f"t{trial}")
-            x = r.normal((6, 7))
-            m = (r.uniform((7,)) > 0.5).astype(float)
-            once = hadamard(x, m)
-            np.testing.assert_array_equal(hadamard(once, m), once)
-
-    def test_incompatible_shapes_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            hadamard(np.ones((2, 3)), np.ones((3, 2)))
-        # numpy would happily broadcast (2,1); we must not
-        with pytest.raises(ShapeMismatchError):
-            hadamard(np.ones((2, 3)), np.ones((2, 1)))
-
-
-class TestBasicOps:
-    def test_matmul_shape_check(self):
-        with pytest.raises(ShapeMismatchError):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_matmul(self):
-        out = matmul(np.eye(3), np.arange(9, dtype=float).reshape(3, 3))
-        np.testing.assert_array_equal(out, np.arange(9, dtype=float).reshape(3, 3))
-
-    def test_add_bias(self):
-        out = add_bias(np.zeros((2, 3)), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(out, [[1, 2, 3], [1, 2, 3]])
-        with pytest.raises(ShapeMismatchError):
-            add_bias(np.zeros((2, 3)), np.ones(4))
-
-    def test_relu(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
 class TestSoftmaxCrossEntropy:
@@ -181,6 +180,25 @@ class TestSoftmaxCrossEntropy:
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("n,c", [(1, 2), (7, 3), (256, 10), (33, 100)])
+    def test_loss_only_equals_the_full_loss_bit_for_bit(self, n, c):
+        rng = RngStream(21).split(f"{n}x{c}")
+        logits = rng.normal((n, c), scale=5.0)
+        labels = np.asarray(rng.integers(0, c, size=n))
+        loss, grad = softmax_cross_entropy(logits, labels)
+        assert softmax_cross_entropy(logits, labels, with_grad=False) == (loss, None)
+        # the loss the full log-probability matrix gives
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        assert loss == float(-log_probs[np.arange(n), labels].mean())
+        assert grad.tobytes() == ((np.exp(log_probs) - np.eye(c)[labels]) / n).tobytes()
+
+    def test_loss_only_rejects_nan_logits(self):
+        bad = np.zeros((2, 3))
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="logits"):
+            softmax_cross_entropy(bad, np.array([0, 1]), with_grad=False)
 
     def test_non_finite_logits_rejected(self):
         bad = np.zeros((2, 3))

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from weedout.data import sample_batch
+from weedout import search
+from weedout.data import Dataset, sample_batch
 from weedout.errors import EvaluationIncompleteError
-from weedout.network import KernelPool, init_network, mean_loss
+from weedout.network import (KernelPool, conv2d, dense, flatten_layer, init_network,
+                             mean_loss, relu_layer)
 from weedout.numerics import RngStream
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
                             fitness, next_generation, run_search, select_best)
@@ -164,9 +166,10 @@ class TestRunSearch:
 
     def test_deterministic_across_reruns_and_threads(self, net16, blob_splits):
         a = run_search(net16, self.cfg(), blob_splits.validation,
-                       RngStream(5).split("s"), parallel=1)
-        b = run_search(net16, self.cfg(), blob_splits.validation,
-                       RngStream(5).split("s"), parallel=4)
+                       RngStream(5).split("s"), pool=None)
+        with KernelPool(4) as pool:
+            b = run_search(net16, self.cfg(), blob_splits.validation,
+                           RngStream(5).split("s"), pool=pool)
         assert [h.fitness for h in a.history] == [h.fitness for h in b.history]
         assert a.best.candidate_id == b.best.candidate_id
 
@@ -196,3 +199,98 @@ class TestRunSearch:
         with pytest.raises(ValueError):
             run_search(net16, self.cfg(winner_scope="best_ever"),
                        blob_splits.validation, RngStream(8))
+
+
+class TestScoreEachMaskOnce:
+    """Identical masks in a generation are scored once; every row keeps its value."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        real, scored = search.fitness, []
+
+        def counting_fitness(net, cand, batch):
+            scored.append(cand.candidate_id)
+            return real(net, cand, batch)
+
+        monkeypatch.setattr(search, "fitness", counting_fitness)
+        return scored
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Each generation's batch and (candidate_id, mask) list, as scored."""
+        real, generations = search._evaluate_population, []
+
+        def recording(net, population, batch, pool):
+            generations.append((batch, [(c.candidate_id, c.mask) for c in population]))
+            return real(net, population, batch, pool)
+
+        monkeypatch.setattr(search, "_evaluate_population", recording)
+        return generations
+
+    def test_eta_zero_structured_scores_once_per_generation(self, net16, blob_splits,
+                                                             spy):
+        cfg = SearchConfig(eta=0.0, population_size=100, generations=5,
+                           validation_batch_size=64)
+        res = run_search(net16, cfg, blob_splits.validation, RngStream(1).split("s"))
+        assert len(spy) == 5
+        assert res.evaluations == 500 and len(res.history) == 500
+        for gen in range(1, 6):
+            values = {h.fitness for h in res.history if h.generation == gen}
+            assert len(values) == 1
+
+    def test_eta_zero_unstructured_conv_scores_once_per_generation(self, spy):
+        spec = [conv2d(3, 3), relu_layer(), conv2d(4, 3), relu_layer(),
+                flatten_layer(), dense(8), relu_layer(), dense(3, maskable=False)]
+        shape = (7, 7, 2)
+        net = init_network(spec, shape, seed=3)
+        rng = RngStream(4)
+        val = Dataset(rng.split("x").normal((24,) + shape),
+                      np.asarray(rng.split("y").integers(0, 3, size=24)), 3)
+        cfg = SearchConfig(eta=0.0, population_size=6, generations=3,
+                           validation_batch_size=8, mask_mode="unstructured")
+        res = run_search(net, cfg, val, RngStream(5).split("s"))
+        assert len(spy) == 3
+        assert res.evaluations == 18
+
+    def test_desk_search_scores_every_distinct_candidate(self, net16, blob_splits, spy):
+        cfg = SearchConfig(eta=0.6, population_size=100, generations=5,
+                           validation_batch_size=64)
+        res = run_search(net16, cfg, blob_splits.validation, RngStream(2).split("s"))
+        assert len(spy) == 500
+        assert res.evaluations == 500
+
+    @pytest.mark.parametrize("eta,mode", [(0.0, "structured"), (0.5, "structured"),
+                                          (0.5, "unstructured")])
+    def test_every_row_is_the_candidates_own_fitness(self, blob_splits, spy, recorded,
+                                                     eta, mode):
+        # widths 4 and 3 at eta 0.5 allow 6 x 3 = 18 node masks, so 20
+        # candidates must repeat some
+        net = init_network([dense(4), relu_layer(), dense(3), relu_layer(),
+                            dense(10, maskable=False)], (16,), seed=6)
+        cfg = SearchConfig(eta=eta, population_size=20, generations=3,
+                           validation_batch_size=32, mask_mode=mode)
+        res = run_search(net, cfg, blob_splits.validation, RngStream(7).split("s"))
+        assert len(recorded) == 3
+        distinct = 0
+        for gen, (batch, members) in enumerate(recorded, start=1):
+            rows = {h.candidate_id: h.fitness for h in res.history if h.generation == gen}
+            assert sorted(rows) == sorted(cid for cid, _ in members)
+            keys = set()
+            for cid, mask in members:
+                keys.add(search._mask_key(mask))
+                # the unpatched fitness, imported before the spy went in
+                assert rows[cid] == fitness(net, Candidate(mask, cid, 1), batch)
+            distinct += len(keys)
+        assert len(spy) == distinct
+        if mode == "structured":
+            assert distinct < res.evaluations
+
+    def test_mask_key_tells_masks_apart(self, net16):
+        rng = RngStream(9)
+        a = sample_structured(net16.spec, 0.5, rng)
+        b = sample_structured(net16.spec, 0.5, rng)
+        assert search._mask_key(a) != search._mask_key(b)
+        assert search._mask_key(a) == search._mask_key(
+            type(a)(a.mode, {i: m.copy() for i, m in a.masks.items()}, a.eta, 0))
+        flat = type(a)("unstructured", {i: m.copy() for i, m in a.masks.items()})
+        assert search._mask_key(a) != search._mask_key(flat)
