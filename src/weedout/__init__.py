@@ -13,8 +13,7 @@ from .network import (LayerSpec, Network, SgdState, conv2d,
                       flatten_layer, forward, init_network, loss_and_grads,
                       relu_layer, sgd_step)
 from .numerics import RngStream, Tensor, he_normal, softmax_cross_entropy
-from .pipeline import (RunRecord, Splits, TrainConfig, baseline_run,
-                       dense_run, sweep, weedout_run)
+from .pipeline import RunRecord, Splits, TrainConfig, run_cell, sweep
 from .search import (Candidate, SearchConfig, SearchResult, fitness,
                      next_generation, run_search, select_best)
 from .sparsity import (MaskSet, all_ones_mask, realized_sparsity,
@@ -25,12 +24,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate", "Dataset", "LayerSpec", "MaskSet", "Network", "RngStream",
     "RunRecord", "SearchConfig", "SearchResult", "SgdState", "SplitSpec",
-    "Splits", "Tensor", "TrainConfig", "all_ones_mask", "baseline_run",
-    "batches", "conv2d", "default_conv_spec", "default_dense_spec", "dense",
-    "dense_run", "evaluate", "fitness", "flatten_layer", "forward", "he_normal",
-    "init_network", "load_cifar10_binary", "load_idx",
-    "loss_and_grads", "next_generation", "realized_sparsity", "reduce_network",
-    "relu_layer", "run_search", "sample_batch", "sample_structured",
-    "sample_unstructured", "select_best", "sgd_step", "softmax_cross_entropy",
-    "split", "sweep", "synthetic_blobs", "weedout_run",
+    "Splits", "Tensor", "TrainConfig", "all_ones_mask", "batches",
+    "conv2d", "default_conv_spec", "default_dense_spec", "dense",
+    "evaluate", "fitness", "flatten_layer", "forward", "he_normal",
+    "init_network", "load_cifar10_binary", "load_idx", "loss_and_grads",
+    "next_generation", "realized_sparsity", "reduce_network", "relu_layer",
+    "run_cell", "run_search", "sample_batch", "sample_structured",
+    "sample_unstructured", "select_best", "sgd_step",
+    "softmax_cross_entropy", "split", "sweep", "synthetic_blobs",
 ]

@@ -48,6 +48,7 @@ DIFF_COLUMNS = ("eta", "epoch", "mean_weedout", "mean_baseline", "difference",
                 "pooled_ci95", "n_weedout", "n_baseline", "significant", "verdict")
 PLOT_COLUMNS = ("arm", "eta", "epoch", "metric", "mean", "ci95", "n_runs")
 SPREAD_COLUMNS = ("arm", "eta", "generation", "best", "median", "std", "n")
+EPOCH_METRICS = pipeline.METRICS_COLUMNS[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +413,28 @@ def _mean_ci(values: list[float]) -> tuple[float | None, float | None]:
     return mean, half
 
 
-def aggregate_records(records) -> list[AggregateRow]:
-    """Per-(arm, eta, epoch) means with Student-t 95% half-widths."""
-    groups: dict[tuple[str, float, int], list] = {}
+def _metric_groups(records) -> dict[tuple[str, float, int], dict[str, list[float]]]:
+    """Each epoch metric's values per (arm, eta, epoch), in key order.
+
+    Test metrics hold only the runs that evaluated that epoch.
+    """
+    groups: dict[tuple[str, float, int], dict[str, list[float]]] = {}
     for rec in records:
         for row in rec.epoch_rows:
-            groups.setdefault((rec.arm, rec.eta, row.epoch), []).append(row)
-    out = []
-    for (arm, eta, epoch), rows in sorted(groups.items()):
-        mean_tr, ci_tr = _mean_ci([r.train_accuracy for r in rows])
-        mean_te, ci_te = _mean_ci([r.test_accuracy for r in rows
-                                   if r.test_accuracy is not None])
-        out.append(AggregateRow(arm, eta, epoch, mean_tr, ci_tr, mean_te, ci_te,
-                                len(rows)))
-    return out
+            metrics = groups.setdefault((rec.arm, rec.eta, row.epoch),
+                                        {m: [] for m in EPOCH_METRICS})
+            for name, values in metrics.items():
+                value = getattr(row, name)
+                if value is not None:
+                    values.append(value)
+    return dict(sorted(groups.items()))
+
+
+def aggregate_records(records) -> list[AggregateRow]:
+    """Per-(arm, eta, epoch) means with Student-t 95% half-widths."""
+    return [AggregateRow(arm, eta, epoch, *_mean_ci(m["train_accuracy"]),
+                         *_mean_ci(m["test_accuracy"]), len(m["train_accuracy"]))
+            for (arm, eta, epoch), m in _metric_groups(records).items()]
 
 
 @dataclass(frozen=True)
@@ -542,23 +551,9 @@ def write_report(records, report_dir) -> dict[str, Path]:
                [(d.eta, d.epoch, d.mean_weedout, d.mean_baseline, d.difference,
                  d.pooled_ci95, d.n_weedout, d.n_baseline, d.significant, d.verdict)
                 for d in diffs])
-    plot_rows = []
-    by_group: dict[tuple[str, float, int], dict[str, list[float]]] = {}
-    for rec in records:
-        for row in rec.epoch_rows:
-            g = by_group.setdefault((rec.arm, rec.eta, row.epoch), {})
-            g.setdefault("train_accuracy", []).append(row.train_accuracy)
-            g.setdefault("train_loss", []).append(row.train_loss)
-            if row.test_accuracy is not None:
-                g.setdefault("test_accuracy", []).append(row.test_accuracy)
-                g.setdefault("test_loss", []).append(row.test_loss)
-    for (arm, eta, epoch), metrics in sorted(by_group.items()):
-        for metric in ("train_accuracy", "train_loss", "test_accuracy", "test_loss"):
-            values = metrics.get(metric, [])
-            if not values:
-                continue
-            mean, ci = _mean_ci(values)
-            plot_rows.append((arm, eta, epoch, metric, mean, ci, len(values)))
+    plot_rows = [(arm, eta, epoch, metric, *_mean_ci(values), len(values))
+                 for (arm, eta, epoch), metrics in _metric_groups(records).items()
+                 for metric, values in metrics.items() if values]
     paths["plot"] = report_dir / "plot_long.csv"
     _write_csv(paths["plot"], PLOT_COLUMNS, plot_rows)
     paths["search_spread"] = report_dir / "search_spread.csv"

@@ -55,9 +55,6 @@ class Dataset:
         return Dataset(self.inputs[indices], self.labels[indices], self.num_classes,
                        provenance if provenance is not None else self.provenance)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
 
 @dataclass(frozen=True)
 class Pixels:
@@ -134,22 +131,6 @@ def read_idx(images_path, labels_path, num_classes: int | None = None) -> Pixels
     return Pixels(pixels, labels, num_classes, provenance=f"idx:{images_path.name}")
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write uint8 images [n, rows, cols] as an IDX file (fixture/export helper)."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        f.write(labels.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # CIFAR-10 binary batches
 # ---------------------------------------------------------------------------
@@ -181,15 +162,6 @@ def read_cifar10_binary(batch_paths) -> Pixels:
     # channel-major planes (R, G, B) -> HWC
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
     return Pixels(pixels, labels, 10, provenance=f"cifar10:{len(batch_paths)} file(s)")
-
-
-def encode_cifar10_records(inputs: Tensor, labels: np.ndarray) -> bytes:
-    """Inverse of the CIFAR-10 decoder; lossless for loader-produced data."""
-    pixels = np.rint(np.asarray(inputs) * 255.0).astype(np.uint8)
-    planes = pixels.transpose(0, 3, 1, 2).reshape(len(labels), -1)
-    records = np.concatenate(
-        [np.asarray(labels, dtype=np.uint8)[:, None], planes], axis=1)
-    return records.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +221,6 @@ class SplitResult:
     test: Dataset | None
     discarded: int
 
-    def class_counts(self) -> dict[str, list[int]]:
-        return {name: getattr(self, name).class_counts().tolist()
-                for name in ("train", "validation", "test")
-                if getattr(self, name) is not None}
-
 
 def split(ds: Dataset | Pixels, spec: SplitSpec) -> SplitResult:
     """Deterministic disjoint partition of ``ds`` per ``spec``.
@@ -293,17 +260,13 @@ def split(ds: Dataset | Pixels, spec: SplitSpec) -> SplitResult:
     )
 
 
-def batches(ds: Dataset, batch_size: int, rng: RngStream, drop_last: bool = False):
+def batches(ds: Dataset, batch_size: int, rng: RngStream):
     """One shuffled pass over the dataset, yielding (inputs, labels) pairs."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(ds)
-    if drop_last and batch_size > n:
-        raise ValueError(f"batch_size {batch_size} > dataset size {n} with drop_last "
-                         "yields an empty epoch")
     perm = rng.permutation(n)
-    end = n - (n % batch_size) if drop_last else n
-    for start in range(0, end, batch_size):
+    for start in range(0, n, batch_size):
         idx = perm[start:start + batch_size]
         yield ds.inputs[idx], ds.labels[idx]
 

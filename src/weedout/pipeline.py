@@ -1,9 +1,11 @@
 """End-to-end runs: parent init, mask selection, SGD training, evaluation.
 
-Three arms share one code path and differ only in where the mask comes from:
+``run_cell`` runs every cell the same way: init the parent, take the arm's
+mask, train it and evaluate it. The three arms differ only in where the mask
+comes from:
 
-* ``weedout``          -- mask chosen by the population search phase,
-* ``random_baseline``  -- one random mask at the same sparsity, no search,
+* ``weedout``          -- the winner of the population search at eta,
+* ``random_baseline``  -- one random mask at the same eta, no search,
 * ``dense``            -- the all-active mask (reported under eta = 0).
 
 By default both sparse arms share the parent initialization for a given seed,
@@ -171,86 +173,6 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
                              train_loss=loss_sum / seen,
                              test_accuracy=test_acc, test_loss=test_loss))
     return rows, eval_seconds, active_parameter_count(net, mask)
-
-
-def _finish_record(record: RunRecord, mask: MaskSet, active_parameters: int) -> RunRecord:
-    record.mask_mode = mask.mode
-    record.mask_sample_seed = mask.sample_seed
-    record.mask_layer_zeros = {
-        i: (int((m == 0.0).sum()), int(m.size)) for i, m in mask.masks.items()}
-    record.realized_sparsity = realized_sparsity(mask)
-    record.active_parameters = active_parameters
-    return record
-
-
-def weedout_run(spec, input_shape, search_cfg: SearchConfig,
-                train_cfg: TrainConfig, splits: Splits, seed: int, *,
-                arm: str = "weedout", parallel: int = 1,
-                independent_parents: bool = False) -> RunRecord:
-    """Full selected-mask run: init parent, search, train winner, evaluate.
-
-    With two or more ``parallel`` threads, one kernel pool of that many
-    threads scores the search's candidates, then runs the training and
-    evaluation kernels.
-    """
-    search_cfg.validate()
-    train_cfg.validate()
-    record = RunRecord(run_id=run_label(arm, search_cfg.eta, seed), arm=arm,
-                       eta=search_cfg.eta, seed=seed)
-    t0 = time.perf_counter()
-    net = _parent_for(spec, input_shape, seed, arm, independent_parents)
-    record.parent_checksum = parent_checksum(net)
-    with kernel_pool(parallel) as pool:
-        t1 = time.perf_counter()
-        result = run_search(net, search_cfg, splits.validation,
-                            RngStream(seed).split("search"), pool)
-        record.search_history = result.history
-        record.fitness_evaluations = result.evaluations
-        mask = result.best.mask
-        t2 = time.perf_counter()
-        record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
-                                                   RngStream(seed).split("train"),
-                                                   record.run_id, pool)
-    t3 = time.perf_counter()
-    record.wall_clock = {"init": t1 - t0, "weedout_phase": t2 - t1,
-                         "training_phase": t3 - t2 - eval_s, "evaluation": eval_s}
-    return _finish_record(record, mask, active)
-
-
-def baseline_run(spec, input_shape, eta: float, train_cfg: TrainConfig,
-                 splits: Splits, seed: int, *, arm: str = "random_baseline",
-                 mask_mode: str = "structured", parallel: int = 1,
-                 independent_parents: bool = False) -> RunRecord:
-    """Control arm: one randomly drawn mask at the same eta, trained identically.
-
-    With two or more ``parallel`` threads a kernel pool runs the training
-    and evaluation kernels.
-    """
-    train_cfg.validate()
-    record = RunRecord(run_id=run_label(arm, eta, seed), arm=arm, eta=eta, seed=seed)
-    t0 = time.perf_counter()
-    net = _parent_for(spec, input_shape, seed, arm, independent_parents)
-    record.parent_checksum = parent_checksum(net)
-    mask = sample_mask(spec, input_shape, eta, mask_mode,
-                       RngStream(seed).split("baseline-mask"))
-    t1 = time.perf_counter()
-    with kernel_pool(parallel) as pool:
-        record.epoch_rows, eval_s, active = _train(net, mask, train_cfg, splits,
-                                                   RngStream(seed).split("train"),
-                                                   record.run_id, pool)
-    t2 = time.perf_counter()
-    record.wall_clock = {"init": t1 - t0, "weedout_phase": 0.0,
-                         "training_phase": t2 - t1 - eval_s, "evaluation": eval_s}
-    return _finish_record(record, mask, active)
-
-
-def dense_run(spec, input_shape, train_cfg: TrainConfig, splits: Splits,
-              seed: int, *, parallel: int = 1,
-              independent_parents: bool = False) -> RunRecord:
-    """Dense arm: the eta = 0 control, reported under eta = 0."""
-    return baseline_run(spec, input_shape, 0.0, train_cfg, splits, seed,
-                        arm="dense", parallel=parallel,
-                        independent_parents=independent_parents)
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +389,51 @@ def sweep_cells(etas, arms, seeds) -> list[tuple[str, float, int]]:
 def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
              search_cfg: SearchConfig, train_cfg: TrainConfig, splits: Splits, *,
              parallel: int = 1, independent_parents: bool = False) -> RunRecord:
-    if arm == "weedout":
-        return weedout_run(spec, input_shape, replace(search_cfg, eta=eta),
-                           train_cfg, splits, seed, parallel=parallel,
-                           independent_parents=independent_parents)
-    if arm == "random_baseline":
-        return baseline_run(spec, input_shape, eta, train_cfg, splits, seed,
-                            mask_mode=search_cfg.mask_mode, parallel=parallel,
-                            independent_parents=independent_parents)
+    """Run one cell: init the parent, take the arm's mask, train and evaluate it.
+
+    ``weedout`` takes the winner of a search at ``eta``; ``random_baseline``
+    draws one mask at ``eta`` in the search's mask mode; ``dense`` draws the
+    structured all-ones mask and reports eta 0. A cell's ``parallel``
+    threads score the search's candidates, then run the training and
+    evaluation kernels.
+    """
+    if arm not in ARMS:
+        raise ValueError(f"unknown arm {arm!r}; available: {ARMS}")
+    train_cfg.validate()
     if arm == "dense":
-        return dense_run(spec, input_shape, train_cfg, splits, seed,
-                         parallel=parallel, independent_parents=independent_parents)
-    raise ValueError(f"unknown arm {arm!r}; available: {ARMS}")
+        eta = 0.0
+    run_id = run_label(arm, eta, seed)
+    t0 = time.perf_counter()
+    net = _parent_for(spec, input_shape, seed, arm, independent_parents)
+    checksum = parent_checksum(net)
+    history, evaluations = None, 0
+    with kernel_pool(parallel) as pool:
+        t1 = time.perf_counter()
+        if arm == "weedout":
+            result = run_search(net, replace(search_cfg, eta=eta), splits.validation,
+                                RngStream(seed).split("search"), pool)
+            history, evaluations = result.history, result.evaluations
+            mask = result.best.mask
+        else:
+            mode = search_cfg.mask_mode if arm == "random_baseline" else "structured"
+            mask = sample_mask(spec, input_shape, eta, mode,
+                               RngStream(seed).split("baseline-mask"))
+        t2 = time.perf_counter()
+        rows, eval_s, active = _train(net, mask, train_cfg, splits,
+                                      RngStream(seed).split("train"), run_id, pool)
+    t3 = time.perf_counter()
+    if history is None:
+        t1 = t2  # a control's mask draw counts as init
+    return RunRecord(
+        run_id=run_id, arm=arm, eta=eta, seed=seed, epoch_rows=rows,
+        search_history=history, mask_mode=mask.mode,
+        mask_sample_seed=mask.sample_seed,
+        mask_layer_zeros={i: (int((m == 0.0).sum()), int(m.size))
+                          for i, m in mask.masks.items()},
+        realized_sparsity=realized_sparsity(mask), active_parameters=active,
+        parent_checksum=checksum, fitness_evaluations=evaluations,
+        wall_clock={"init": t1 - t0, "weedout_phase": t2 - t1,
+                    "training_phase": t3 - t2 - eval_s, "evaluation": eval_s})
 
 
 @dataclass(frozen=True)

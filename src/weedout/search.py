@@ -94,13 +94,6 @@ class SearchResult:
     generations_run: int = 0
     evaluations: int = 0
 
-    def best_fitness_per_generation(self) -> list[tuple[int, float]]:
-        out: dict[int, float] = {}
-        for row in self.history:
-            if row.generation not in out or row.fitness > out[row.generation]:
-                out[row.generation] = row.fitness
-        return sorted(out.items())
-
 
 def fitness(net: Network, cand: Candidate, validation_batch) -> float:
     """Score a candidate: negative mean cost on the given validation batch.

@@ -26,7 +26,6 @@ from .network import (LayerParams, LayerSpec, Network, layer_output_shapes,
 from .numerics import RngStream, round_half_up
 
 MASK_MODES = ("structured", "unstructured")
-RESERVED_MODES = ("global", "nonuniform")  # recognized, not implemented
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,6 @@ def sample_mask(spec: list[LayerSpec], input_shape, eta: float, mode: str,
         return sample_structured(spec, eta, rng)
     if mode == "unstructured":
         return sample_unstructured(spec, input_shape, eta, rng)
-    if mode in RESERVED_MODES:
-        raise NotImplementedError(f"sparsity mode {mode!r} is recognized but not implemented")
     raise ValueError(f"unknown sparsity mode {mode!r}")
 
 

@@ -1,15 +1,43 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and fixture writers for the test suite.
 
 The gradient oracle differentiates the forward-only loss numerically, so it
 never touches the hand-written backward pass it is checking. The selector
 helper maps parent-network parameter coordinates onto reduced-network ones
 using only the flatten/channel geometry, for comparing the two gradient
-paths.
+paths. The writers produce IDX and CIFAR-10 files for the loaders to read.
 """
+
+import struct
 
 import numpy as np
 
+from weedout.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from weedout.network import LayerParams, layer_output_shapes, mean_loss
+
+
+def write_idx_images(path, images):
+    """Write uint8 images [n, rows, cols] as an IDX file."""
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
+        f.write(images.tobytes())
+
+
+def write_idx_labels(path, labels):
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
+        f.write(labels.tobytes())
+
+
+def encode_cifar10_records(inputs, labels):
+    """Inverse of the CIFAR-10 decoder; lossless for loader-produced data."""
+    pixels = np.rint(np.asarray(inputs) * 255.0).astype(np.uint8)
+    planes = pixels.transpose(0, 3, 1, 2).reshape(len(labels), -1)
+    records = np.concatenate(
+        [np.asarray(labels, dtype=np.uint8)[:, None], planes], axis=1)
+    return records.tobytes()
 
 
 def kink_distance(net, mask, x):

@@ -12,8 +12,7 @@ import pytest
 import helpers
 from weedout.cli import aggregate_records, arm_differences, main
 from weedout.data import (load_cifar10_binary, load_idx, sample_batch,
-                          split, synthetic_blobs, write_idx_images,
-                          write_idx_labels, SplitSpec)
+                          split, synthetic_blobs, SplitSpec)
 from weedout.errors import FormatError
 from weedout.network import (conv2d, default_dense_spec, dense, flatten_layer,
                              forward, init_network, loss_and_grads, relu_layer)
@@ -330,8 +329,8 @@ def test_criterion_9_data_ingestion(tmp_path):
     gen = np.random.default_rng(9)
     images = gen.integers(0, 256, size=(20, 28, 28), dtype=np.uint8)
     labels = gen.integers(0, 10, size=20, dtype=np.uint8)
-    write_idx_images(tmp_path / "img.idx", images)
-    write_idx_labels(tmp_path / "lbl.idx", labels)
+    helpers.write_idx_images(tmp_path / "img.idx", images)
+    helpers.write_idx_labels(tmp_path / "lbl.idx", labels)
     raw = (tmp_path / "img.idx").read_bytes()
     idx_ok = raw[:4] == b"\x00\x00\x08\x03"  # images magic
     lbl_raw = (tmp_path / "lbl.idx").read_bytes()

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from weedout.data import (Dataset, SplitSpec, batches, encode_cifar10_records,
-                          load_cifar10_binary, load_idx,
-                          read_cifar10_binary, read_idx, sample_batch,
-                          split, synthetic_blobs,
-                          write_idx_images, write_idx_labels)
+from helpers import encode_cifar10_records, write_idx_images, write_idx_labels
+from weedout.data import (Dataset, SplitSpec, batches, load_cifar10_binary,
+                          load_idx, read_cifar10_binary, read_idx, sample_batch,
+                          split, synthetic_blobs)
 from weedout.errors import FormatError
 from weedout.network import default_dense_spec
 from weedout.numerics import RngStream
-from weedout.pipeline import Splits, TrainConfig, dense_run
+from weedout.pipeline import Splits, TrainConfig, run_cell
+from weedout.search import SearchConfig
 
 
 def make_idx_pair(tmp_path, n=10, rows=28, cols=28, seed=0):
@@ -179,7 +179,7 @@ class TestBlobs:
     def test_balanced_and_sized(self):
         ds = synthetic_blobs(10, 100, 16, 0.35, seed=4)
         assert len(ds) == 1000
-        np.testing.assert_array_equal(ds.class_counts(), [100] * 10)
+        np.testing.assert_array_equal(np.bincount(ds.labels, minlength=10), [100] * 10)
 
     def test_deterministic(self):
         a = synthetic_blobs(5, 20, 8, 0.5, seed=9)
@@ -191,9 +191,9 @@ class TestBlobs:
         ds = synthetic_blobs(4, 40, 8, 0.01, seed=2)
         result = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
         splits = Splits(result.train, result.validation, result.test)
-        rec = dense_run(default_dense_spec(4), (8,),
-                        TrainConfig(epochs=10, batch_size=16, lr=0.1),
-                        splits, seed=0)
+        rec = run_cell(default_dense_spec(4), (8,), "dense", 0.0, 0,
+                       SearchConfig(eta=0.0),
+                       TrainConfig(epochs=10, batch_size=16, lr=0.1), splits)
         assert rec.final_row().test_accuracy == 1.0
 
     def test_validation(self):
@@ -246,12 +246,13 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, SplitSpec(0.8, 0.1, 0, seed=0))  # mixed kinds
 
-    def test_class_counts_reported(self):
+    def test_parts_keep_every_class_count(self):
         ds = identifiable_dataset(80)
         res = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=3))
-        counts = res.class_counts()
-        assert set(counts) == {"train", "validation", "test"}
-        assert sum(counts["train"]) == 40
+        counts = [np.bincount(part.labels, minlength=4)
+                  for part in (res.train, res.validation, res.test)]
+        assert counts[0].sum() == 40
+        np.testing.assert_array_equal(sum(counts), np.bincount(ds.labels))
 
 
 class TestBatches:
@@ -259,11 +260,6 @@ class TestBatches:
         ds = identifiable_dataset(10)
         sizes = [len(y) for _, y in batches(ds, 3, RngStream(0))]
         assert sizes == [3, 3, 3, 1]
-
-    def test_drop_last(self):
-        ds = identifiable_dataset(10)
-        sizes = [len(y) for _, y in batches(ds, 3, RngStream(0), drop_last=True)]
-        assert sizes == [3, 3, 3]
 
     def test_every_index_once_per_epoch(self):
         ds = identifiable_dataset(50)
@@ -280,8 +276,6 @@ class TestBatches:
 
     def test_empty_epoch_rejected(self):
         ds = identifiable_dataset(4)
-        with pytest.raises(ValueError):
-            list(batches(ds, 5, RngStream(0), drop_last=True))
         with pytest.raises(ValueError):
             list(batches(ds, 0, RngStream(0)))
 

@@ -16,9 +16,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from helpers import write_idx_images, write_idx_labels
 from weedout import network, pipeline, search
 from weedout.cli import main
-from weedout.data import Dataset, write_idx_images, write_idx_labels
+from weedout.data import Dataset
 from weedout.network import (KernelPool, conv2d, dense, flatten_layer,
                              init_network, relu_layer)
 from weedout.numerics import RngStream
@@ -340,10 +341,11 @@ def test_fitness_scoring_never_receives_a_kernel_pool(monkeypatch):
     labels = np.asarray(rng.split("y").integers(0, 3, size=48))
     splits = Splits(*(Dataset(images[s], labels[s], 3)
                       for s in (slice(0, 16), slice(16, 32), slice(32, 48))))
-    record = pipeline.weedout_run(
-        SPEC, SHAPE, SearchConfig(eta=0.5, population_size=4, generations=2,
-                                  validation_batch_size=8),
-        TrainConfig(epochs=1, batch_size=8, lr=0.05), splits, seed=0, parallel=2)
+    record = pipeline.run_cell(
+        SPEC, SHAPE, "weedout", 0.5, 0,
+        SearchConfig(eta=0.5, population_size=4, generations=2,
+                     validation_batch_size=8),
+        TrainConfig(epochs=1, batch_size=8, lr=0.05), splits, parallel=2)
     assert record.fitness_evaluations == 8
     scored = [pool for in_fitness, pool in calls if in_fitness]
     trained = [pool for in_fitness, pool in calls if not in_fitness]

@@ -8,10 +8,10 @@ import pytest
 from weedout import pipeline
 from weedout.errors import DivergenceError
 from weedout.network import default_dense_spec
-from weedout.pipeline import (TrainConfig, baseline_run, dense_run,
-                              is_completed, metrics_csv_bytes, read_run_record,
-                              run_label, search_csv_bytes, sweep, sweep_cells,
-                              weedout_run, write_failure, write_run_record)
+from weedout.pipeline import (ARMS, TrainConfig, is_completed, metrics_csv_bytes,
+                              read_run_record, run_cell, run_label,
+                              search_csv_bytes, sweep, sweep_cells,
+                              write_failure, write_run_record)
 from weedout.search import SearchConfig
 
 SPEC = default_dense_spec(10)
@@ -31,17 +31,22 @@ def small_train(**kw):
     return TrainConfig(**defaults)
 
 
+def run(arm, eta, seed, splits, search=None, train=None, **kw):
+    return run_cell(SPEC, SHAPE, arm, eta, seed, search or small_search(),
+                    train or small_train(), splits, **kw)
+
+
 class TestSingleRuns:
     def test_rerun_is_bit_identical(self, blob_splits):
-        a = weedout_run(SPEC, SHAPE, small_search(), small_train(), blob_splits, seed=3)
-        b = weedout_run(SPEC, SHAPE, small_search(), small_train(), blob_splits, seed=3)
+        a = run("weedout", 0.4, 3, blob_splits)
+        b = run("weedout", 0.4, 3, blob_splits)
         assert metrics_csv_bytes(a) == metrics_csv_bytes(b)
         assert search_csv_bytes(a.search_history) == search_csv_bytes(b.search_history)
         assert a.parent_checksum == b.parent_checksum
         assert a.mask_sample_seed == b.mask_sample_seed
 
     def test_epochs_contiguous_from_one(self, blob_splits):
-        rec = weedout_run(SPEC, SHAPE, small_search(), small_train(), blob_splits, seed=1)
+        rec = run("weedout", 0.4, 1, blob_splits)
         assert [r.epoch for r in rec.epoch_rows] == [1, 2, 3]
         for r in rec.epoch_rows:
             assert 0.0 <= r.train_accuracy <= 1.0
@@ -50,61 +55,76 @@ class TestSingleRuns:
 
     def test_eta_zero_weedout_equals_dense_training(self, blob_splits):
         """All-ones masks make the search a no-op: training matches the dense arm."""
-        w = weedout_run(SPEC, SHAPE, small_search(eta=0.0), small_train(),
-                        blob_splits, seed=2)
-        d = dense_run(SPEC, SHAPE, small_train(), blob_splits, seed=2)
+        w = run("weedout", 0.0, 2, blob_splits)
+        d = run("dense", 0.0, 2, blob_splits)
         assert metrics_csv_bytes(w) == metrics_csv_bytes(d)
 
     def test_eta_zero_baseline_equals_dense_arm(self, blob_splits):
-        b = baseline_run(SPEC, SHAPE, 0.0, small_train(), blob_splits, seed=2)
-        d = dense_run(SPEC, SHAPE, small_train(), blob_splits, seed=2)
+        b = run("random_baseline", 0.0, 2, blob_splits)
+        d = run("dense", 0.0, 2, blob_splits)
         assert metrics_csv_bytes(b) == metrics_csv_bytes(d)
         assert b.parent_checksum == d.parent_checksum
 
     def test_fitness_evaluation_budgets(self, blob_splits):
-        w = weedout_run(SPEC, SHAPE, small_search(), small_train(), blob_splits, seed=4)
-        b = baseline_run(SPEC, SHAPE, 0.4, small_train(), blob_splits, seed=4)
+        w = run("weedout", 0.4, 4, blob_splits)
+        b = run("random_baseline", 0.4, 4, blob_splits)
         assert w.fitness_evaluations == 8 * 2
         assert len(w.search_history) == 16
         assert b.fitness_evaluations == 0
         assert b.search_history is None
 
     def test_arms_share_parent_and_parameter_count(self, blob_splits):
-        w = weedout_run(SPEC, SHAPE, small_search(eta=0.8), small_train(),
-                        blob_splits, seed=5)
-        b = baseline_run(SPEC, SHAPE, 0.8, small_train(), blob_splits, seed=5)
+        w = run("weedout", 0.8, 5, blob_splits)
+        b = run("random_baseline", 0.8, 5, blob_splits)
         assert w.parent_checksum == b.parent_checksum
         assert w.active_parameters == b.active_parameters
 
     def test_independent_parents_flag(self, blob_splits):
-        w = weedout_run(SPEC, SHAPE, small_search(), small_train(), blob_splits,
-                        seed=6, independent_parents=True)
-        b = baseline_run(SPEC, SHAPE, 0.4, small_train(), blob_splits, seed=6,
-                         independent_parents=True)
+        w = run("weedout", 0.4, 6, blob_splits, independent_parents=True)
+        b = run("random_baseline", 0.4, 6, blob_splits, independent_parents=True)
         assert w.parent_checksum != b.parent_checksum
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_aborts_with_diagnostic(self, blob_splits):
         with pytest.raises(DivergenceError, match="epoch"):
-            weedout_run(SPEC, SHAPE, small_search(), small_train(lr=1e150),
-                        blob_splits, seed=7)
+            run("weedout", 0.4, 7, blob_splits, train=small_train(lr=1e150))
 
     def test_wall_clock_phases_recorded(self, blob_splits):
-        rec = weedout_run(SPEC, SHAPE, small_search(), small_train(), blob_splits, seed=8)
+        rec = run("weedout", 0.4, 8, blob_splits)
         assert set(rec.wall_clock) == {"init", "weedout_phase", "training_phase",
                                        "evaluation"}
         assert all(v >= 0 for v in rec.wall_clock.values())
 
     def test_eval_every(self, blob_splits):
-        rec = baseline_run(SPEC, SHAPE, 0.2, small_train(epochs=5, eval_every=2),
-                           blob_splits, seed=9)
+        rec = run("random_baseline", 0.2, 9, blob_splits,
+                  train=small_train(epochs=5, eval_every=2))
         evaluated = [r.epoch for r in rec.epoch_rows if r.test_accuracy is not None]
         assert evaluated == [2, 4, 5]  # every 2nd epoch plus the final one
+
+    def test_unknown_arm_rejected(self, blob_splits):
+        with pytest.raises(ValueError, match="unknown arm"):
+            run("probe", 0.4, 0, blob_splits)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_what_only_the_arm_decides(self, blob_splits, arm):
+        """The search record belongs to weedout alone; dense reports eta 0
+        and draws a structured mask whatever the search's mask mode."""
+        rec = run(arm, 0.4, 10, blob_splits,
+                  search=small_search(mask_mode="unstructured"))
+        searched = arm == "weedout"
+        assert (rec.search_history is not None) == searched
+        assert (rec.fitness_evaluations == 8 * 2) == searched
+        assert rec.eta == (0.0 if arm == "dense" else 0.4)
+        assert rec.run_id == run_label(arm, rec.eta, 10)
+        assert rec.mask_mode == ("structured" if arm == "dense" else "unstructured")
+        assert rec.realized_sparsity == pytest.approx(rec.eta, abs=1e-3)
+        if not searched:
+            assert rec.wall_clock["weedout_phase"] == 0.0
 
 
 class TestPersistence:
     def test_write_read_round_trip(self, tmp_path, blob_splits):
-        rec = weedout_run(SPEC, SHAPE, small_search(), small_train(), blob_splits, seed=1)
+        rec = run("weedout", 0.4, 1, blob_splits)
         cell = tmp_path / rec.run_id
         write_run_record(rec, cell, effective_config={"x": 1})
         assert is_completed(cell)
@@ -115,7 +135,7 @@ class TestPersistence:
         assert back.mask_layer_zeros == rec.mask_layer_zeros
 
     def test_corrupt_metrics_detected(self, tmp_path, blob_splits):
-        rec = baseline_run(SPEC, SHAPE, 0.2, small_train(), blob_splits, seed=1)
+        rec = run("random_baseline", 0.2, 1, blob_splits)
         cell = tmp_path / rec.run_id
         write_run_record(rec, cell)
         blob = (cell / "metrics.csv").read_bytes()
@@ -152,8 +172,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         results = sweep(SPEC, SHAPE, [0.4], ["weedout"], [3], small_search(),
                         small_train(), blob_splits, out)
-        direct = weedout_run(SPEC, SHAPE, small_search(eta=0.4), small_train(),
-                             blob_splits, seed=3)
+        direct = run("weedout", 0.4, 3, blob_splits)
         assert metrics_csv_bytes(results[0].record) == metrics_csv_bytes(direct)
 
     def test_failed_cells_recorded_and_sweep_continues(self, tmp_path, blob_splits):

@@ -119,14 +119,10 @@ class TestUnstructuredSampling:
 
 
 class TestModeDispatch:
-    def test_reserved_modes_not_implemented(self, rng):
-        for mode in ("global", "nonuniform"):
-            with pytest.raises(NotImplementedError):
-                sample_mask(widths_spec(), None, 0.2, mode, rng)
-
-    def test_unknown_mode_rejected(self, rng):
+    @pytest.mark.parametrize("mode", ["magnitude", "global", "nonuniform"])
+    def test_unknown_mode_rejected(self, rng, mode):
         with pytest.raises(ValueError):
-            sample_mask(widths_spec(), None, 0.2, "magnitude", rng)
+            sample_mask(widths_spec(), None, 0.2, mode, rng)
 
 
 class TestRealizedSparsity:

@@ -155,14 +155,14 @@ def test_splits_are_never_pickled(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_any_exception_gives_a_failure_manifest(tmp_path, capsys, monkeypatch,
                                                 parallel):
-    real = pipeline.baseline_run
+    real = pipeline.run_cell
 
-    def flaky(spec, input_shape, eta, *args, **kw):
-        if eta == 0.6:
+    def flaky(spec, input_shape, arm, eta, *args, **kw):
+        if (arm, eta) == ("random_baseline", 0.6):
             raise RuntimeError("boom")
-        return real(spec, input_shape, eta, *args, **kw)
+        return real(spec, input_shape, arm, eta, *args, **kw)
 
-    monkeypatch.setattr(pipeline, "baseline_run", flaky)
+    monkeypatch.setattr(pipeline, "run_cell", flaky)
     out = tmp_path / "out"
     code, stdout, err = run_cli(capsys, write_config(tmp_path), out, parallel)
     assert code == 1
@@ -196,14 +196,14 @@ DYING_WORKER = textwrap.dedent("""
     from weedout.cli import main
 
     parent = os.getpid()
-    real = pipeline.baseline_run
+    real = pipeline.run_cell
 
-    def dying(*args, **kw):
-        if os.getpid() != parent:
+    def dying(spec, input_shape, arm, *args, **kw):
+        if arm == "random_baseline" and os.getpid() != parent:
             os._exit(3)
-        return real(*args, **kw)
+        return real(spec, input_shape, arm, *args, **kw)
 
-    pipeline.baseline_run = dying
+    pipeline.run_cell = dying
     sys.exit(main(sys.argv[1:]))
 """)
 
