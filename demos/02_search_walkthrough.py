@@ -22,9 +22,8 @@ print(f"blob task: {len(splits.train)} train / {len(splits.validation)} validati
 spec = default_dense_spec(10)
 net = init_network(spec, (16,), seed=1)
 
-cfg = SearchConfig(eta=0.6, population_size=60, generations=5,
-                   validation_batch_size=256)
-result = run_search(net, cfg, splits.validation, RngStream(1).split("search"))
+cfg = SearchConfig(population_size=60, generations=5, validation_batch_size=256)
+result = run_search(net, cfg, 0.6, splits.validation, RngStream(1).split("search"))
 
 print(f"\npopulation {cfg.population_size}, {result.generations_run} generations, "
       f"{result.evaluations} fitness evaluations (no weight updates)\n")

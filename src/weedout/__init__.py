@@ -16,15 +16,15 @@ from .numerics import RngStream, Tensor, he_normal, softmax_cross_entropy
 from .pipeline import RunRecord, Splits, TrainConfig, run_cell, sweep
 from .search import (Candidate, SearchConfig, SearchResult, fitness,
                      next_generation, run_search, select_best)
-from .sparsity import (MaskSet, all_ones_mask, realized_sparsity,
-                       reduce_network, sample_structured, sample_unstructured)
+from .sparsity import (MaskSet, realized_sparsity, reduce_network,
+                       sample_structured, sample_unstructured)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Candidate", "Dataset", "LayerSpec", "MaskSet", "Network", "RngStream",
     "RunRecord", "SearchConfig", "SearchResult", "SgdState", "SplitSpec",
-    "Splits", "Tensor", "TrainConfig", "all_ones_mask", "batches",
+    "Splits", "Tensor", "TrainConfig", "batches",
     "conv2d", "default_conv_spec", "default_dense_spec", "dense",
     "evaluate", "fitness", "flatten_layer", "forward", "he_normal",
     "init_network", "load_cifar10_binary", "load_idx", "loss_and_grads",

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks that
+config dataclasses build their problem lists from."""
 
 
 class WeedoutError(Exception):
@@ -52,3 +53,24 @@ class ConfigError(WeedoutError, ValueError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def check_number(name: str, value, kind: type, lo=None, hi=None, *,
+                 lo_open: bool = False, hi_open: bool = False) -> list[str]:
+    """``[]`` if ``value`` is a ``kind`` (int or float) within the bounds,
+    else one ``"name: reason"`` line. Booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (kind is int and not isinstance(value, int)):
+        return [f"{name}: expected {kind.__name__}, got {value!r}"]
+    if lo is not None and (value <= lo if lo_open else value < lo):
+        return [f"{name}: must be {'>' if lo_open else '>='} {lo}, got {value}"]
+    if hi is not None and (value >= hi if hi_open else value > hi):
+        return [f"{name}: must be {'<' if hi_open else '<='} {hi}, got {value}"]
+    return []
+
+
+def check_member(name: str, value, allowed: tuple) -> list[str]:
+    """``[]`` if ``value`` is one of ``allowed``, else one ``"name: reason"`` line."""
+    if value in allowed:
+        return []
+    return [f"{name}: must be one of {allowed}, got {value!r}"]

@@ -33,12 +33,12 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
 from .data import Dataset, batches
-from .errors import ChecksumError, DivergenceError
+from .errors import ChecksumError, DivergenceError, check_number
 from .network import (KernelPool, Network, SgdState, _forward_backward, evaluate,
                       init_network, kernel_pool, parent_checksum, sgd_step)
 from .numerics import RngStream
@@ -60,19 +60,23 @@ SEARCH_NAME = "search.csv"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
-    batch_size: int
-    lr: float
+    epochs: int = 20
+    batch_size: int = 128
+    lr: float = 0.05
     momentum: float = 0.9
     eval_every: int = 1
 
+    def problems(self) -> list[str]:
+        """One ``"field: reason"`` line per invalid field; empty if valid."""
+        return (check_number("epochs", self.epochs, int, 1)
+                + check_number("batch_size", self.batch_size, int, 1)
+                + check_number("lr", self.lr, float, 0, lo_open=True)
+                + check_number("momentum", self.momentum, float, 0, 1, hi_open=True)
+                + check_number("eval_every", self.eval_every, int, 1))
+
     def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("epochs, batch_size, and eval_every must be >= 1")
-        if not self.lr > 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if problems := self.problems():
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -410,7 +414,7 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
     with kernel_pool(parallel) as pool:
         t1 = time.perf_counter()
         if arm == "weedout":
-            result = run_search(net, replace(search_cfg, eta=eta), splits.validation,
+            result = run_search(net, search_cfg, eta, splits.validation,
                                 RngStream(seed).split("search"), pool)
             history, evaluations = result.history, result.evaluations
             mask = result.best.mask

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .errors import EvaluationIncompleteError
+from .errors import EvaluationIncompleteError, check_member, check_number
 from .network import KernelPool, Network, mean_loss, run_pieces
 from .numerics import RngStream
-from .sparsity import MaskSet, sample_mask, sub_network
+from .sparsity import MASK_MODES, MaskSet, sample_mask, sub_network
 
 STRATEGIES = ("random_search",)
 WINNER_SCOPES = ("final_generation", "all_generations")
@@ -48,7 +48,8 @@ class Candidate:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    eta: float
+    """How a search runs; the sparsity ratio eta is a per-cell argument."""
+
     population_size: int = 100
     generations: int = 5
     validation_batch_size: int = 256
@@ -61,21 +62,22 @@ class SearchConfig:
     early_stop_tol: float | None = None
     early_stop_patience: int = 2
 
+    def problems(self) -> list[str]:
+        """One ``"field: reason"`` line per invalid field; empty if valid."""
+        out = (check_number("population_size", self.population_size, int, 2)
+               + check_number("generations", self.generations, int, 1)
+               + check_number("validation_batch_size", self.validation_batch_size, int, 1)
+               + check_member("strategy", self.strategy, STRATEGIES)
+               + check_member("mask_mode", self.mask_mode, MASK_MODES)
+               + check_member("winner_scope", self.winner_scope, WINNER_SCOPES)
+               + check_number("early_stop_patience", self.early_stop_patience, int, 1))
+        if self.early_stop_tol is not None:
+            out += check_number("early_stop_tol", self.early_stop_tol, float)
+        return out
+
     def validate(self) -> None:
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if self.validation_batch_size < 1:
-            raise ValueError("validation_batch_size must be >= 1")
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; available: {STRATEGIES}")
-        if self.winner_scope not in WINNER_SCOPES:
-            raise ValueError(f"unknown winner_scope {self.winner_scope!r}")
-        if self.early_stop_tol is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+        if problems := self.problems():
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,9 @@ def _evaluate_population(net: Network, population: list[Candidate],
         c.fitness = first[key].fitness
 
 
-def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
+def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Dataset,
                rng: RngStream, pool: KernelPool | None = None) -> SearchResult:
-    """Run the full selection phase and return the winning candidate.
+    """Run the full selection phase at sparsity ``eta``; return the winner.
 
     Each generation draws a fresh validation batch and scores all candidates
     on that same batch, so within-generation comparisons are fair.
@@ -176,7 +178,7 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
     rng_masks = rng.split("masks")
     rng_batches = rng.split("batches")
     population = [
-        Candidate(mask=sample_mask(net.spec, net.input_shape, cfg.eta,
+        Candidate(mask=sample_mask(net.spec, net.input_shape, eta,
                                    cfg.mask_mode, rng_masks),
                   candidate_id=i, birth_generation=1)
         for i in range(cfg.population_size)
@@ -211,7 +213,7 @@ def run_search(net: Network, cfg: SearchConfig, d_validation: Dataset,
             if stale >= cfg.early_stop_patience:
                 break
         if gen < cfg.generations:
-            population = next_generation(population, best_gen, net.spec, cfg.eta,
+            population = next_generation(population, best_gen, net.spec, eta,
                                          rng_masks, mask_mode=cfg.mask_mode,
                                          input_shape=net.input_shape)
     result.best = best_gen if cfg.winner_scope == "final_generation" else best_overall

@@ -135,12 +135,6 @@ def resample_mask(spec: list[LayerSpec], input_shape, mode: str, eta: float,
     raise ValueError(f"unknown sparsity mode {mode!r}")
 
 
-def all_ones_mask(spec: list[LayerSpec]) -> MaskSet:
-    """The trivial eta=0 structured mask (every node active)."""
-    masks = {i: np.ones(spec[i].width) for i in maskable_indices(spec)}
-    return MaskSet("structured", masks, 0.0, 0)
-
-
 def realized_sparsity(mask: MaskSet) -> float:
     """Fraction of deactivated positions over all maskable positions."""
     total = sum(m.size for m in mask.masks.values())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from weedout.cli import aggregate_records, arm_differences, main
+from weedout.cli import main
 from weedout.data import (load_cifar10_binary, load_idx, sample_batch,
                           split, synthetic_blobs, SplitSpec)
 from weedout.errors import FormatError
@@ -18,9 +18,10 @@ from weedout.network import (conv2d, default_dense_spec, dense, flatten_layer,
                              forward, init_network, loss_and_grads, relu_layer)
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import Splits, TrainConfig, sweep
+from weedout.report import aggregate_records, arm_differences
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
                             next_generation, run_search, select_best)
-from weedout.sparsity import (all_ones_mask, reduce_network, sample_structured)
+from weedout.sparsity import reduce_network, resample_mask, sample_structured
 
 
 def report(num, name, ok, detail=""):
@@ -51,7 +52,7 @@ def desk_sweep(tmp_path_factory, desk_splits):
     out = tmp_path_factory.mktemp("desk") / "sweep"
     splits = desk_splits
     spec = default_dense_spec(10)
-    search_cfg = SearchConfig(eta=0.0, population_size=100, generations=5,
+    search_cfg = SearchConfig(population_size=100, generations=5,
                               validation_batch_size=256)
     train_cfg = TrainConfig(epochs=20, batch_size=128, lr=0.05, momentum=0.9)
     t0 = time.perf_counter()
@@ -191,9 +192,8 @@ def test_criterion_4_search_protocol(desk_splits):
     """m=100, G=5: budget 500, per-generation argmax, bit-identical elite."""
     spec = default_dense_spec(10)
     net = init_network(spec, (16,), seed=11)
-    cfg = SearchConfig(eta=0.4, population_size=100, generations=5,
-                       validation_batch_size=256)
-    res = run_search(net, cfg, desk_splits.validation, RngStream(11).split("s"))
+    cfg = SearchConfig(population_size=100, generations=5, validation_batch_size=256)
+    res = run_search(net, cfg, 0.4, desk_splits.validation, RngStream(11).split("s"))
     budget_ok = res.evaluations == 500 and len(res.history) == 500
 
     argmax_ok = True
@@ -224,7 +224,8 @@ def test_criterion_4_search_protocol(desk_splits):
     for p in zero_net.params:
         if p is not None:
             p.weight[:] = 0.0
-    cand = Candidate(mask=all_ones_mask(spec), candidate_id=0, birth_generation=1)
+    cand = Candidate(mask=resample_mask(spec, None, "structured", 0.0, 0), candidate_id=0,
+                     birth_generation=1)
     from weedout.search import fitness as fitness_fn
     value = fitness_fn(zero_net, cand, batch)
     uniform_ok = abs(value - (-math.log(10))) < 1e-9
@@ -238,7 +239,7 @@ def test_criterion_4_search_protocol(desk_splits):
 def test_criterion_5_determinism(tmp_path, blob_splits):
     """Identical sweep config at different thread counts: byte-identical CSVs."""
     spec = default_dense_spec(10)
-    search_cfg = SearchConfig(eta=0.0, population_size=20, generations=3,
+    search_cfg = SearchConfig(population_size=20, generations=3,
                               validation_batch_size=128)
     train_cfg = TrainConfig(epochs=4, batch_size=64, lr=0.05, momentum=0.9)
     args = (spec, (16,), [0.4], ["weedout", "random_baseline"], [0, 1],

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,15 @@ import numpy as np
 import pytest
 
 import weedout
-from weedout.cli import (_mean_ci, aggregate_records, arm_differences,
-                         canonical_json, load_config, main, parse_config,
-                         pooled_ci_half_width)
+from weedout.cli import main
+from weedout.config import build_experiment, canonical_json, load_config, parse_config
 from weedout.errors import ConfigError
 from weedout.network import default_dense_spec, init_network
 from weedout.numerics import round_half_up
-from weedout.pipeline import EpochRow, RunRecord, run_label, write_run_record
+from weedout.pipeline import EpochRow, RunRecord, TrainConfig, run_label, write_run_record
+from weedout.report import (_mean_ci, aggregate_records, arm_differences,
+                            pooled_ci_half_width)
+from weedout.search import SearchConfig
 
 T_975_DF4 = 2.7764451051977987  # Student-t, two-sided 95%, n=5
 
@@ -40,12 +43,20 @@ class TestParseConfig:
     def test_defaults_applied(self):
         cfg = parse_config({"schema_version": 1,
                             "dataset": {"kind": "blobs"}, "out_dir": "x"})
-        assert cfg.search["population_size"] == 100
-        assert cfg.search["generations"] == 5
-        assert cfg.train["epochs"] == 20
-        assert cfg.etas == [0.0, 0.2, 0.4, 0.6, 0.8]
-        assert cfg.arms == ["weedout", "random_baseline"]
-        assert cfg.seeds == [0, 1, 2, 3, 4]
+        assert cfg["search"]["population_size"] == 100
+        assert cfg["search"]["generations"] == 5
+        assert cfg["train"]["epochs"] == 20
+        assert cfg["search"]["etas"] == [0.0, 0.2, 0.4, 0.6, 0.8]
+        assert cfg["arms"] == ["weedout", "random_baseline"]
+        assert cfg["seeds"] == [0, 1, 2, 3, 4]
+
+    def test_empty_sections_build_the_dataclass_defaults(self):
+        """``search`` and ``train`` take their defaults from the dataclasses."""
+        cfg = parse_config({"schema_version": 1, "dataset": {"kind": "blobs"},
+                            "search": {}, "train": {}, "out_dir": "x"})
+        *_, search_cfg, train_cfg = build_experiment(cfg)
+        assert search_cfg == SearchConfig()
+        assert train_cfg == TrainConfig()
 
     def test_unknown_keys_rejected_everywhere(self):
         with pytest.raises(ConfigError) as err:
@@ -73,6 +84,16 @@ class TestParseConfig:
             parse_config(minimal_raw(architecture="resnet"))
         with pytest.raises(ConfigError, match="kind"):
             parse_config(minimal_raw(architecture=[{"kind": "pool"}]))
+
+    @pytest.mark.parametrize("arch,problem", [
+        ([], "architecture: expected preset name or non-empty list of layers"),
+        ([{"kind": "dense", "width": "wide"}], "architecture[0].width: expected int"),
+        ([{"kind": "conv2d", "width": 4, "kernel_size": None}],
+         "architecture[0].kernel_size: expected int"),
+    ])
+    def test_malformed_layer_lists_rejected(self, arch, problem):
+        with pytest.raises(ConfigError, match=re.escape(problem)):
+            parse_config(minimal_raw(architecture=arch))
 
     def test_problems_accumulate(self):
         with pytest.raises(ConfigError) as err:
@@ -156,6 +177,35 @@ class TestCmdRun:
         assert proc.returncode == 0, proc.stderr
         assert "2 computed" in proc.stdout
         assert "scipy modules: []" in proc.stdout
+
+    @pytest.mark.parametrize("search,field", [
+        ({"early_stop_tol": 0.1, "early_stop_patience": 0}, "search.early_stop_patience"),
+        ({"early_stop_tol": "soon"}, "search.early_stop_tol"),
+    ])
+    def test_bad_early_stop_exits_two_before_any_cell(self, tmp_path, capsys, search,
+                                                      field):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"),
+                          search={"etas": [0.3], **search})
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        assert "invalid config:" in captured.err and field in captured.err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("section,overrides", [
+        ("dataset", lambda d: {"dataset": {"kind": "mnist", **{
+            key: str(d / "absent") for key in ("train_images", "train_labels",
+                                               "test_images", "test_labels")}}}),
+        ("dataset", lambda d: {"dataset": {"kind": "blobs", "num_classes": 10, "dim": 4}}),
+        ("splits", lambda d: {"splits": {"train": 0.5, "validation": 0.2, "test": 0.2}}),
+    ], ids=["missing_mnist_file", "blobs_dim_below_classes", "fractions_not_summing_to_1"])
+    def test_data_errors_exit_two(self, tmp_path, capsys, section, overrides):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), **overrides(tmp_path))
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and lines[0] == "invalid config:"
+        assert len(lines) == 2 and lines[1].startswith(f"  - {section}: ")
+        assert not (tmp_path / "sweep").exists()
 
     def test_validation_batch_too_large_exits_two(self, tmp_path, capsys):
         raw = minimal_raw(search={"etas": [0.3], "validation_batch_size": 10**6})

@@ -192,7 +192,7 @@ class TestBlobs:
         result = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
         splits = Splits(result.train, result.validation, result.test)
         rec = run_cell(default_dense_spec(4), (8,), "dense", 0.0, 0,
-                       SearchConfig(eta=0.0),
+                       SearchConfig(),
                        TrainConfig(epochs=10, batch_size=16, lr=0.1), splits)
         assert rec.final_row().test_accuracy == 1.0
 

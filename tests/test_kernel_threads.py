@@ -343,8 +343,7 @@ def test_fitness_scoring_never_receives_a_kernel_pool(monkeypatch):
                       for s in (slice(0, 16), slice(16, 32), slice(32, 48))))
     record = pipeline.run_cell(
         SPEC, SHAPE, "weedout", 0.5, 0,
-        SearchConfig(eta=0.5, population_size=4, generations=2,
-                     validation_batch_size=8),
+        SearchConfig(population_size=4, generations=2, validation_batch_size=8),
         TrainConfig(epochs=1, batch_size=8, lr=0.05), splits, parallel=2)
     assert record.fitness_evaluations == 8
     scored = [pool for in_fitness, pool in calls if in_fitness]

@@ -12,7 +12,7 @@ from weedout.network import (LayerParams, SgdState, conv2d, dense, evaluate,
                              maskable_indices, parent_checksum, relu_layer,
                              sgd_step)
 from weedout.numerics import RngStream
-from weedout.sparsity import MaskSet, all_ones_mask, sample_structured
+from weedout.sparsity import MaskSet, resample_mask, sample_structured
 from weedout.data import Dataset
 
 
@@ -96,8 +96,8 @@ class TestForward:
     def test_all_ones_mask_equals_unmasked(self, small_conv_spec, rng):
         net = init_network(small_conv_spec, (10, 10, 1), seed=5)
         x = rng.normal((4, 10, 10, 1))
-        np.testing.assert_array_equal(forward(net, all_ones_mask(small_conv_spec), x),
-                                      forward(net, None, x))
+        ones = resample_mask(small_conv_spec, None, "structured", 0.0, 0)
+        np.testing.assert_array_equal(forward(net, ones, x), forward(net, None, x))
 
     def test_zero_mask_blocks_signal(self, small_dense_spec, rng):
         # biases are zero at init, so a fully deactivated layer kills the logits
@@ -169,7 +169,8 @@ class TestGradients:
         net = init_network(small_dense_spec, (5,), seed=14)
         x = rng.normal((4, 5))
         y = np.array([0, 1, 2, 0])
-        _, masked = loss_and_grads(net, all_ones_mask(small_dense_spec), x, y)
+        ones = resample_mask(small_dense_spec, None, "structured", 0.0, 0)
+        _, masked = loss_and_grads(net, ones, x, y)
         _, plain = loss_and_grads(net, None, x, y)
         assert helpers.gradients_close(masked, plain, atol=0.0)
 

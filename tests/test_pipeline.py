@@ -18,9 +18,8 @@ SPEC = default_dense_spec(10)
 SHAPE = (16,)
 
 
-def small_search(eta=0.4, **kw):
-    defaults = dict(eta=eta, population_size=8, generations=2,
-                    validation_batch_size=32)
+def small_search(**kw):
+    defaults = dict(population_size=8, generations=2, validation_batch_size=32)
     defaults.update(kw)
     return SearchConfig(**defaults)
 

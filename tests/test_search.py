@@ -11,7 +11,7 @@ from weedout.network import (KernelPool, conv2d, dense, flatten_layer, init_netw
 from weedout.numerics import RngStream
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
                             fitness, next_generation, run_search, select_best)
-from weedout.sparsity import all_ones_mask, sample_structured
+from weedout.sparsity import resample_mask, sample_structured
 
 from weedout.network import default_dense_spec
 
@@ -31,8 +31,8 @@ class TestFitness:
         for p in net16.params:
             if p is not None:
                 p.weight[:] = 0.0  # zero weights + zero biases -> uniform logits
-        cand = Candidate(mask=all_ones_mask(net16.spec), candidate_id=0,
-                         birth_generation=1)
+        ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
+        cand = Candidate(mask=ones, candidate_id=0, birth_generation=1)
         batch = sample_batch(blob_splits.validation, 64, rng)
         value = fitness(net16, cand, batch)
         assert abs(value - (-math.log(10))) < 1e-9
@@ -40,13 +40,14 @@ class TestFitness:
 
     def test_all_ones_mask_equals_dense_loss(self, net16, blob_splits, rng):
         batch = sample_batch(blob_splits.validation, 64, rng)
-        cand = Candidate(mask=all_ones_mask(net16.spec), candidate_id=0,
-                         birth_generation=1)
+        ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
+        cand = Candidate(mask=ones, candidate_id=0, birth_generation=1)
         assert fitness(net16, cand, batch) == -mean_loss(net16, None, *batch)
 
     def test_empty_batch_rejected(self, net16):
+        ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
         with pytest.raises(ValueError):
-            fitness(net16, Candidate(all_ones_mask(net16.spec), 0, 1),
+            fitness(net16, Candidate(ones, 0, 1),
                     (np.zeros((0, 16)), np.zeros(0, dtype=int)))
 
     def test_serial_equals_parallel(self, net16, blob_splits, rng):
@@ -123,13 +124,12 @@ class TestNextGeneration:
 
 class TestRunSearch:
     def cfg(self, **kw):
-        defaults = dict(eta=0.4, population_size=10, generations=3,
-                        validation_batch_size=32)
+        defaults = dict(population_size=10, generations=3, validation_batch_size=32)
         defaults.update(kw)
         return SearchConfig(**defaults)
 
     def test_budget_and_history_shape(self, net16, blob_splits):
-        res = run_search(net16, self.cfg(), blob_splits.validation,
+        res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                          RngStream(1).split("s"))
         assert res.evaluations == 30
         assert res.generations_run == 3
@@ -138,20 +138,20 @@ class TestRunSearch:
             assert sum(1 for h in res.history if h.generation == gen) == 10
 
     def test_single_generation_is_plain_argmax(self, net16, blob_splits):
-        res = run_search(net16, self.cfg(generations=1), blob_splits.validation,
+        res = run_search(net16, self.cfg(generations=1), 0.4, blob_splits.validation,
                          RngStream(2).split("s"))
         assert res.evaluations == 10
         best_fit = max(h.fitness for h in res.history)
         assert res.best.fitness == best_fit
 
     def test_within_generation_winner_attains_max(self, net16, blob_splits):
-        res = run_search(net16, self.cfg(), blob_splits.validation,
+        res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                          RngStream(3).split("s"))
         final = [h for h in res.history if h.generation == res.generations_run]
         assert res.best.fitness == max(h.fitness for h in final)
 
     def test_elitism_carries_winner_id_forward(self, net16, blob_splits):
-        res = run_search(net16, self.cfg(), blob_splits.validation,
+        res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                          RngStream(4).split("s"))
         by_gen = {}
         for h in res.history:
@@ -165,18 +165,18 @@ class TestRunSearch:
             assert len(fresh) == 9
 
     def test_deterministic_across_reruns_and_threads(self, net16, blob_splits):
-        a = run_search(net16, self.cfg(), blob_splits.validation,
+        a = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                        RngStream(5).split("s"), pool=None)
         with KernelPool(4) as pool:
-            b = run_search(net16, self.cfg(), blob_splits.validation,
+            b = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                            RngStream(5).split("s"), pool=pool)
         assert [h.fitness for h in a.history] == [h.fitness for h in b.history]
         assert a.best.candidate_id == b.best.candidate_id
 
     def test_winner_scope_all_generations(self, net16, blob_splits):
-        final_scope = run_search(net16, self.cfg(), blob_splits.validation,
+        final_scope = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                                  RngStream(6).split("s"))
-        all_scope = run_search(net16, self.cfg(winner_scope="all_generations"),
+        all_scope = run_search(net16, self.cfg(winner_scope="all_generations"), 0.4,
                                blob_splits.validation, RngStream(6).split("s"))
         assert all_scope.best.fitness == max(h.fitness for h in all_scope.history)
         final_gen = [h for h in final_scope.history
@@ -185,19 +185,19 @@ class TestRunSearch:
 
     def test_early_stop(self, net16, blob_splits):
         cfg = self.cfg(generations=6, early_stop_tol=10.0, early_stop_patience=1)
-        res = run_search(net16, cfg, blob_splits.validation, RngStream(7).split("s"))
+        res = run_search(net16, cfg, 0.4, blob_splits.validation, RngStream(7).split("s"))
         assert res.generations_run == 2
         assert res.evaluations == 20
 
     def test_config_validation(self, net16, blob_splits):
         with pytest.raises(ValueError):
-            run_search(net16, self.cfg(population_size=1), blob_splits.validation,
+            run_search(net16, self.cfg(population_size=1), 0.4, blob_splits.validation,
                        RngStream(8))
         with pytest.raises(ValueError):
-            run_search(net16, self.cfg(strategy="binary_tournament"),
+            run_search(net16, self.cfg(strategy="binary_tournament"), 0.4,
                        blob_splits.validation, RngStream(8))
         with pytest.raises(ValueError):
-            run_search(net16, self.cfg(winner_scope="best_ever"),
+            run_search(net16, self.cfg(winner_scope="best_ever"), 0.4,
                        blob_splits.validation, RngStream(8))
 
 
@@ -229,9 +229,8 @@ class TestScoreEachMaskOnce:
 
     def test_eta_zero_structured_scores_once_per_generation(self, net16, blob_splits,
                                                              spy):
-        cfg = SearchConfig(eta=0.0, population_size=100, generations=5,
-                           validation_batch_size=64)
-        res = run_search(net16, cfg, blob_splits.validation, RngStream(1).split("s"))
+        cfg = SearchConfig(population_size=100, generations=5, validation_batch_size=64)
+        res = run_search(net16, cfg, 0.0, blob_splits.validation, RngStream(1).split("s"))
         assert len(spy) == 5
         assert res.evaluations == 500 and len(res.history) == 500
         for gen in range(1, 6):
@@ -246,16 +245,15 @@ class TestScoreEachMaskOnce:
         rng = RngStream(4)
         val = Dataset(rng.split("x").normal((24,) + shape),
                       np.asarray(rng.split("y").integers(0, 3, size=24)), 3)
-        cfg = SearchConfig(eta=0.0, population_size=6, generations=3,
-                           validation_batch_size=8, mask_mode="unstructured")
-        res = run_search(net, cfg, val, RngStream(5).split("s"))
+        cfg = SearchConfig(population_size=6, generations=3, validation_batch_size=8,
+                           mask_mode="unstructured")
+        res = run_search(net, cfg, 0.0, val, RngStream(5).split("s"))
         assert len(spy) == 3
         assert res.evaluations == 18
 
     def test_desk_search_scores_every_distinct_candidate(self, net16, blob_splits, spy):
-        cfg = SearchConfig(eta=0.6, population_size=100, generations=5,
-                           validation_batch_size=64)
-        res = run_search(net16, cfg, blob_splits.validation, RngStream(2).split("s"))
+        cfg = SearchConfig(population_size=100, generations=5, validation_batch_size=64)
+        res = run_search(net16, cfg, 0.6, blob_splits.validation, RngStream(2).split("s"))
         assert len(spy) == 500
         assert res.evaluations == 500
 
@@ -267,9 +265,9 @@ class TestScoreEachMaskOnce:
         # candidates must repeat some
         net = init_network([dense(4), relu_layer(), dense(3), relu_layer(),
                             dense(10, maskable=False)], (16,), seed=6)
-        cfg = SearchConfig(eta=eta, population_size=20, generations=3,
-                           validation_batch_size=32, mask_mode=mode)
-        res = run_search(net, cfg, blob_splits.validation, RngStream(7).split("s"))
+        cfg = SearchConfig(population_size=20, generations=3, validation_batch_size=32,
+                           mask_mode=mode)
+        res = run_search(net, cfg, eta, blob_splits.validation, RngStream(7).split("s"))
         assert len(recorded) == 3
         distinct = 0
         for gen, (batch, members) in enumerate(recorded, start=1):

@@ -10,7 +10,7 @@ from weedout.network import (SgdState, _forward_backward, conv2d, dense,
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import Splits, TrainConfig, _train
 from weedout.search import Candidate, fitness
-from weedout.sparsity import (MaskSet, active_parameter_count, all_ones_mask,
+from weedout.sparsity import (MaskSet, active_parameter_count,
                               per_layer_sparsity, realized_sparsity,
                               reduce_network, resample_mask, sample_mask,
                               sample_structured, sample_unstructured,
@@ -127,7 +127,8 @@ class TestModeDispatch:
 
 class TestRealizedSparsity:
     def test_all_ones_is_zero(self):
-        assert realized_sparsity(all_ones_mask(widths_spec())) == 0.0
+        ones = resample_mask(widths_spec(), None, "structured", 0.0, 0)
+        assert realized_sparsity(ones) == 0.0
 
     def test_structured_ratio_matches_counts(self, rng):
         widths = (128, 16, 32)
@@ -157,7 +158,8 @@ class TestRealizedSparsity:
 class TestReduceNetwork:
     def test_all_ones_mask_reduces_to_parent(self, small_conv_spec, rng):
         net = init_network(small_conv_spec, (10, 10, 1), seed=1)
-        red = reduce_network(net, all_ones_mask(small_conv_spec))
+        ones = resample_mask(small_conv_spec, None, "structured", 0.0, 0)
+        red = reduce_network(net, ones)
         assert red.parameter_count() == net.parameter_count()
         x = rng.normal((3, 10, 10, 1))
         np.testing.assert_array_equal(forward(red, None, x), forward(net, None, x))

@@ -123,13 +123,13 @@ def test_workers_go_to_cells_first(tmp_path, capsys, monkeypatch, etas,
 
     real_search = pipeline.run_search
 
-    def checked_search(net, cfg, d_validation, rng, pool=None):
+    def checked_search(net, cfg, eta, d_validation, rng, pool=None):
         # runs in the workers too: a wrong count fails the cell; one
         # thread is no pool
         got = None if pool is None else pool.threads
         if got != (None if threads == 1 else threads):
             raise RuntimeError(f"scored on a pool of {got} threads, expected {threads}")
-        return real_search(net, cfg, d_validation, rng, pool)
+        return real_search(net, cfg, eta, d_validation, rng, pool)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(pipeline, "run_search", checked_search)
