@@ -16,8 +16,8 @@ from .numerics import RngStream, Tensor, he_normal, softmax_cross_entropy
 from .pipeline import RunRecord, Splits, TrainConfig, run_cell, sweep
 from .search import (Candidate, SearchConfig, SearchResult, fitness,
                      next_generation, run_search, select_best)
-from .sparsity import (MaskSet, realized_sparsity, reduce_network,
-                       sample_structured, sample_unstructured)
+from .sparsity import (MaskSet, realized_sparsity, reduce_network, sample_mask,
+                       sample_structured)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "evaluate", "fitness", "flatten_layer", "forward", "he_normal",
     "init_network", "load_cifar10_binary", "load_idx", "loss_and_grads",
     "next_generation", "realized_sparsity", "reduce_network", "relu_layer",
-    "run_cell", "run_search", "sample_batch", "sample_structured",
-    "sample_unstructured", "select_best", "sgd_step",
+    "run_cell", "run_search", "sample_batch", "sample_mask", "sample_structured",
+    "select_best", "sgd_step",
     "softmax_cross_entropy", "split", "sweep", "synthetic_blobs",
 ]

@@ -48,6 +48,8 @@ def cmd_run(args) -> int:
 
     def progress(cell):
         label = pipeline.run_label(cell.arm, cell.eta, cell.seed)
+        if cell.recomputed:
+            print(f"[recompute] {label}: {cell.recomputed}", file=sys.stderr)
         if cell.status == "failed":
             print(f"[FAIL] {label}: {cell.error}")
         else:

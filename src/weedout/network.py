@@ -31,6 +31,7 @@ the reduced network is checked against.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -137,7 +138,7 @@ def layer_output_shapes(spec: list[LayerSpec], input_shape) -> list[tuple[int, .
         elif layer.kind == "relu":
             pass
         elif layer.kind == "flatten":
-            shape = (int(np.prod(shape)),)
+            shape = (math.prod(shape),)
         else:
             raise SpecValidationError(f"{where}: unknown layer kind {layer.kind!r}")
         shapes.append(shape)
@@ -152,6 +153,21 @@ def layer_output_shapes(spec: list[LayerSpec], input_shape) -> list[tuple[int, .
 def maskable_indices(spec: list[LayerSpec]) -> list[int]:
     return [i for i, layer in enumerate(spec)
             if layer.kind in PARAM_KINDS and layer.maskable]
+
+
+def weight_shapes(spec: list[LayerSpec], input_shape) -> dict[int, tuple[int, ...]]:
+    """Weight shape of each parameterized layer, by spec index: ``(fan_in,
+    width)`` or ``(k, k, c_in, channels)``. The stack is validated on the way."""
+    shapes = layer_output_shapes(spec, input_shape)
+    prev = tuple(int(s) for s in input_shape)
+    out: dict[int, tuple[int, ...]] = {}
+    for i, layer in enumerate(spec):
+        if layer.kind == "dense":
+            out[i] = (prev[0], layer.width)
+        elif layer.kind == "conv2d":
+            out[i] = (layer.kernel_size, layer.kernel_size, prev[2], layer.width)
+        prev = shapes[i]
+    return out
 
 
 @dataclass
@@ -192,51 +208,30 @@ class Network:
 def init_network(spec: list[LayerSpec], input_shape, seed: int) -> Network:
     """Materialize a network: He-normal weights, zero biases."""
     spec = list(spec)
-    shapes = layer_output_shapes(spec, input_shape)
-    input_shape = tuple(int(s) for s in input_shape)
+    shapes = weight_shapes(spec, input_shape)
     rng = RngStream(seed).split("init")
-    params: list[LayerParams | None] = []
-    prev_shape = input_shape
-    for i, layer in enumerate(spec):
-        if layer.kind == "dense":
-            fan_in = prev_shape[0]
-            w = he_normal(fan_in, (fan_in, layer.width), rng.split(f"layer{i}"))
-            params.append(LayerParams(w, np.zeros(layer.width)))
-        elif layer.kind == "conv2d":
-            k = layer.kernel_size
-            c_in = prev_shape[2]
-            fan_in = k * k * c_in
-            w = he_normal(fan_in, (k, k, c_in, layer.width), rng.split(f"layer{i}"))
-            params.append(LayerParams(w, np.zeros(layer.width)))
-        else:
-            params.append(None)
-        prev_shape = shapes[i]
-    return Network(spec, input_shape, params, int(seed))
+    params: list[LayerParams | None] = [None] * len(spec)
+    for i, shape in shapes.items():
+        w = he_normal(math.prod(shape[:-1]), shape, rng.split(f"layer{i}"))
+        params[i] = LayerParams(w, np.zeros(shape[-1]))
+    return Network(spec, tuple(int(s) for s in input_shape), params, int(seed))
 
 
 def _check_mask(net: Network, mask: "MaskSet | None") -> None:
+    """Check that ``mask`` has one array per maskable layer of ``net``, each a
+    node vector or weight-shaped as its mode needs; entries were checked when built."""
     if mask is None:
         return
-    allowed = set(maskable_indices(net.spec))
-    keys = set(mask.masks)
-    if keys != allowed:
+    maskable = maskable_indices(net.spec)
+    if sorted(mask.masks) != maskable:
         raise MaskMismatchError(
-            f"mask covers layers {sorted(keys)} but maskable layers are {sorted(allowed)}")
+            f"mask covers layers {sorted(mask.masks)} but maskable layers are {maskable}")
     for i, m in mask.masks.items():
-        if not ((m == 0.0) | (m == 1.0)).all():
-            raise MaskMismatchError(f"mask for layer {i} has non-binary entries")
-        if mask.mode == "structured":
-            width = net.spec[i].width
-            if m.shape != (width,):
-                raise MaskMismatchError(
-                    f"structured mask for layer {i} has shape {m.shape}, expected ({width},)")
-        elif mask.mode == "unstructured":
-            if m.shape != net.params[i].weight.shape:
-                raise MaskMismatchError(
-                    f"unstructured mask for layer {i} has shape {m.shape}, "
-                    f"expected {net.params[i].weight.shape}")
-        else:
-            raise MaskMismatchError(f"unknown mask mode {mask.mode!r}")
+        expected = (net.spec[i].width,) if mask.mode == "structured" \
+            else net.params[i].weight.shape
+        if m.shape != expected:
+            raise MaskMismatchError(
+                f"{mask.mode} mask for layer {i} has shape {m.shape}, expected {expected}")
 
 
 class KernelPool:
@@ -398,16 +393,11 @@ def _conv_backward(x: Tensor, w: Tensor, stride: int, dout: Tensor,
     return dw.reshape(w.shape), db, dx
 
 
-def _weight_mask(mask, i: int):
-    if mask is not None and mask.mode == "unstructured" and i in mask.masks:
-        return mask.masks[i]
-    return None
-
-
-def _node_mask(mask, i: int):
-    if mask is not None and mask.mode == "structured" and i in mask.masks:
-        return mask.masks[i]
-    return None
+def _node_and_weight_masks(mask) -> tuple[dict, dict]:
+    """A mask's arrays by layer index: ``(node masks, weight masks)``."""
+    if mask is None:
+        return {}, {}
+    return (mask.masks, {}) if mask.mode == "structured" else ({}, mask.masks)
 
 
 def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
@@ -422,6 +412,7 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
     if x.shape[1:] != net.input_shape:
         raise ShapeMismatchError(
             f"batch shape {x.shape[1:]} does not match input shape {net.input_shape}")
+    node_masks, weight_masks = _node_and_weight_masks(mask)
     inputs: list[Tensor | None] = []
     weights: list[Tensor | None] = [None] * len(net.spec)
     h = x
@@ -429,18 +420,16 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
         inputs.append(h if keep_inputs else None)
         if layer.kind in PARAM_KINDS:
             w = net.params[i].weight
-            wm = _weight_mask(mask, i)
-            if wm is not None:
-                w = w * wm
+            if i in weight_masks:
+                w = w * weight_masks[i]
             weights[i] = w
             if layer.kind == "dense":
                 h = _gemm(h, w, pool)
                 h += net.params[i].bias
             else:
                 h = _conv_forward(h, w, net.params[i].bias, layer.stride, pool)
-            m = _node_mask(mask, i)
-            if m is not None:
-                h = h * m
+            if i in node_masks:
+                h = h * node_masks[i]
         elif layer.kind == "relu":
             h = np.maximum(h, 0.0)
         elif layer.kind == "flatten":
@@ -461,6 +450,7 @@ def _forward_backward(net: Network, mask, x: Tensor, labels,
 
     logits, inputs, weights = _forward_pass(net, mask, x, True, pool)
     loss, dh = softmax_cross_entropy(logits, labels)
+    node_masks, weight_masks = _node_and_weight_masks(mask)
     grads: Gradients = [None] * len(net.spec)
     # Nothing reads the gradient with respect to the first parameterized
     # layer's input, so it is not computed.
@@ -469,9 +459,8 @@ def _forward_backward(net: Network, mask, x: Tensor, labels,
         layer = net.spec[i]
         h_in = inputs[i]
         if layer.kind in PARAM_KINDS:
-            m = _node_mask(mask, i)
-            if m is not None:
-                dh = dh * m
+            if i in node_masks:
+                dh = dh * node_masks[i]
             input_grad = i > first
             if layer.kind == "dense":
                 dw = _gemm(h_in.T, dh, pool)
@@ -480,9 +469,8 @@ def _forward_backward(net: Network, mask, x: Tensor, labels,
             else:
                 dw, db, dh = _conv_backward(h_in, weights[i], layer.stride, dh,
                                             input_grad, pool)
-            wm = _weight_mask(mask, i)
-            if wm is not None:
-                dw *= wm
+            if i in weight_masks:
+                dw *= weight_masks[i]
             grads[i] = LayerParams(dw, db)
         elif layer.kind == "relu":
             dh = dh * (h_in > 0.0)

@@ -322,6 +322,16 @@ def is_completed(cell_dir) -> bool:
     return manifest.get("status") == "completed"
 
 
+def corrupt_reason(cell_dir) -> str | None:
+    """Why a cell's manifest is unreadable or fails a checksum; else None."""
+    if (Path(cell_dir) / MANIFEST_NAME).exists():
+        try:
+            verify_cell(cell_dir)
+        except (OSError, ValueError, ChecksumError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return None
+
+
 def read_run_record(cell_dir) -> RunRecord:
     """Rehydrate a RunRecord from a completed cell directory."""
     cell_dir = Path(cell_dir)
@@ -373,6 +383,7 @@ class CellResult:
     cell_dir: Path
     record: RunRecord | None = None
     error: str | None = None
+    recomputed: str | None = None  # why a corrupt cell on disk was not reused
 
 
 def sweep_cells(etas, arms, seeds) -> list[tuple[str, float, int]]:
@@ -432,7 +443,7 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
         run_id=run_id, arm=arm, eta=eta, seed=seed, epoch_rows=rows,
         search_history=history, mask_mode=mask.mode,
         mask_sample_seed=mask.sample_seed,
-        mask_layer_zeros={i: (int((m == 0.0).sum()), int(m.size))
+        mask_layer_zeros={i: (m.size - int(m.sum()), m.size)
                           for i, m in mask.masks.items()},
         realized_sparsity=realized_sparsity(mask), active_parameters=active,
         parent_checksum=checksum, fitness_evaluations=evaluations,
@@ -485,7 +496,8 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
     """Full factorial (eta x arm x seed) execution with per-cell persistence.
 
     Completed cells are skipped on resume; a cell that raises is recorded
-    with its error in a failure manifest and the sweep continues.
+    with its error in a failure manifest and the sweep continues; a corrupt
+    cell is recomputed, and its result's ``recomputed`` says why.
 
     ``parallel`` workers go to cells first. When ``min(parallel, pending)``
     is two or more, that many forked worker processes compute the pending
@@ -525,16 +537,17 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
                                     record=read_run_record(cell_dir))
             else:
                 cell = (arm, eta, seed)
+                corrupt = corrupt_reason(cell_dir) if resume else None
                 record, error = (futures[cell].result() if pool is not None
                                  else inputs.attempt(*cell, threads))
                 if error is None:
                     write_run_record(record, cell_dir, effective_config)
                     result = CellResult(arm, eta, seed, "completed", cell_dir,
-                                        record=record)
+                                        record=record, recomputed=corrupt)
                 else:
                     write_failure(cell_dir, arm, eta, seed, error, effective_config)
                     result = CellResult(arm, eta, seed, "failed", cell_dir,
-                                        error=error)
+                                        error=error, recomputed=corrupt)
             results.append(result)
             if progress:
                 progress(result)

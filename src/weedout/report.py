@@ -135,8 +135,10 @@ def arm_differences(records) -> list[ArmDifference]:
         b = final[("random_baseline", eta)]
         diff = float(np.mean(w) - np.mean(b))
         half = pooled_ci_half_width(w, b)
-        significant = abs(diff) > half
-        if not significant:
+        significant = half > 0.0 and abs(diff) > half
+        if half == 0.0:
+            verdict = "no test possible: both arms have zero variance"
+        elif not significant:
             verdict = "consistent: no detectable search advantage"
         elif diff > 0:
             verdict = ("FLAG: statistically significant weedout advantage; "

@@ -142,7 +142,7 @@ def next_generation(population: list[Candidate], best: Candidate,
 
 def _mask_key(mask: MaskSet) -> tuple:
     """Exact identity of a binary mask: its mode and each layer's packed bits."""
-    return (mask.mode,) + tuple((i, m.shape, np.packbits(m != 0).tobytes())
+    return (mask.mode,) + tuple((i, m.shape, np.packbits(m).tobytes())
                                 for i, m in sorted(mask.masks.items()))
 
 

@@ -1,9 +1,11 @@
 """Binary sparsity masks: sampling, measurement, and graph reduction.
 
 Masks use exact counts, not i.i.d. coin flips: at sparsity ratio ``eta``
-every maskable layer gets exactly ``round_half_up(eta * width)`` zeros,
-placed uniformly at random. That keeps every member of a search population
+every maskable layer gets exactly ``round_half_up(eta * size)`` zeros,
+placed uniformly at random, where ``size`` is its width (structured) or its
+weight count (unstructured). That keeps every member of a search population
 at identical sparsity, so configuration quality is the only variable.
+``resample_mask`` is the one sampler.
 
 ``reduce_network`` physically deletes deactivated nodes (dense units or conv
 channels) and their incident weight rows/columns. ``sub_network`` is the one
@@ -16,13 +18,15 @@ reproduce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSparsityError, UnsupportedModeError
-from .network import (LayerParams, LayerSpec, Network, layer_output_shapes,
-                      maskable_indices)
+from .errors import (InfeasibleSparsityError, MaskMismatchError,
+                     UnsupportedModeError)
+from .network import (LayerParams, LayerSpec, Network, _check_mask,
+                      maskable_indices, weight_shapes)
 from .numerics import RngStream, round_half_up
 
 MASK_MODES = ("structured", "unstructured")
@@ -30,18 +34,30 @@ MASK_MODES = ("structured", "unstructured")
 
 @dataclass(frozen=True)
 class MaskSet:
-    """Per-layer binary masks for one sparse sub-network.
+    """Per-layer boolean masks for one sparse sub-network.
 
-    ``masks`` maps spec indices of maskable layers to 0/1 float arrays:
-    node vectors in structured mode, weight-shaped arrays in unstructured
-    mode. A sampled MaskSet is reconstructible bit-exactly from
-    ``(spec, eta, mode, sample_seed)``.
+    ``masks`` maps spec indices of maskable layers to boolean arrays, True
+    where a position stays active: node vectors in structured mode,
+    weight-shaped arrays in unstructured mode. Building a MaskSet is the one
+    place a mask's own validity is checked: a known mode, and only 0/1
+    entries in an array that is not boolean yet (it is converted in place).
+    ``network._check_mask`` checks only that a MaskSet fits its network.
     """
 
     mode: str
     masks: dict[int, np.ndarray]
     eta: float = 0.0
     sample_seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in MASK_MODES:
+            raise UnsupportedModeError(
+                f"unknown mask mode {self.mode!r}, expected one of {MASK_MODES}")
+        for i, m in self.masks.items():
+            if m.dtype != bool:
+                if not ((m == 0) | (m == 1)).all():
+                    raise MaskMismatchError(f"mask for layer {i} has non-binary entries")
+                self.masks[i] = m.astype(bool)
 
 
 def _validate_eta(eta: float) -> float:
@@ -51,88 +67,40 @@ def _validate_eta(eta: float) -> float:
     return eta
 
 
-def _zero_count(eta: float, size: int, name: str) -> int:
-    k = round_half_up(eta * size)
-    if k >= size:
-        raise InfeasibleSparsityError(
-            f"{name}: sparsity {eta} would deactivate all {size} positions")
-    return k
+def resample_mask(spec: list[LayerSpec], input_shape, mode: str, eta: float,
+                  sample_seed: int) -> MaskSet:
+    """Build the mask that ``(spec, input_shape, mode, eta, sample_seed)`` names.
 
-
-def _structured_masks(spec: list[LayerSpec], eta: float, seed: int) -> dict[int, np.ndarray]:
-    rng = RngStream(seed).split("structured")
+    Layer ``i``'s zeros are placed by the stream ``sample_seed/mode/layer{i}``;
+    ``input_shape`` is read only in unstructured mode, for the weight shapes.
+    """
+    eta = _validate_eta(eta)
+    rng = RngStream(sample_seed).split(mode)
+    shapes = weight_shapes(spec, input_shape) if mode == "unstructured" else None
     masks: dict[int, np.ndarray] = {}
     for i in maskable_indices(spec):
-        width = spec[i].width
-        k = _zero_count(eta, width, f"layer {i} ({spec[i].kind}, width {width})")
-        m = np.ones(width)
+        shape = shapes[i] if shapes is not None else (spec[i].width,)
+        size = math.prod(shape)
+        k = round_half_up(eta * size)
+        if k >= size:
+            raise InfeasibleSparsityError(
+                f"layer {i} ({spec[i].kind}, {mode} shape {shape}): sparsity {eta} "
+                f"would deactivate all {size} positions")
+        masks[i] = m = np.ones(shape, dtype=bool)
         if k:
-            off = rng.split(f"layer{i}").choice_without_replacement(width, k)
-            m[off] = 0.0
-        masks[i] = m
-    return masks
-
-
-def _unstructured_masks(spec: list[LayerSpec], input_shape, eta: float,
-                        seed: int) -> dict[int, np.ndarray]:
-    shapes = layer_output_shapes(spec, input_shape)
-    rng = RngStream(seed).split("unstructured")
-    masks: dict[int, np.ndarray] = {}
-    maskable = set(maskable_indices(spec))
-    prev = tuple(input_shape)
-    for i, layer in enumerate(spec):
-        if i in maskable:
-            if layer.kind == "dense":
-                wshape = (prev[0], layer.width)
-            else:
-                wshape = (layer.kernel_size, layer.kernel_size, prev[2], layer.width)
-            size = int(np.prod(wshape))
-            k = _zero_count(eta, size, f"layer {i} ({layer.kind}, {size} weights)")
-            m = np.ones(size)
-            if k:
-                off = rng.split(f"layer{i}").choice_without_replacement(size, k)
-                m[off] = 0.0
-            masks[i] = m.reshape(wshape)
-        prev = shapes[i]
-    return masks
-
-
-def sample_structured(spec: list[LayerSpec], eta: float, rng: RngStream) -> MaskSet:
-    """Draw a node mask: exactly round_half_up(eta*width) zeros per maskable layer."""
-    eta = _validate_eta(eta)
-    seed = rng.spawn_seed()
-    return MaskSet("structured", _structured_masks(spec, eta, seed), eta, seed)
-
-
-def sample_unstructured(spec: list[LayerSpec], input_shape, eta: float,
-                        rng: RngStream) -> MaskSet:
-    """Draw a weight mask: exact zero counts per maskable weight tensor."""
-    eta = _validate_eta(eta)
-    seed = rng.spawn_seed()
-    return MaskSet("unstructured", _unstructured_masks(spec, input_shape, eta, seed),
-                   eta, seed)
+            m.put(rng.split(f"layer{i}").choice_without_replacement(size, k), False)
+    return MaskSet(mode, masks, eta, sample_seed)
 
 
 def sample_mask(spec: list[LayerSpec], input_shape, eta: float, mode: str,
                 rng: RngStream) -> MaskSet:
-    """Mode-dispatching mask sampler used by pipeline and config code."""
-    if mode == "structured":
-        return sample_structured(spec, eta, rng)
-    if mode == "unstructured":
-        return sample_unstructured(spec, input_shape, eta, rng)
-    raise ValueError(f"unknown sparsity mode {mode!r}")
+    """Draw a fresh mask: check eta, draw a seed from ``rng``, then resample."""
+    return resample_mask(spec, input_shape, mode, _validate_eta(eta), rng.spawn_seed())
 
 
-def resample_mask(spec: list[LayerSpec], input_shape, mode: str, eta: float,
-                  sample_seed: int) -> MaskSet:
-    """Reconstruct a sampled MaskSet from its recorded identity."""
-    eta = _validate_eta(eta)
-    if mode == "structured":
-        return MaskSet(mode, _structured_masks(spec, eta, sample_seed), eta, sample_seed)
-    if mode == "unstructured":
-        return MaskSet(mode, _unstructured_masks(spec, input_shape, eta, sample_seed),
-                       eta, sample_seed)
-    raise ValueError(f"unknown sparsity mode {mode!r}")
+def sample_structured(spec: list[LayerSpec], eta: float, rng: RngStream) -> MaskSet:
+    """Draw a node mask: exactly round_half_up(eta*width) zeros per maskable layer."""
+    return sample_mask(spec, None, eta, "structured", rng)
 
 
 def realized_sparsity(mask: MaskSet) -> float:
@@ -140,12 +108,12 @@ def realized_sparsity(mask: MaskSet) -> float:
     total = sum(m.size for m in mask.masks.values())
     if total == 0:
         return 0.0
-    zeros = sum(int((m == 0.0).sum()) for m in mask.masks.values())
+    zeros = sum(m.size - int(m.sum()) for m in mask.masks.values())
     return zeros / total
 
 
 def per_layer_sparsity(mask: MaskSet) -> dict[int, float]:
-    return {i: float((m == 0.0).mean()) for i, m in mask.masks.items()}
+    return {i: float((~m).mean()) for i, m in mask.masks.items()}
 
 
 def reduce_network(net: Network, mask: MaskSet) -> Network:
@@ -157,40 +125,27 @@ def reduce_network(net: Network, mask: MaskSet) -> Network:
     The reduced network's unmasked forward pass reproduces the masked parent's
     logits within tight float tolerance on any input.
     """
+    _check_mask(net, mask)
     if mask.mode != "structured":
         raise UnsupportedModeError("reduce_network requires a structured mask")
-    from .network import _check_mask
-
-    _check_mask(net, mask)
-    shapes = layer_output_shapes(net.spec, net.input_shape)
-    new_spec: list[LayerSpec] = []
-    new_params: list[LayerParams | None] = []
-    # Selector of still-active positions in the current feature tensor:
-    # channel flags for [H, W, C] shapes, feature flags for flat shapes.
-    selector = np.ones(net.input_shape[-1] if len(net.input_shape) == 3
-                       else net.input_shape[0], dtype=bool)
-    prev_shape = net.input_shape
-    for i, layer in enumerate(net.spec):
-        if layer.kind in ("dense", "conv2d"):
-            keep_out = (mask.masks[i] > 0.0) if i in mask.masks \
-                else np.ones(layer.width, dtype=bool)
-            p = net.params[i]
-            w = p.weight.take(np.flatnonzero(selector), axis=-2) \
-                .take(np.flatnonzero(keep_out), axis=-1)
-            new_params.append(LayerParams(w, p.bias[keep_out]))
-            new_spec.append(LayerSpec(layer.kind, width=int(keep_out.sum()),
-                                      kernel_size=layer.kernel_size,
-                                      stride=layer.stride, maskable=layer.maskable))
-            selector = keep_out
-        elif layer.kind == "flatten":
-            h, w_dim, _ = prev_shape
-            selector = np.tile(selector, h * w_dim)  # channel axis varies fastest
-            new_spec.append(layer)
-            new_params.append(None)
-        else:
-            new_spec.append(layer)
-            new_params.append(None)
-        prev_shape = shapes[i]
+    new_spec = list(net.spec)
+    new_params: list[LayerParams | None] = [None] * len(net.spec)
+    # Flags of the still-active channels (or features) feeding the next weight.
+    selector = np.ones(net.input_shape[-1], dtype=bool)
+    for i, p in enumerate(net.params):
+        if p is None:
+            continue
+        layer = net.spec[i]
+        keep_out = mask.masks[i] if layer.maskable else np.ones(layer.width, dtype=bool)
+        # After a flatten the channel varies fastest, so its flags repeat.
+        keep_in = np.tile(selector, p.weight.shape[-2] // len(selector))
+        w = p.weight.take(np.flatnonzero(keep_in), axis=-2) \
+            .take(np.flatnonzero(keep_out), axis=-1)
+        new_params[i] = LayerParams(w, p.bias[keep_out])
+        new_spec[i] = LayerSpec(layer.kind, width=int(keep_out.sum()),
+                                kernel_size=layer.kernel_size,
+                                stride=layer.stride, maskable=layer.maskable)
+        selector = keep_out
     return Network(new_spec, tuple(net.input_shape), new_params, net.init_seed)
 
 

@@ -125,6 +125,25 @@ class TestCmdRun:
         assert (cell / "metrics.csv").stat().st_mtime_ns == stamp
         assert "cached" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("file, reason", [("metrics.csv", "ChecksumError"),
+                                              ("manifest.json", "JSONDecodeError")])
+    def test_corrupt_cell_is_named_and_recomputed(self, tmp_path, capsys, file, reason):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), seeds=[0, 1])
+        assert self.run_cli(tmp_path, raw) == 0
+        clean = capsys.readouterr().out
+        cell = tmp_path / "sweep" / run_label("weedout", 0.3, 1)
+        files = {p.name: p.read_bytes() for p in cell.iterdir() if p.name != "manifest.json"}
+        (cell / file).write_bytes(b"corrupt")
+        assert self.run_cli(tmp_path, raw) == 0
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"[recompute] weedout_0.3_1: {reason}")
+        assert captured.out == clean.replace("[completed] weedout_0.3_0",
+                                             "[   cached] weedout_0.3_0") \
+            .replace("2 computed, 0 cached", "1 computed, 1 cached")
+        assert {p.name: p.read_bytes() for p in cell.iterdir()
+                if p.name != "manifest.json"} == files
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         raw = minimal_raw(search={"etas": [1.0]})
         assert self.run_cli(tmp_path, raw) == 2
@@ -360,6 +379,24 @@ class TestAggregation:
         assert "consistent" in diffs[0.2].verdict
         assert diffs[0.4].significant
         assert "FLAG" in diffs[0.4].verdict and "advantage" in diffs[0.4].verdict
+
+    def test_zero_variance_arms_are_not_flagged(self, tmp_path, capsys):
+        """Two seeds whose accuracies repeat exactly in each arm: the pooled
+        half-width is 0, so no difference can be tested, let alone flagged."""
+        sweep_dir = fabricate_sweep(tmp_path, {
+            ("weedout", 0.3): [27 / 36, 27 / 36],
+            ("random_baseline", 0.3): [28 / 36, 28 / 36],
+        })
+        assert main(["report", str(sweep_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "FLAG" not in out and "zero variance" in out
+        from weedout.pipeline import read_run_record
+        records = [read_run_record(d) for d in sorted(sweep_dir.iterdir())
+                   if d.name != "report"]
+        [d] = arm_differences(records)
+        assert d.pooled_ci95 == 0.0 and d.difference != 0.0
+        assert not d.significant
+        assert d.verdict == "no test possible: both arms have zero variance"
 
 
 class TestCmdReport:

@@ -20,7 +20,7 @@ from weedout import network
 from weedout.network import (conv2d, dense, flatten_layer, init_network,
                              loss_and_grads, relu_layer)
 from weedout.numerics import RngStream
-from weedout.sparsity import reduce_network, sample_structured, sample_unstructured
+from weedout.sparsity import reduce_network, sample_mask, sample_structured
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 NETWORK_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -198,7 +198,7 @@ class TestFirstLayerInputGradient:
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "unstructured"])
     def test_gradients_match_finite_differences(self, spec, shape, masked):
         def mask_for(rng):
-            return sample_unstructured(spec, shape, 0.5, rng) if masked else None
+            return sample_mask(spec, shape, 0.5, "unstructured", rng) if masked else None
 
         net, mask, x, y = kink_free_instance(spec, shape, mask_for, seed=7)
         _, grads = loss_and_grads(net, mask, x, y)

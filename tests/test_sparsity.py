@@ -13,8 +13,7 @@ from weedout.search import Candidate, fitness
 from weedout.sparsity import (MaskSet, active_parameter_count,
                               per_layer_sparsity, realized_sparsity,
                               reduce_network, resample_mask, sample_mask,
-                              sample_structured, sample_unstructured,
-                              sub_network)
+                              sample_structured, sub_network)
 
 import helpers
 
@@ -96,24 +95,24 @@ class TestStructuredSampling:
 class TestUnstructuredSampling:
     def test_exact_weight_zero_counts(self, rng):
         spec = [dense(10), relu_layer(), dense(3, maskable=False)]
-        mask = sample_unstructured(spec, (10,), 0.4, rng)
+        mask = sample_mask(spec, (10,), 0.4, "unstructured", rng)
         assert mask.masks[0].shape == (10, 10)
         assert int((mask.masks[0] == 0.0).sum()) == 40
 
     def test_eta_zero_all_ones(self, rng):
-        mask = sample_unstructured(widths_spec(), (7,), 0.0, rng)
+        mask = sample_mask(widths_spec(), (7,), 0.0, "unstructured", rng)
         for m in mask.masks.values():
             assert np.all(m == 1.0)
 
     def test_deterministic(self):
         spec = widths_spec()
-        a = sample_unstructured(spec, (7,), 0.3, RngStream(9).split("u"))
-        b = sample_unstructured(spec, (7,), 0.3, RngStream(9).split("u"))
+        a = sample_mask(spec, (7,), 0.3, "unstructured", RngStream(9).split("u"))
+        b = sample_mask(spec, (7,), 0.3, "unstructured", RngStream(9).split("u"))
         for i in a.masks:
             np.testing.assert_array_equal(a.masks[i], b.masks[i])
 
     def test_conv_weight_shape(self, small_conv_spec, rng):
-        mask = sample_unstructured(small_conv_spec, (10, 10, 1), 0.2, rng)
+        mask = sample_mask(small_conv_spec, (10, 10, 1), 0.2, "unstructured", rng)
         assert mask.masks[0].shape == (3, 3, 1, 3)
         assert mask.masks[2].shape == (3, 3, 3, 4)
 
@@ -143,7 +142,7 @@ class TestRealizedSparsity:
 
     def test_unstructured_exact_when_integral(self, rng):
         spec = [dense(10), relu_layer(), dense(3, maskable=False)]
-        mask = sample_unstructured(spec, (10,), 0.2, rng)
+        mask = sample_mask(spec, (10,), 0.2, "unstructured", rng)
         assert realized_sparsity(mask) == 0.2
 
     def test_per_layer_view(self, rng):
@@ -205,7 +204,7 @@ class TestReduceNetwork:
     def test_unstructured_mask_unsupported(self, rng):
         spec = [dense(10), relu_layer(), dense(3, maskable=False)]
         net = init_network(spec, (10,), seed=5)
-        mask = sample_unstructured(spec, (10,), 0.3, rng)
+        mask = sample_mask(spec, (10,), 0.3, "unstructured", rng)
         with pytest.raises(UnsupportedModeError):
             reduce_network(net, mask)
 
@@ -275,6 +274,6 @@ class TestSubNetwork:
 
     def test_unstructured_mask_keeps_parent(self, rng):
         net = init_network(self.SPEC, self.SHAPE, seed=11)
-        mask = sample_unstructured(self.SPEC, self.SHAPE, 0.5, rng)
+        mask = sample_mask(self.SPEC, self.SHAPE, 0.5, "unstructured", rng)
         run_net, run_mask = sub_network(net, mask)
         assert run_net is net and run_mask is mask
