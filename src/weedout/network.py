@@ -11,11 +11,13 @@ gradients that are zero bit-for-bit.
 A convolution runs as im2col GEMMs: the input's windows, unrolled in the
 weight's (kh, kw, c_in) order, multiply the flattened weight, one
 cache-sized block of examples at a time. A large dense GEMM runs as row
-chunks. The backward pass skips the gradient with respect to the first
-parameterized layer's input, which nothing reads.
+chunks, or as column chunks when it has few rows, and a large element-wise
+pass (a masked weight or gradient, relu and its gradient, the SGD update)
+as flat pieces. The backward pass skips the gradient with respect to the
+first parameterized layer's input, which nothing reads.
 
-Blocks and chunks depend only on array shapes, and each writes its own
-rows of the result; per-block weight gradients are summed in block order.
+Blocks, chunks and pieces depend only on array shapes, and each writes its
+own part of the result; per-block weight gradients are summed in block order.
 A cell with two or more threads scores its search candidates on a
 :class:`KernelPool`, and training and evaluation pass one to the kernels,
 which run their pieces on it in contiguous runs. The threads only choose
@@ -285,34 +287,76 @@ def run_pieces(pool: KernelPool | None, piece, count: int) -> None:
         pool.run(piece, count)
 
 
-# A dense GEMM is cut into chunks of whole multiples of this many output
-# rows, each holding at least _CHUNK_MACS multiply-adds; a GEMM smaller than
-# two chunks stays one call. Every chunk repacks the whole right operand, so
-# short chunks slow one thread down: ``h @ w`` with the 25088x128 weight took
-# one thread (OpenBLAS 0.3.31 on a 2-vCPU Xeon) 16-24% longer in 64-row
-# chunks than in one call, and 2% longer in 256-row chunks. The desk net's
-# GEMMs and a conv net's batch-128 ``h @ w`` and ``dh @ w.T`` stay one call.
+# A dense GEMM is cut by its shapes alone: one of more than _CHUNK_ROWS rows
+# into multiples of that many rows holding at least _CHUNK_MACS multiply-adds,
+# a shorter one into multiples of _CHUNK_COLS columns holding _COL_CHUNK_MACS;
+# one smaller than two chunks stays one call. Each chunk repacks the operand it
+# does not cut, which costs one thread time (OpenBLAS 0.3.31, 2-vCPU Xeon):
+# ``h @ w`` with the 25088x128 weight took 16-24% longer in 64-row chunks and
+# 2% in 256-row ones, ``dh @ w.T`` 15% longer in 512-column chunks. So at batch
+# 128 a conv net's ``h @ w`` runs as two 64-column chunks, ``dh @ w.T`` as
+# 2048-column and ``h_in.T @ dh`` as 512-row chunks; desk GEMMs stay one call.
 _CHUNK_ROWS = 256
+_CHUNK_COLS = 64
 _CHUNK_MACS = 1 << 23
+_COL_CHUNK_MACS = 1 << 25
 
 
 def _gemm(a: Tensor, b: Tensor, pool: KernelPool | None = None) -> Tensor:
-    """``a @ b``, computed as row chunks chosen from the shapes alone."""
+    """``a @ b``, computed as row or column chunks chosen from the shapes alone."""
     m, k = a.shape
-    if m <= _CHUNK_ROWS:  # too short for two chunks
-        return a @ b
     n = b.shape[1]
-    rows = _CHUNK_ROWS * -(-_CHUNK_MACS // (_CHUNK_ROWS * k * n))
-    if rows >= m:
+    if m * k * n <= _CHUNK_MACS:  # less than one chunk of either kind
+        return a @ b
+    by_rows = m > _CHUNK_ROWS
+    unit, length, other, macs = ((_CHUNK_ROWS, m, n, _CHUNK_MACS) if by_rows
+                                 else (_CHUNK_COLS, n, m, _COL_CHUNK_MACS))
+    step = unit * -(-macs // (unit * k * other))
+    if step >= length:
         return a @ b
     out = np.empty((m, n))
 
     def chunk(c: int) -> None:
-        r = slice(c * rows, (c + 1) * rows)
-        np.matmul(a[r], b, out=out[r])
+        s = slice(c * step, (c + 1) * step)
+        if by_rows:
+            np.matmul(a[s], b, out=out[s])
+        else:
+            np.matmul(a, b[:, s], out=out[:, s])
 
-    run_pieces(pool, chunk, -(-m // rows))
+    run_pieces(pool, chunk, -(-length // step))
     return out
+
+
+# An element-wise pass over more than _PIECE_SIZE elements (2 MB of float64)
+# runs on a pool as flat pieces of that many; each element's bytes are the
+# same however the array is cut.
+_PIECE_SIZE = 1 << 18
+
+
+def _elementwise(pool: KernelPool | None, op, *arrays: Tensor, out: Tensor | None = None):
+    """``op(*arrays, out=out)`` for an element-wise ``op`` (which may also update
+    its inputs) over arrays of one shape: with a pool, two or more pieces and
+    C-contiguous arrays, piece by piece on flat views; else one plain call."""
+    if pool is None or arrays[0].size <= _PIECE_SIZE or not all(
+            x.flags.c_contiguous for x in arrays + (out,) if x is not None):
+        return op(*arrays, out=out)
+    out = np.empty_like(arrays[0]) if out is None else out
+    flat = [x.reshape(-1) for x in (*arrays, out)]
+
+    def piece(k: int) -> None:
+        s = slice(k * _PIECE_SIZE, (k + 1) * _PIECE_SIZE)
+        op(*(x[s] for x in flat[:-1]), out=flat[-1][s])
+
+    run_pieces(pool, piece, -(-out.size // _PIECE_SIZE))
+    return out
+
+
+def _relu(h: Tensor, out: Tensor | None = None) -> Tensor:
+    return np.maximum(h, 0.0, out=out)
+
+
+def _relu_grad(dh: Tensor, h_in: Tensor, out: Tensor | None = None) -> Tensor:
+    return np.multiply(dh, h_in > 0.0, out=out)
 
 
 # A convolution runs as im2col GEMMs over blocks of examples; each block's
@@ -421,7 +465,7 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
         if layer.kind in PARAM_KINDS:
             w = net.params[i].weight
             if i in weight_masks:
-                w = w * weight_masks[i]
+                w = _elementwise(pool, np.multiply, w, weight_masks[i])
             weights[i] = w
             if layer.kind == "dense":
                 h = _gemm(h, w, pool)
@@ -431,7 +475,7 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
             if i in node_masks:
                 h = h * node_masks[i]
         elif layer.kind == "relu":
-            h = np.maximum(h, 0.0)
+            h = _elementwise(pool, _relu, h)
         elif layer.kind == "flatten":
             h = h.reshape(h.shape[0], -1)
     return h, inputs, weights
@@ -470,10 +514,10 @@ def _forward_backward(net: Network, mask, x: Tensor, labels,
                 dw, db, dh = _conv_backward(h_in, weights[i], layer.stride, dh,
                                             input_grad, pool)
             if i in weight_masks:
-                dw *= weight_masks[i]
+                _elementwise(pool, np.multiply, dw, weight_masks[i], out=dw)
             grads[i] = LayerParams(dw, db)
         elif layer.kind == "relu":
-            dh = dh * (h_in > 0.0)
+            dh = _elementwise(pool, _relu_grad, dh, h_in, out=dh)
         elif layer.kind == "flatten":
             dh = dh.reshape(h_in.shape)
     return loss, grads, logits
@@ -538,15 +582,22 @@ class SgdState:
 
 
 def sgd_step(net: Network, grads: Gradients, lr: float, momentum: float,
-             state: SgdState) -> Network:
+             state: SgdState, pool: KernelPool | None = None) -> Network:
     """One momentum-SGD update, in place on an exclusively-owned network.
 
     velocity <- momentum * velocity + grads; params <- params - lr * velocity.
+    ``pool`` runs large weights' updates in pieces, to the same bytes.
     """
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if not 0 <= momentum < 1:
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
+
+    def update(p: Tensor, g: Tensor, out: Tensor) -> None:  # out: the velocity
+        out *= momentum
+        out += g
+        p -= lr * out
+
     for p, g, v in zip(net.params, grads, state.velocities):
         if p is None:
             continue
@@ -554,12 +605,8 @@ def sgd_step(net: Network, grads: Gradients, lr: float, momentum: float,
             raise ValueError("gradients/state are not congruent with the network")
         if g.weight.shape != p.weight.shape or g.bias.shape != p.bias.shape:
             raise ValueError("gradient shapes are not congruent with the network")
-        v.weight *= momentum
-        v.weight += g.weight
-        v.bias *= momentum
-        v.bias += g.bias
-        p.weight -= lr * v.weight
-        p.bias -= lr * v.bias
+        _elementwise(pool, update, p.weight, g.weight, out=v.weight)
+        update(p.bias, g.bias, out=v.bias)
     return net
 
 

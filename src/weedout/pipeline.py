@@ -20,7 +20,7 @@ of training and evaluation; results are the same for any thread count.
 
 Each cell file is written under a temporary name and renamed into place,
 the manifest last and only after any old one is removed, so a cell killed
-mid-write has no manifest and resume recomputes it.
+mid-write has no manifest and resume recomputes it, saying why.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"{run_id}: non-finite loss at epoch {epoch}, batch {batch_no}")
-            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state)
+            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state, pool)
             n = len(y)
             seen += n
             loss_sum += loss * n
@@ -323,12 +323,16 @@ def is_completed(cell_dir) -> bool:
 
 
 def corrupt_reason(cell_dir) -> str | None:
-    """Why a cell's manifest is unreadable or fails a checksum; else None."""
-    if (Path(cell_dir) / MANIFEST_NAME).exists():
+    """Why a cell on disk is not reused although it holds files: its manifest
+    is unreadable or fails a checksum, or it has none (an interrupted write)."""
+    cell_dir = Path(cell_dir)
+    if (cell_dir / MANIFEST_NAME).exists():
         try:
             verify_cell(cell_dir)
         except (OSError, ValueError, ChecksumError) as exc:
             return f"{type(exc).__name__}: {exc}"
+    elif cell_dir.is_dir() and (names := sorted(p.name for p in cell_dir.iterdir())):
+        return f"interrupted write: {', '.join(names)} but no manifest"
     return None
 
 
@@ -383,7 +387,7 @@ class CellResult:
     cell_dir: Path
     record: RunRecord | None = None
     error: str | None = None
-    recomputed: str | None = None  # why a corrupt cell on disk was not reused
+    recomputed: str | None = None  # why a cell's files on disk were not reused
 
 
 def sweep_cells(etas, arms, seeds) -> list[tuple[str, float, int]]:
@@ -497,7 +501,7 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
 
     Completed cells are skipped on resume; a cell that raises is recorded
     with its error in a failure manifest and the sweep continues; a corrupt
-    cell is recomputed, and its result's ``recomputed`` says why.
+    or interrupted cell is recomputed, and its result's ``recomputed`` says why.
 
     ``parallel`` workers go to cells first. When ``min(parallel, pending)``
     is two or more, that many forked worker processes compute the pending

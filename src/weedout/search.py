@@ -36,9 +36,10 @@ STRATEGIES = ("random_search",)
 WINNER_SCOPES = ("final_generation", "all_generations")
 
 
-@dataclass
+@dataclass(eq=False)
 class Candidate:
-    """One population member: a mask, its identity, and its latest score."""
+    """One population member: a mask, its identity, and its latest score;
+    ``==`` and ``hash`` go by identity, as for its :class:`MaskSet`."""
 
     mask: MaskSet
     candidate_id: int

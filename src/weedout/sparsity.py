@@ -32,7 +32,7 @@ from .numerics import RngStream, round_half_up
 MASK_MODES = ("structured", "unstructured")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskSet:
     """Per-layer boolean masks for one sparse sub-network.
 
@@ -42,6 +42,7 @@ class MaskSet:
     place a mask's own validity is checked: a known mode, and only 0/1
     entries in an array that is not boolean yet (it is converted in place).
     ``network._check_mask`` checks only that a MaskSet fits its network.
+    ``==`` and ``hash`` go by identity; ``search._mask_key`` compares values.
     """
 
     mode: str

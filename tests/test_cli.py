@@ -144,6 +144,25 @@ class TestCmdRun:
         assert {p.name: p.read_bytes() for p in cell.iterdir()
                 if p.name != "manifest.json"} == files
 
+    def test_interrupted_cell_is_named_and_recomputed(self, tmp_path, capsys):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), seeds=[0, 1])
+        assert self.run_cli(tmp_path, raw) == 0
+        clean = capsys.readouterr().out
+        cell = tmp_path / "sweep" / run_label("weedout", 0.3, 1)
+        files = {p.name: p.read_bytes() for p in cell.iterdir() if p.name != "manifest.json"}
+        (cell / "manifest.json").unlink()  # a write stopped before its manifest
+        assert self.run_cli(tmp_path, raw) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "[recompute] weedout_0.3_1: interrupted write: metrics.csv, search.csv "
+            "but no manifest"]
+        assert captured.out == clean.replace("[completed] weedout_0.3_0",
+                                             "[   cached] weedout_0.3_0") \
+            .replace("2 computed, 0 cached", "1 computed, 1 cached")
+        assert {p.name: p.read_bytes() for p in cell.iterdir()
+                if p.name != "manifest.json"} == files
+        assert (cell / "manifest.json").exists()
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         raw = minimal_raw(search={"etas": [1.0]})
         assert self.run_cli(tmp_path, raw) == 2

@@ -1,10 +1,11 @@
 """A cell's kernel threads: the same bytes for every thread count.
 
-Kernels cut their work by shape alone, into conv blocks of examples and
-dense row chunks, and a ``KernelPool`` only picks the thread that runs each
-piece. So every result must be byte-identical at 1, 2 and 3 threads. Block
-and chunk sizes are patched so that pieces are fewer than the threads,
-exactly as many, or more with a ragged last one.
+Kernels cut their work by shape alone, into conv blocks of examples, dense
+row or column chunks and flat pieces of element-wise passes, and a
+``KernelPool`` only picks the thread that runs each piece. So every result
+must be byte-identical at 1, 2 and 3 threads. Block, chunk and piece sizes
+are patched so that pieces are fewer than the threads, exactly as many, or
+more with a ragged last one.
 """
 
 import json
@@ -20,8 +21,8 @@ from helpers import write_idx_images, write_idx_labels
 from weedout import network, pipeline, search
 from weedout.cli import main
 from weedout.data import Dataset
-from weedout.network import (KernelPool, conv2d, dense, flatten_layer,
-                             init_network, relu_layer)
+from weedout.network import (KernelPool, LayerParams, SgdState, conv2d, dense,
+                             flatten_layer, init_network, relu_layer, sgd_step)
 from weedout.numerics import RngStream
 from weedout.pipeline import Splits, TrainConfig, run_label
 from weedout.search import SearchConfig
@@ -60,11 +61,16 @@ def same_for_every_thread_count(compute):
 
 @pytest.fixture
 def small_pieces(monkeypatch):
-    """Conv blocks of two examples (rounded down from the byte budget) and
-    dense chunks of four rows, so a batch of a few examples has many pieces."""
+    """Conv blocks of two examples (rounded down from the byte budget), dense
+    chunks of six rows or, for GEMMs of six rows or fewer, two columns, and
+    element-wise pieces of seven elements, so a batch of a few examples has
+    many pieces of every kind."""
     monkeypatch.setattr(network, "_BLOCK_BYTES", 2 * 5 * 4 * 9 * 2 * 8 + 100)
-    monkeypatch.setattr(network, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(network, "_CHUNK_ROWS", 6)
+    monkeypatch.setattr(network, "_CHUNK_COLS", 2)
     monkeypatch.setattr(network, "_CHUNK_MACS", 1)
+    monkeypatch.setattr(network, "_COL_CHUNK_MACS", 1)
+    monkeypatch.setattr(network, "_PIECE_SIZE", 7)
 
 
 class TestKernelPool:
@@ -150,6 +156,11 @@ class TestKernels:
                                    rtol=0, atol=1e-12)
         # a transposed operand, as in a dense layer's weight gradient
         same_for_every_thread_count(lambda pool: network._gemm(a.T, a, pool))
+        # short and wide, with a transposed right operand, as in ``dh @ w.T``
+        c = rng.normal(size=(9, 5))
+        wide = same_for_every_thread_count(lambda pool: network._gemm(a, c.T, pool))
+        np.testing.assert_allclose(np.frombuffer(wide).reshape(rows, 9), a @ c.T,
+                                   rtol=0, atol=1e-12)
 
     def test_desk_scale_gemms_stay_one_call(self, monkeypatch):
         """The desk dense net's GEMMs (batch 512 at most) are never cut."""
@@ -165,9 +176,11 @@ class TestKernels:
             network._gemm(rng.normal(size=(512, n)), w.T)
 
     def test_conv_net_cuts_only_the_large_weight_gradient(self, monkeypatch):
-        """At batch 128 on 32x32x3, ``h @ w`` and ``dh @ w.T`` with the
-        25088x128 weight stay one call; ``h_in.T @ dh`` runs as 512-row
-        chunks, and a 500-example evaluation as two 256-row chunks."""
+        """At batch 128 on 32x32x3, the GEMMs with the 25088x128 weight are
+        cut: ``h @ w`` into two 64-column chunks, ``dh @ w.T`` into 2048-column
+        chunks and ``h_in.T @ dh`` into 512-row chunks, and a 500-example
+        evaluation's ``h @ w`` into two 256-row chunks. The 128x10 logits
+        layer's GEMMs stay one call."""
         counts = []
         monkeypatch.setattr(network, "run_pieces",
                             lambda pool, piece, count: counts.append(count))
@@ -176,7 +189,48 @@ class TestKernels:
         network._gemm(dh, w.T)
         network._gemm(h.T, dh)
         network._gemm(np.zeros((500, 25088)), w)
-        assert counts == [49, 2]
+        w2, dh2 = np.zeros((128, 10)), np.zeros((128, 10))
+        network._gemm(dh, w2)
+        network._gemm(dh2, w2.T)
+        network._gemm(dh.T, dh2)
+        assert counts == [2, 13, 49, 2]
+
+    def test_sgd_step_identical_for_every_thread_count(self):
+        """A weight of more than one element-wise piece is updated piece by
+        piece on a pool; two steps make the momentum term count."""
+        net = init_network([dense(1024), relu_layer(), dense(3, maskable=False)],
+                           (600,), seed=1)
+        assert net.params[0].weight.size > 2 * network._PIECE_SIZE
+        rng = np.random.default_rng(4)
+        grads = [None if p is None else
+                 LayerParams(rng.normal(size=p.weight.shape), rng.normal(size=p.bias.shape))
+                 for p in net.params]
+
+        def two_steps(pool):
+            trained, state = net.copy(), SgdState.zeros(net)
+            for _ in range(2):
+                sgd_step(trained, grads, 0.1, 0.9, state, pool)
+            return trained.params, state.velocities
+
+        same_for_every_thread_count(two_steps)
+
+    def test_desk_step_without_a_pool_runs_no_pieces(self, monkeypatch):
+        """With no pool, a desk-scale training step makes no piece calls:
+        every GEMM and element-wise pass is one plain call."""
+        def refuse(*args):
+            raise AssertionError("a desk-scale step ran kernel pieces")
+
+        monkeypatch.setattr(network, "run_pieces", refuse)
+        for mode in (None, "unstructured"):
+            spec, shape = network.default_dense_spec(10), (16,)
+            rng = RngStream(6)
+            net = init_network(spec, shape, seed=0)
+            mask = None if mode is None else sample_mask(spec, shape, 0.6, mode,
+                                                         rng.split("mask"))
+            x = rng.split("x").normal((512,) + shape)
+            y = np.asarray(rng.split("y").integers(0, 10, size=512))
+            _, grads, _ = network._forward_backward(net, mask, x, y)
+            sgd_step(net, grads, 0.1, 0.9, SgdState.zeros(net))
 
 
 def instance(mode, batch=13):

@@ -11,6 +11,7 @@ from weedout.network import (default_conv_spec, default_dense_spec, evaluate,
                              forward, init_network, loss_and_grads,
                              parent_checksum)
 from weedout.numerics import RngStream
+from weedout.search import Candidate, _mask_key
 from weedout.sparsity import MaskSet, reduce_network, sample_mask
 
 CASES = {"dense": (default_dense_spec(), (16,)),
@@ -70,6 +71,19 @@ class TestMaskSetConstruction:
         mask = MaskSet("unstructured", {0: np.array([[1.0, 0.0], [0.0, 1.0]])})
         assert mask.masks[0].dtype == bool
         np.testing.assert_array_equal(mask.masks[0], [[True, False], [False, True]])
+
+    @pytest.mark.parametrize("mode", ["structured", "unstructured"])
+    def test_masks_and_candidates_compare_and_hash_by_identity(self, mode):
+        spec, shape = CASES["conv28"]
+        a = sample_mask(spec, shape, 0.6, mode, RngStream(3))
+        b = sample_mask(spec, shape, 0.6, mode, RngStream(3))  # same values
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b}
+        assert _mask_key(a) == _mask_key(b)
+        first, second = Candidate(a, 0, 0), Candidate(a, 0, 0)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
     @pytest.mark.parametrize("mode", ["structured", "unstructured"])
     def test_sampled_masks_are_bool(self, mode):
