@@ -196,11 +196,11 @@ class TestKernels:
         assert counts == [2, 13, 49, 2]
 
     def test_sgd_step_identical_for_every_thread_count(self):
-        """A weight of more than one element-wise piece is updated piece by
-        piece on a pool; two steps make the momentum term count."""
+        """A weight of the fewest element-wise pieces a pool takes is updated
+        piece by piece on it; two steps make the momentum term count."""
         net = init_network([dense(1024), relu_layer(), dense(3, maskable=False)],
-                           (600,), seed=1)
-        assert net.params[0].weight.size > 2 * network._PIECE_SIZE
+                           (1100,), seed=1)
+        assert net.params[0].weight.size > network._MIN_PIECES * network._PIECE_SIZE
         rng = np.random.default_rng(4)
         grads = [None if p is None else
                  LayerParams(rng.normal(size=p.weight.shape), rng.normal(size=p.bias.shape))
@@ -213,6 +213,21 @@ class TestKernels:
             return trained.params, state.velocities
 
         same_for_every_thread_count(two_steps)
+
+    def test_pass_of_few_pieces_stays_one_call_on_a_pool(self, monkeypatch):
+        """Below _MIN_PIECES pieces an element-wise pass is one plain call even
+        with a pool: the update of a structured MNIST cell's 7488x51 weight."""
+        def refuse(*args):
+            raise AssertionError("a pass of few pieces ran on the pool")
+
+        monkeypatch.setattr(network, "run_pieces", refuse)
+        net = init_network([dense(51), relu_layer(), dense(10, maskable=False)],
+                           (7488,), seed=1)
+        assert net.params[0].weight.size > network._PIECE_SIZE
+        grads = [None if p is None else LayerParams(np.ones_like(p.weight), p.bias)
+                 for p in net.params]
+        with KernelPool(2) as pool:
+            sgd_step(net, grads, 0.1, 0.9, SgdState.zeros(net), pool)
 
     def test_desk_step_without_a_pool_runs_no_pieces(self, monkeypatch):
         """With no pool, a desk-scale training step makes no piece calls:
