@@ -10,7 +10,7 @@ import numpy as np
 
 from weedout import RngStream, forward, init_network, loss_and_grads, reduce_network
 from weedout.network import conv2d, dense, flatten_layer, relu_layer
-from weedout.sparsity import per_layer_sparsity, realized_sparsity, sample_structured
+from weedout.sparsity import realized_sparsity, sample_structured
 
 spec = [
     conv2d(8, 3), relu_layer(),
@@ -28,11 +28,8 @@ rng = RngStream(2024)
 mask = sample_structured(spec, eta=0.6, rng=rng.split("mask"))
 print(f"\nsampled a structured mask at eta=0.6 "
       f"(realized sparsity {realized_sparsity(mask):.3f})")
-for i, frac in per_layer_sparsity(mask).items():
-    kind = spec[i].kind
-    width = spec[i].width
-    off = int(width * frac)
-    print(f"  layer {i} ({kind}, width {width}): {off} nodes off")
+for i, m in mask.masks.items():
+    print(f"  layer {i} ({spec[i].kind}, width {spec[i].width}): {int((~m).sum())} nodes off")
 
 reduced = reduce_network(net, mask)
 print(f"\nreduced network: {reduced.parameter_count()} parameters "

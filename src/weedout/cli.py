@@ -24,7 +24,7 @@ from . import pipeline
 # parse_config is unused here but stays importable as weedout.cli.parse_config
 from .config import (build_experiment, canonical_json, load_config, parse_config,
                      resolve_out_dir)
-from .errors import ChecksumError, ConfigError
+from .errors import ConfigError
 from .report import load_records, write_report
 
 
@@ -80,7 +80,9 @@ def cmd_report(args) -> int:
     if not sweep_dir.is_dir():
         print(f"not a sweep directory: {sweep_dir}", file=sys.stderr)
         return 2
-    records = load_records(sweep_dir)
+    records, excluded = load_records(sweep_dir)
+    for label, state in excluded:
+        print(f"[excluded] {label}: {state.status}: {state.reason}", file=sys.stderr)
     if not records:
         print(f"no completed runs under {sweep_dir}", file=sys.stderr)
         return 2
@@ -108,15 +110,15 @@ def cmd_report(args) -> int:
 
 def cmd_inspect(args) -> int:
     run_dir = Path(args.run_dir)
-    if not (run_dir / pipeline.MANIFEST_NAME).exists():
+    state = pipeline.cell_state(run_dir)
+    if state.status == "absent":
         print(f"not a run directory (no {pipeline.MANIFEST_NAME}): {run_dir}",
               file=sys.stderr)
         return 2
-    try:
-        manifest = pipeline.verify_cell(run_dir)
-    except ChecksumError as exc:
-        print(f"checksum error: {exc}", file=sys.stderr)
+    if state.status == "corrupt":
+        print(f"corrupt: {state.reason}", file=sys.stderr)
         return 1
+    manifest = state.manifest
     print(f"run      : {manifest['run_id']}")
     print(f"arm      : {manifest['arm']}   eta={manifest['eta']:g}   "
           f"seed={manifest['seed']}")
@@ -128,7 +130,7 @@ def cmd_inspect(args) -> int:
     if manifest["status"] != "completed":
         print(f"error    : {manifest.get('error')}")
         return 0
-    record = pipeline.read_run_record(run_dir)
+    record = pipeline.read_run_record(run_dir, manifest)
     if record.search_history:
         per_gen: dict[int, float] = {}
         for h in record.search_history:

@@ -200,12 +200,12 @@ def build_experiment(cfg: dict):
             source = data_mod.synthetic_blobs(ds["num_classes"], ds["per_class"],
                                               ds["dim"], ds["spread"], ds["seed"])
         elif ds["kind"] == "mnist":
-            source = data_mod.read_idx(ds["train_images"], ds["train_labels"],
+            source = data_mod.load_idx(ds["train_images"], ds["train_labels"],
                                        num_classes=10)
             test = data_mod.load_idx(ds["test_images"], ds["test_labels"],
                                      num_classes=10)
         else:
-            source = data_mod.read_cifar10_binary(ds["train_files"])
+            source = data_mod.load_cifar10_binary(ds["train_files"])
             test = data_mod.load_cifar10_binary(ds["test_file"])
     except (OSError, ValueError) as exc:
         raise ConfigError([f"dataset: {exc}"]) from exc

@@ -24,15 +24,22 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
 
 @dataclass
 class Dataset:
-    """Inputs, integer labels, and provenance for one data split."""
+    """Inputs, integer labels, and provenance for one data split.
 
-    inputs: Tensor
+    Inputs stay as given: uint8 pixels from an image file, float64 for blobs.
+    ``take`` is the one way to read them, as float64 rows; it divides uint8
+    pixels by 255.0 one batch at a time, so a large file is never held as
+    floats.
+    """
+
+    inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
     provenance: str = ""
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        if np.asarray(self.inputs).dtype != np.uint8:
+            self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if len(self.labels) < 1:
             raise ValueError("dataset must contain at least one example")
@@ -41,7 +48,7 @@ class Dataset:
                 f"{self.inputs.shape[0]} inputs vs {len(self.labels)} labels")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
-        if not np.isfinite(self.inputs).all():
+        if self.inputs.dtype != np.uint8 and not np.isfinite(self.inputs).all():
             raise ValueError("dataset inputs contain non-finite values")
 
     def __len__(self) -> int:
@@ -51,41 +58,10 @@ class Dataset:
     def input_shape(self) -> tuple[int, ...]:
         return tuple(self.inputs.shape[1:])
 
-    def subset(self, indices, provenance: str | None = None) -> "Dataset":
-        return Dataset(self.inputs[indices], self.labels[indices], self.num_classes,
-                       provenance if provenance is not None else self.provenance)
-
-
-@dataclass(frozen=True)
-class Pixels:
-    """uint8 images and integer labels as read from an image file.
-
-    The model reads pixels as ``pixels / 255.0`` in float64, eight times the
-    bytes. ``subset`` converts only the examples it takes, so splitting a
-    large file never holds the whole of it as floats.
-    """
-
-    pixels: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-    provenance: str = ""
-
-    def __post_init__(self):
-        if len(self.labels) and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def subset(self, indices, provenance: str | None = None) -> Dataset:
-        return Dataset(self.pixels[indices] / 255.0, self.labels[indices],
-                       self.num_classes,
-                       provenance if provenance is not None else self.provenance)
-
-    def dataset(self) -> Dataset:
-        """Every example, scaled."""
-        return self.subset(slice(None))
+    def take(self, idx) -> tuple[Tensor, np.ndarray]:
+        """Rows ``idx`` (indices or a slice) as float64 inputs, and their labels."""
+        x = self.inputs[idx]
+        return (x / 255.0 if x.dtype == np.uint8 else x), self.labels[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +69,6 @@ class Pixels:
 # ---------------------------------------------------------------------------
 
 def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Read big-endian IDX image/label files; pixels scaled to [0, 1]."""
-    return read_idx(images_path, labels_path, num_classes).dataset()
-
-
-def read_idx(images_path, labels_path, num_classes: int | None = None) -> Pixels:
     """Read big-endian IDX image/label files; pixels stay uint8."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     raw = images_path.read_bytes()
@@ -128,7 +99,7 @@ def read_idx(images_path, labels_path, num_classes: int | None = None) -> Pixels
     labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if n else 0
-    return Pixels(pixels, labels, num_classes, provenance=f"idx:{images_path.name}")
+    return Dataset(pixels, labels, num_classes, provenance=f"idx:{images_path.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +107,8 @@ def read_idx(images_path, labels_path, num_classes: int | None = None) -> Pixels
 # ---------------------------------------------------------------------------
 
 def load_cifar10_binary(batch_paths) -> Dataset:
-    """Read CIFAR-10 binary batch files (3073-byte records) into HWC layout."""
-    return read_cifar10_binary(batch_paths).dataset()
-
-
-def read_cifar10_binary(batch_paths) -> Pixels:
-    """Read CIFAR-10 binary batch files into HWC layout; pixels stay uint8."""
+    """Read CIFAR-10 binary batch files (3073-byte records) into HWC layout;
+    pixels stay uint8."""
     if isinstance(batch_paths, (str, Path)):
         batch_paths = [batch_paths]
     if not batch_paths:
@@ -161,7 +128,7 @@ def read_cifar10_binary(batch_paths) -> Pixels:
         raise FormatError(f"label byte {labels.max()} out of range for CIFAR-10")
     # channel-major planes (R, G, B) -> HWC
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    return Pixels(pixels, labels, 10, provenance=f"cifar10:{len(batch_paths)} file(s)")
+    return Dataset(pixels, labels, 10, provenance=f"cifar10:{len(batch_paths)} file(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +189,9 @@ class SplitResult:
     discarded: int
 
 
-def split(ds: Dataset | Pixels, spec: SplitSpec) -> SplitResult:
-    """Deterministic disjoint partition of ``ds`` per ``spec``.
-
-    The parts are Datasets either way; from ``Pixels`` only the examples a
-    part keeps are converted to floats.
-    """
+def split(ds: Dataset, spec: SplitSpec) -> SplitResult:
+    """Deterministic disjoint partition of ``ds`` per ``spec``; the parts
+    keep the inputs' dtype."""
     n = len(ds)
     parts = (spec.train, spec.validation, spec.test)
     if all(isinstance(p, float) for p in parts):
@@ -250,7 +214,8 @@ def split(ds: Dataset | Pixels, spec: SplitSpec) -> SplitResult:
     a, b, c = n_train, n_train + n_val, n_train + n_val + n_test
 
     def part(idx, name):
-        return ds.subset(idx, f"{ds.provenance}/{name}") if len(idx) else None
+        return Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes,
+                       f"{ds.provenance}/{name}") if len(idx) else None
 
     return SplitResult(
         train=part(perm[:a], "train"),
@@ -267,8 +232,7 @@ def batches(ds: Dataset, batch_size: int, rng: RngStream):
     n = len(ds)
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
-        idx = perm[start:start + batch_size]
-        yield ds.inputs[idx], ds.labels[idx]
+        yield ds.take(perm[start:start + batch_size])
 
 
 def sample_batch(ds: Dataset, batch_size: int, rng: RngStream):
@@ -278,6 +242,5 @@ def sample_batch(ds: Dataset, batch_size: int, rng: RngStream):
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if batch_size > n:
         raise ValueError(f"cannot sample {batch_size} of {n} examples without replacement")
-    idx = rng.choice_without_replacement(n, batch_size)
-    return ds.inputs[idx], ds.labels[idx]
+    return ds.take(rng.choice_without_replacement(n, batch_size))
 

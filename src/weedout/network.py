@@ -561,8 +561,7 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     correct = 0
     loss_sum = 0.0
     for start in range(0, n, batch_size):
-        x = dataset.inputs[start:start + batch_size]
-        y = dataset.labels[start:start + batch_size]
+        x, y = dataset.take(slice(start, start + batch_size))
         logits, _, _ = _forward_pass(net, mask, x, False, pool)
         loss, _ = softmax_cross_entropy(logits, y, with_grad=False)
         loss_sum += loss * len(y)

@@ -234,8 +234,8 @@ def _write_manifest(cell_dir: Path, manifest: dict) -> None:
                   (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def write_run_record(record: RunRecord, cell_dir, effective_config: dict | None = None,
-                     status: str = "completed", error: str | None = None) -> Path:
+def write_run_record(record: RunRecord, cell_dir,
+                     effective_config: dict | None = None) -> Path:
     """Persist one cell: metrics.csv, search.csv (if any), manifest.json.
 
     Each file appears whole or not at all. Any old manifest is removed
@@ -259,8 +259,8 @@ def write_run_record(record: RunRecord, cell_dir, effective_config: dict | None 
         "arm": record.arm,
         "eta": record.eta,
         "seed": record.seed,
-        "status": status,
-        "error": error,
+        "status": "completed",
+        "error": None,
         "parent_checksum": record.parent_checksum,
         "mask": {
             "mode": record.mask_mode,
@@ -295,51 +295,47 @@ def write_failure(cell_dir, arm: str, eta: float, seed: int, error: str,
     _write_manifest(cell_dir, manifest)
 
 
-def read_manifest(cell_dir) -> dict:
-    path = Path(cell_dir) / MANIFEST_NAME
-    return json.loads(path.read_text(encoding="utf-8"))
+@dataclass(frozen=True)
+class CellState:
+    """A cell directory's status (completed, failed, absent or corrupt), its
+    verified manifest if it has one, and the reason it is not reused if not."""
+
+    status: str
+    manifest: dict | None = None
+    reason: str | None = None
 
 
-def verify_cell(cell_dir) -> dict:
-    """Load and checksum-verify a cell's manifest; returns the manifest."""
-    cell_dir = Path(cell_dir)
-    manifest = read_manifest(cell_dir)
-    for name, digest in manifest.get("files", {}).items():
-        blob = (cell_dir / name).read_bytes()
-        if _sha256(blob) != digest:
-            raise ChecksumError(f"{cell_dir / name}: contents do not match manifest checksum")
-    return manifest
+def cell_state(cell_dir) -> CellState:
+    """Read and verify a cell once, hashing each file its manifest lists once.
 
-
-def is_completed(cell_dir) -> bool:
+    A cell is corrupt when its manifest is unreadable, names no known status
+    or lists a file that is missing or fails its checksum, and when it holds
+    files but no manifest (an interrupted write).
+    """
     cell_dir = Path(cell_dir)
     if not (cell_dir / MANIFEST_NAME).exists():
-        return False
+        if cell_dir.is_dir() and (names := sorted(p.name for p in cell_dir.iterdir())):
+            return CellState("corrupt", reason=f"interrupted write: {', '.join(names)} "
+                                               "but no manifest")
+        return CellState("absent", reason="no files")
     try:
-        manifest = verify_cell(cell_dir)
-    except (OSError, ValueError, ChecksumError):
-        return False
-    return manifest.get("status") == "completed"
+        manifest = json.loads((cell_dir / MANIFEST_NAME).read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict) or \
+                manifest.get("status") not in ("completed", "failed"):
+            raise ValueError(f"{MANIFEST_NAME} names no known status")
+        for name, digest in manifest["files"].items():
+            if _sha256((cell_dir / name).read_bytes()) != digest:
+                raise ChecksumError(f"{cell_dir / name}: contents do not match "
+                                    "manifest checksum")
+    except (OSError, ValueError, KeyError, ChecksumError) as exc:
+        return CellState("corrupt", reason=f"{type(exc).__name__}: {exc}")
+    return CellState(manifest["status"], manifest, manifest.get("error"))
 
 
-def corrupt_reason(cell_dir) -> str | None:
-    """Why a cell on disk is not reused although it holds files: its manifest
-    is unreadable or fails a checksum, or it has none (an interrupted write)."""
+def read_run_record(cell_dir, manifest: dict) -> RunRecord:
+    """Rehydrate a RunRecord from a completed cell directory and its manifest,
+    as :func:`cell_state` verified them."""
     cell_dir = Path(cell_dir)
-    if (cell_dir / MANIFEST_NAME).exists():
-        try:
-            verify_cell(cell_dir)
-        except (OSError, ValueError, ChecksumError) as exc:
-            return f"{type(exc).__name__}: {exc}"
-    elif cell_dir.is_dir() and (names := sorted(p.name for p in cell_dir.iterdir())):
-        return f"interrupted write: {', '.join(names)} but no manifest"
-    return None
-
-
-def read_run_record(cell_dir) -> RunRecord:
-    """Rehydrate a RunRecord from a completed cell directory."""
-    cell_dir = Path(cell_dir)
-    manifest = verify_cell(cell_dir)
     record = RunRecord(run_id=manifest["run_id"], arm=manifest["arm"],
                        eta=manifest["eta"], seed=manifest["seed"])
     record.parent_checksum = manifest.get("parent_checksum", "")
@@ -360,10 +356,9 @@ def read_run_record(cell_dir) -> RunRecord:
                 train_loss=float(row["train_loss"]),
                 test_accuracy=float(row["test_accuracy"]) if row["test_accuracy"] else None,
                 test_loss=float(row["test_loss"]) if row["test_loss"] else None))
-    search_path = cell_dir / SEARCH_NAME
-    if search_path.exists():
+    if SEARCH_NAME in manifest["files"]:
         record.search_history = []
-        with open(search_path, newline="", encoding="utf-8") as f:
+        with open(cell_dir / SEARCH_NAME, newline="", encoding="utf-8") as f:
             for row in csv.DictReader(f):
                 record.search_history.append(HistoryRow(
                     generation=int(row["generation"]),
@@ -521,8 +516,10 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(arm, eta, seed, out_dir / run_label(arm, eta, seed))
              for arm, eta, seed in sweep_cells(etas, arms, seeds)]
-    cached = [resume and is_completed(cell_dir) for *_, cell_dir in cells]
-    pending = [cell[:3] for cell, done in zip(cells, cached) if not done]
+    states = [cell_state(cell_dir) if resume else CellState("absent")
+              for *_, cell_dir in cells]
+    pending = [cell[:3] for cell, state in zip(cells, states)
+               if state.status != "completed"]
     workers = min(parallel, len(pending))
     threads = parallel // max(workers, 1)
     inputs = _SweepInputs(spec, input_shape, search_cfg, train_cfg, splits,
@@ -535,13 +532,13 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
                    for cell in pending}
     results: list[CellResult] = []
     try:
-        for (arm, eta, seed, cell_dir), done in zip(cells, cached):
-            if done:
+        for (arm, eta, seed, cell_dir), state in zip(cells, states):
+            if state.status == "completed":
                 result = CellResult(arm, eta, seed, "cached", cell_dir,
-                                    record=read_run_record(cell_dir))
+                                    record=read_run_record(cell_dir, state.manifest))
             else:
                 cell = (arm, eta, seed)
-                corrupt = corrupt_reason(cell_dir) if resume else None
+                corrupt = state.reason if state.status == "corrupt" else None
                 record, error = (futures[cell].result() if pool is not None
                                  else inputs.attempt(*cell, threads))
                 if error is None:

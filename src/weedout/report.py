@@ -50,11 +50,20 @@ class ArmDifference:
     verdict: str
 
 
-def load_records(sweep_dir: Path) -> list[pipeline.RunRecord]:
-    """The record of every completed cell under ``sweep_dir``, in name order."""
-    return [pipeline.read_run_record(path.parent)
-            for path in sorted(Path(sweep_dir).glob(f"*/{pipeline.MANIFEST_NAME}"))
-            if pipeline.is_completed(path.parent)]
+def load_records(sweep_dir: Path) -> tuple[list[pipeline.RunRecord],
+                                            list[tuple[str, pipeline.CellState]]]:
+    """The record of every completed cell under ``sweep_dir``, and the label
+    and state of every other cell directory, both in name order."""
+    records, excluded = [], []
+    prefixes = tuple(f"{arm}_" for arm in pipeline.ARMS)
+    for path in sorted(Path(sweep_dir).iterdir()):
+        if path.is_dir() and path.name.startswith(prefixes):
+            state = pipeline.cell_state(path)
+            if state.status == "completed":
+                records.append(pipeline.read_run_record(path, state.manifest))
+            else:
+                excluded.append((path.name, state))
+    return records, excluded
 
 
 def _t975(df: int) -> float:

@@ -32,7 +32,6 @@ from .network import KernelPool, Network, mean_loss, run_pieces
 from .numerics import RngStream
 from .sparsity import MASK_MODES, MaskSet, sample_mask, sub_network
 
-STRATEGIES = ("random_search",)
 WINNER_SCOPES = ("final_generation", "all_generations")
 
 
@@ -54,7 +53,6 @@ class SearchConfig:
     population_size: int = 100
     generations: int = 5
     validation_batch_size: int = 256
-    strategy: str = "random_search"
     mask_mode: str = "structured"
     winner_scope: str = "final_generation"
     # optional convergence stop: end early once the per-generation best
@@ -68,7 +66,6 @@ class SearchConfig:
         out = (check_number("population_size", self.population_size, int, 2)
                + check_number("generations", self.generations, int, 1)
                + check_number("validation_batch_size", self.validation_batch_size, int, 1)
-               + check_member("strategy", self.strategy, STRATEGIES)
                + check_member("mask_mode", self.mask_mode, MASK_MODES)
                + check_member("winner_scope", self.winner_scope, WINNER_SCOPES)
                + check_number("early_stop_patience", self.early_stop_patience, int, 1))

@@ -113,10 +113,6 @@ def realized_sparsity(mask: MaskSet) -> float:
     return zeros / total
 
 
-def per_layer_sparsity(mask: MaskSet) -> dict[int, float]:
-    return {i: float((~m).mean()) for i, m in mask.masks.items()}
-
-
 def reduce_network(net: Network, mask: MaskSet) -> Network:
     """Physically delete masked nodes, producing a smaller equivalent network.
 

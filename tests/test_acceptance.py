@@ -337,9 +337,10 @@ def test_criterion_9_data_ingestion(tmp_path):
     lbl_raw = (tmp_path / "lbl.idx").read_bytes()
     idx_ok &= lbl_raw[:4] == b"\x00\x00\x08\x01"  # labels magic
     ds = load_idx(tmp_path / "img.idx", tmp_path / "lbl.idx", num_classes=10)
-    idx_ok &= ds.inputs.shape == (20, 28, 28, 1)
-    idx_ok &= bool((ds.labels >= 0).all() and (ds.labels <= 9).all())
-    idx_ok &= bool(np.array_equal(np.rint(ds.inputs[..., 0] * 255), images))
+    x, y = ds.take(slice(None))
+    idx_ok &= x.shape == (20, 28, 28, 1)
+    idx_ok &= bool((y >= 0).all() and (y <= 9).all())
+    idx_ok &= bool(np.array_equal(np.rint(x[..., 0] * 255), images))
 
     for corrupt in (raw[:1] + b"\x01" + raw[2:], raw[:40]):
         (tmp_path / "bad.idx").write_bytes(corrupt)

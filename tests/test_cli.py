@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,10 @@ from weedout.config import build_experiment, canonical_json, load_config, parse_
 from weedout.errors import ConfigError
 from weedout.network import default_dense_spec, init_network
 from weedout.numerics import round_half_up
-from weedout.pipeline import EpochRow, RunRecord, TrainConfig, run_label, write_run_record
+from weedout.pipeline import (EpochRow, RunRecord, TrainConfig, run_label,
+                              write_failure, write_run_record)
 from weedout.report import (_mean_ci, aggregate_records, arm_differences,
-                            pooled_ci_half_width)
+                            load_records, pooled_ci_half_width)
 from weedout.search import SearchConfig
 
 T_975_DF4 = 2.7764451051977987  # Student-t, two-sided 95%, n=5
@@ -60,10 +62,12 @@ class TestParseConfig:
 
     def test_unknown_keys_rejected_everywhere(self):
         with pytest.raises(ConfigError) as err:
-            parse_config(minimal_raw(typo=1, search={"poulation_size": 5}))
+            parse_config(minimal_raw(typo=1, search={"poulation_size": 5,
+                                                     "strategy": "random_search"}))
         text = "\n".join(err.value.problems)
         assert "typo: unknown key" in text
         assert "search.poulation_size: unknown key" in text
+        assert "search.strategy: unknown key" in text
 
     def test_eta_one_rejected(self):
         with pytest.raises(ConfigError, match="etas"):
@@ -324,8 +328,7 @@ class TestAggregation:
     def test_mean_and_ci_match_first_principles(self, tmp_path):
         finals = [0.9, 0.92, 0.88, 0.91, 0.89]
         sweep_dir = fabricate_sweep(tmp_path, {("random_baseline", 0.2): finals})
-        from weedout.pipeline import read_run_record
-        records = [read_run_record(d) for d in sorted(sweep_dir.iterdir())]
+        records, _ = load_records(sweep_dir)
         rows = [r for r in aggregate_records(records) if r.epoch == 3]
         assert len(rows) == 1
         row = rows[0]
@@ -338,23 +341,20 @@ class TestAggregation:
 
     def test_identical_values_give_zero_ci(self, tmp_path):
         sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.4): [0.8] * 5})
-        from weedout.pipeline import read_run_record
-        records = [read_run_record(d) for d in sorted(sweep_dir.iterdir())]
+        records, _ = load_records(sweep_dir)
         row = [r for r in aggregate_records(records) if r.epoch == 3][0]
         assert row.ci95_test_accuracy == 0.0
 
     def test_single_run_has_no_ci(self, tmp_path):
         sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.4): [0.8]})
-        from weedout.pipeline import read_run_record
-        records = [read_run_record(d) for d in sorted(sweep_dir.iterdir())]
+        records, _ = load_records(sweep_dir)
         row = [r for r in aggregate_records(records) if r.epoch == 3][0]
         assert row.ci95_test_accuracy is None
         assert row.n_runs == 1
 
     def test_dense_rows_under_eta_zero(self, tmp_path):
         sweep_dir = fabricate_sweep(tmp_path, {("dense", 0.0): [0.9, 0.9]})
-        from weedout.pipeline import read_run_record
-        records = [read_run_record(d) for d in sorted(sweep_dir.iterdir())]
+        records, _ = load_records(sweep_dir)
         assert all(r.eta == 0.0 for r in aggregate_records(records)
                    if r.arm == "dense")
 
@@ -391,8 +391,7 @@ class TestAggregation:
             ("weedout", 0.4): [0.99, 0.99, 0.99, 0.99, 0.99],
             ("random_baseline", 0.4): [0.50, 0.50, 0.51, 0.50, 0.50],
         })
-        from weedout.pipeline import read_run_record
-        records = [read_run_record(d) for d in sorted(sweep_dir.iterdir())]
+        records, _ = load_records(sweep_dir)
         diffs = {d.eta: d for d in arm_differences(records)}
         assert not diffs[0.2].significant
         assert "consistent" in diffs[0.2].verdict
@@ -409,9 +408,7 @@ class TestAggregation:
         assert main(["report", str(sweep_dir)]) == 0
         out = capsys.readouterr().out
         assert "FLAG" not in out and "zero variance" in out
-        from weedout.pipeline import read_run_record
-        records = [read_run_record(d) for d in sorted(sweep_dir.iterdir())
-                   if d.name != "report"]
+        records, _ = load_records(sweep_dir)
         [d] = arm_differences(records)
         assert d.pooled_ci95 == 0.0 and d.difference != 0.0
         assert not d.significant
@@ -478,6 +475,37 @@ class TestCmdReport:
             else:
                 assert float(row["std"]) > 0.0
 
+    def test_excluded_cells_are_named_and_tables_keep_their_bytes(self, tmp_path,
+                                                                 capsys):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), seeds=[0, 1, 2],
+                          arms=["weedout", "random_baseline"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        sweep_dir = tmp_path / "sweep"
+        (sweep_dir / run_label("weedout", 0.3, 1) / "search.csv").unlink()
+        write_failure(sweep_dir / run_label("random_baseline", 0.3, 2),
+                      "random_baseline", 0.3, 2, "RuntimeError: boom")
+        capsys.readouterr()
+        assert main(["report", str(sweep_dir)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "[excluded] random_baseline_0.3_2: failed: RuntimeError: boom",
+            f"[excluded] weedout_0.3_1: corrupt: FileNotFoundError: [Errno 2] "
+            f"No such file or directory: "
+            f"'{sweep_dir / run_label('weedout', 0.3, 1) / 'search.csv'}'"]
+        # the tables are those of the sweep without the two excluded cells
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for cell in sweep_dir.glob("*_0.3_*"):
+            if cell.name not in ("weedout_0.3_1", "random_baseline_0.3_2"):
+                shutil.copytree(cell, kept / cell.name)
+        assert main(["report", str(kept)]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("aggregate.csv", "arm_difference.csv", "plot_long.csv",
+                     "search_spread.csv"):
+            assert (sweep_dir / "report" / name).read_bytes() == \
+                (kept / "report" / name).read_bytes()
+
     def test_empty_sweep_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -521,6 +549,22 @@ class TestCmdInspect:
 
     def test_missing_manifest_exits_two(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda d: (d / "manifest.json").write_bytes(
+            (d / "manifest.json").read_bytes()[:40]), "JSONDecodeError"),
+        (lambda d: (d / "search.csv").unlink(), "FileNotFoundError"),
+    ], ids=["truncated_manifest", "deleted_search_csv"])
+    def test_corrupt_cell_exits_one_without_traceback(self, tmp_path, capsys,
+                                                      damage, reason):
+        run_dir = self.make_run(tmp_path)
+        damage(run_dir)
+        capsys.readouterr()
+        assert main(["inspect", str(run_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"corrupt: {reason}: ")
 
 
 class TestLoadConfig:

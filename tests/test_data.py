@@ -3,10 +3,10 @@ import pytest
 
 from helpers import encode_cifar10_records, write_idx_images, write_idx_labels
 from weedout.data import (Dataset, SplitSpec, batches, load_cifar10_binary,
-                          load_idx, read_cifar10_binary, read_idx, sample_batch,
-                          split, synthetic_blobs)
+                          load_idx, sample_batch, split, synthetic_blobs)
 from weedout.errors import FormatError
-from weedout.network import default_dense_spec
+from weedout.network import (conv2d, default_dense_spec, dense, evaluate,
+                             flatten_layer, init_network, relu_layer)
 from weedout.numerics import RngStream
 from weedout.pipeline import Splits, TrainConfig, run_cell
 from weedout.search import SearchConfig
@@ -28,8 +28,9 @@ class TestIdx:
         img, lbl, images, labels = make_idx_pair(tmp_path)
         ds = load_idx(img, lbl, num_classes=10)
         assert ds.inputs.shape == (10, 28, 28, 1)
-        np.testing.assert_array_equal(ds.labels, labels)
-        np.testing.assert_allclose(ds.inputs[..., 0] * 255.0, images, atol=1e-9)
+        x, y = ds.take(slice(None))
+        np.testing.assert_array_equal(y, labels)
+        np.testing.assert_allclose(x[..., 0] * 255.0, images, atol=1e-9)
 
     def test_pixel_scaling(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -37,8 +38,11 @@ class TestIdx:
         write_idx_images(tmp_path / "i", images)
         write_idx_labels(tmp_path / "l", np.array([3], dtype=np.uint8))
         ds = load_idx(tmp_path / "i", tmp_path / "l", num_classes=10)
-        assert ds.inputs[0, 0, 0, 0] == 1.0
-        assert ds.inputs[0, 1, 1, 0] == 0.0
+        assert ds.inputs.dtype == np.uint8
+        x, _ = ds.take([0])
+        assert x.dtype == np.float64
+        assert x[0, 0, 0, 0] == 1.0
+        assert x[0, 1, 1, 0] == 0.0
 
     def test_canonical_test_set_size(self, tmp_path):
         img, lbl, _, _ = make_idx_pair(tmp_path, n=10000)
@@ -98,13 +102,13 @@ class TestCifar10:
         record[2049:] = 30
         path = tmp_path / "b.bin"
         path.write_bytes(record.tobytes())
-        ds = load_cifar10_binary(path)
-        np.testing.assert_allclose(ds.inputs[0, 0, 0], [10 / 255, 20 / 255, 30 / 255])
+        x, _ = load_cifar10_binary(path).take([0])
+        np.testing.assert_allclose(x[0, 0, 0], [10 / 255, 20 / 255, 30 / 255])
 
     def test_record_round_trip(self, tmp_path):
         path, records = self.make_batch(tmp_path, n=7, seed=3)
-        ds = load_cifar10_binary(path)
-        assert encode_cifar10_records(ds.inputs, ds.labels) == records.tobytes()
+        x, y = load_cifar10_binary(path).take(slice(None))
+        assert encode_cifar10_records(x, y) == records.tobytes()
 
     def test_standard_batch_size(self, tmp_path):
         path, _ = self.make_batch(tmp_path, n=10000, seed=1)
@@ -125,54 +129,67 @@ class TestCifar10:
 
 
 class TestPixels:
-    """Images stay uint8 until a split picks its examples; the floats match
-    converting the whole file first, bit for bit."""
+    """Image pixels stay uint8 until a batch is taken; the floats it gives
+    match converting the whole file first, bit for bit."""
 
     def read(self, tmp_path, kind):
-        """(uint8 pixels as read, the whole file converted the old way)."""
-        rng = np.random.default_rng(7)
+        """(the file as loaded, the whole file converted to float64 up front)."""
         if kind == "idx":
-            img, lbl, images, labels = make_idx_pair(tmp_path, n=60, seed=7)
-            full = Dataset(images[..., None] / 255.0, labels, 10, "idx:images.idx")
-            return read_idx(img, lbl, num_classes=10), full
-        records = rng.integers(0, 256, size=(60, 3073), dtype=np.uint8)
-        records[:, 0] %= 10
-        path = tmp_path / "batch.bin"
-        path.write_bytes(records.tobytes())
-        planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-        full = Dataset(planes / 255.0, records[:, 0], 10, "cifar10:1 file(s)")
-        return read_cifar10_binary(path), full
+            img, lbl, images, labels = make_idx_pair(tmp_path, n=60, rows=8, cols=8, seed=7)
+            loaded = load_idx(img, lbl, num_classes=10)
+            images = images[..., None]
+        else:
+            records = np.random.default_rng(7).integers(0, 256, size=(60, 3073),
+                                                        dtype=np.uint8)
+            records[:, 0] %= 10
+            (tmp_path / "batch.bin").write_bytes(records.tobytes())
+            loaded = load_cifar10_binary(tmp_path / "batch.bin")
+            images = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+            labels = records[:, 0]
+        full = Dataset(images / 255.0, labels, 10, loaded.provenance)
+        assert loaded.inputs.dtype == np.uint8 and full.inputs.dtype == np.float64
+        return loaded, full
 
     @pytest.mark.parametrize("kind", ["idx", "cifar10"])
     def test_split_equals_full_conversion(self, tmp_path, kind):
-        pixels, full = self.read(tmp_path, kind)
-        assert pixels.pixels.dtype == np.uint8
+        loaded, full = self.read(tmp_path, kind)
         spec = SplitSpec(30, 10, 15, seed=3)
-        parts, expected = split(pixels, spec), split(full, spec)
+        parts, expected = split(loaded, spec), split(full, spec)
         assert parts.discarded == expected.discarded == 5
         for name in ("train", "validation", "test"):
             got, want = getattr(parts, name), getattr(expected, name)
-            assert got.inputs.dtype == np.float64
-            assert got.inputs.shape == want.inputs.shape
-            assert got.inputs.tobytes() == want.inputs.tobytes()
-            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.inputs.dtype == np.uint8
+            x, y = got.take(slice(None))
+            x_want, y_want = want.take(slice(None))
+            assert x.dtype == np.float64 and x.shape == x_want.shape
+            assert x.tobytes() == x_want.tobytes()
+            np.testing.assert_array_equal(y, y_want)
             assert got.provenance == want.provenance
+        assert ([x.tobytes() + y.tobytes() for x, y in batches(parts.train, 16, RngStream(3))]
+                == [x.tobytes() + y.tobytes()
+                    for x, y in batches(expected.train, 16, RngStream(3))])
 
     @pytest.mark.parametrize("kind", ["idx", "cifar10"])
     def test_loaders_equal_full_conversion(self, tmp_path, kind):
-        pixels, full = self.read(tmp_path, kind)
-        load = load_idx if kind == "idx" else load_cifar10_binary
-        args = ((tmp_path / "images.idx", tmp_path / "labels.idx", 10)
-                if kind == "idx" else (tmp_path / "batch.bin",))
-        loaded = load(*args)
-        assert loaded.inputs.tobytes() == full.inputs.tobytes()
-        np.testing.assert_array_equal(loaded.labels, full.labels)
+        """batches, sample_batch and evaluate read the same bytes from a
+        loaded file as from the file converted up front."""
+        loaded, full = self.read(tmp_path, kind)
+
+        def outputs(ds):
+            net = init_network([conv2d(2, 3, stride=2), relu_layer(), flatten_layer(),
+                                dense(10, maskable=False)], ds.input_shape, seed=0)
+            rows = [ds.take(slice(None)), *batches(ds, 16, RngStream(1)),
+                    sample_batch(ds, 8, RngStream(2))]
+            return ([x.tobytes() + y.tobytes() for x, y in rows],
+                    evaluate(net, None, ds, batch_size=25))
+
+        assert outputs(loaded) == outputs(full)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         img, _, _, _ = make_idx_pair(tmp_path, n=3)
         write_idx_labels(tmp_path / "bad", np.array([1, 12, 3], dtype=np.uint8))
         with pytest.raises(ValueError, match="labels must lie"):
-            read_idx(img, tmp_path / "bad", num_classes=10)
+            load_idx(img, tmp_path / "bad", num_classes=10)
 
 
 class TestBlobs:
@@ -184,8 +201,8 @@ class TestBlobs:
     def test_deterministic(self):
         a = synthetic_blobs(5, 20, 8, 0.5, seed=9)
         b = synthetic_blobs(5, 20, 8, 0.5, seed=9)
-        np.testing.assert_array_equal(a.inputs, b.inputs)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        for x, y in zip(a.take(slice(None)), b.take(slice(None))):
+            np.testing.assert_array_equal(x, y)
 
     def test_tiny_spread_trains_to_perfect_accuracy(self):
         ds = synthetic_blobs(4, 40, 8, 0.01, seed=2)
@@ -219,7 +236,7 @@ class TestSplit:
     def test_disjoint_and_exhaustive(self):
         ds = identifiable_dataset(100)
         res = split(ds, SplitSpec(0.6, 0.2, 0.2, seed=1))
-        ids = [set(part.inputs[:, 0].astype(int).tolist())
+        ids = [set(part.take(slice(None))[0][:, 0].astype(int).tolist())
                for part in (res.train, res.validation, res.test)]
         assert ids[0] | ids[1] | ids[2] == set(range(100))
         assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
@@ -235,7 +252,8 @@ class TestSplit:
         ds = identifiable_dataset(60)
         a = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=7))
         b = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=7))
-        np.testing.assert_array_equal(a.train.inputs, b.train.inputs)
+        np.testing.assert_array_equal(a.train.take(slice(None))[0],
+                                      b.train.take(slice(None))[0])
 
     def test_infeasible_rejected(self):
         ds = identifiable_dataset(10)

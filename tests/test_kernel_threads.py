@@ -8,6 +8,7 @@ are patched so that pieces are fewer than the threads, exactly as many, or
 more with a ragged last one.
 """
 
+import inspect
 import json
 import sys
 import threading
@@ -361,17 +362,31 @@ def cell_files(out):
 
 def test_conv_cell_outputs_identical_at_one_and_two_threads(tmp_path, capsys,
                                                             monkeypatch):
-    monkeypatch.setattr(network, "_BLOCK_BYTES", 4096)
-    monkeypatch.setattr(network, "_CHUNK_ROWS", 4)
-    monkeypatch.setattr(network, "_CHUNK_MACS", 1)
+    """Small cuts make the cell's conv blocks, row and column GEMM chunks and
+    element-wise pieces all run on its pool at two threads: GEMMs of batch
+    rows (16) are cut by columns, taller ones by rows."""
+    for name, value in (("_BLOCK_BYTES", 4096), ("_CHUNK_ROWS", 20), ("_CHUNK_MACS", 1),
+                        ("_CHUNK_COLS", 4), ("_COL_CHUNK_MACS", 1),
+                        ("_PIECE_SIZE", 64), ("_MIN_PIECES", 2)):
+        monkeypatch.setattr(network, name, value)
     pools_made = []
-    real_pool = network.KernelPool
+    real_pool, real_run_pieces = network.KernelPool, network.run_pieces
 
     def recording_pool(threads):
         pools_made.append(threads)
         return real_pool(threads)
 
+    pooled = set()
+
+    def run_pieces_spy(pool, piece, count):
+        if pool is not None:
+            by_rows = inspect.getclosurevars(piece).nonlocals.get("by_rows")
+            pooled.add({True: "row chunks", False: "column chunks"}.get(
+                by_rows, piece.__qualname__))
+        real_run_pieces(pool, piece, count)
+
     monkeypatch.setattr(network, "KernelPool", recording_pool)
+    monkeypatch.setattr(network, "run_pieces", run_pieces_spy)
     config = conv_config(tmp_path)
     runs = {}
     for parallel in (1, 2):
@@ -379,6 +394,9 @@ def test_conv_cell_outputs_identical_at_one_and_two_threads(tmp_path, capsys,
         code, stdout = run_cli(capsys, config, out, parallel)
         assert code == 0, stdout
         runs[parallel] = (stdout, cell_files(out))
+    assert pooled == {"row chunks", "column chunks", "_elementwise.<locals>.piece",
+                      "_conv_forward.<locals>.forward_block",
+                      "_conv_backward.<locals>.backward_block"}
     stdout, files = runs[1]
     assert "[completed] random_baseline_0.5_0" in stdout
     assert sorted(files) == [f"{run_label('random_baseline', 0.5, 0)}/{name}"

@@ -8,7 +8,7 @@ import pytest
 from weedout import pipeline
 from weedout.errors import DivergenceError
 from weedout.network import default_dense_spec
-from weedout.pipeline import (ARMS, TrainConfig, is_completed, metrics_csv_bytes,
+from weedout.pipeline import (ARMS, TrainConfig, cell_state, metrics_csv_bytes,
                               read_run_record, run_cell, run_label,
                               search_csv_bytes, sweep, sweep_cells,
                               write_failure, write_run_record)
@@ -126,8 +126,9 @@ class TestPersistence:
         rec = run("weedout", 0.4, 1, blob_splits)
         cell = tmp_path / rec.run_id
         write_run_record(rec, cell, effective_config={"x": 1})
-        assert is_completed(cell)
-        back = read_run_record(cell)
+        state = cell_state(cell)
+        assert state.status == "completed" and state.reason is None
+        back = read_run_record(cell, state.manifest)
         assert metrics_csv_bytes(back) == metrics_csv_bytes(rec)
         assert search_csv_bytes(back.search_history) == search_csv_bytes(rec.search_history)
         assert back.parent_checksum == rec.parent_checksum
@@ -139,7 +140,9 @@ class TestPersistence:
         write_run_record(rec, cell)
         blob = (cell / "metrics.csv").read_bytes()
         (cell / "metrics.csv").write_bytes(blob.replace(b"0", b"1", 1))
-        assert not is_completed(cell)
+        state = cell_state(cell)
+        assert state.status == "corrupt" and state.manifest is None
+        assert state.reason.startswith("ChecksumError: ")
 
 
 class TestSweep:
@@ -167,6 +170,26 @@ class TestSweep:
             assert (r.cell_dir / "metrics.csv").stat().st_mtime_ns == stamps[r.cell_dir]
             assert (r.cell_dir / "metrics.csv").read_bytes() == contents[r.cell_dir]
 
+    def test_cached_rerun_hashes_each_listed_file_once(self, tmp_path, blob_splits,
+                                                       monkeypatch):
+        out = tmp_path / "sweep"
+        args = (SPEC, SHAPE, [0.4], ["weedout", "random_baseline"], [0, 1],
+                small_search(), small_train(), blob_splits, out)
+        sweep(*args)
+        listed = sorted(digest for path in out.glob("*/manifest.json")
+                        for digest in json.loads(path.read_text())["files"].values())
+        assert len(listed) == 6  # metrics.csv per cell, search.csv per weedout cell
+        hashed = []
+        real_sha256 = pipeline._sha256
+
+        def sha256_spy(data):
+            hashed.append(real_sha256(data))
+            return hashed[-1]
+
+        monkeypatch.setattr(pipeline, "_sha256", sha256_spy)
+        assert [r.status for r in sweep(*args)] == ["cached"] * 4
+        assert sorted(hashed) == listed
+
     def test_single_cell_sweep_equals_direct_run(self, tmp_path, blob_splits):
         out = tmp_path / "sweep"
         results = sweep(SPEC, SHAPE, [0.4], ["weedout"], [3], small_search(),
@@ -186,7 +209,7 @@ class TestSweep:
         assert by_arm["weedout"] == ["failed", "failed"]
         assert by_arm["random_baseline"] == ["completed", "completed"]
         failed_dir = out / run_label("weedout", 0.4, 0)
-        assert not is_completed(failed_dir)
+        assert cell_state(failed_dir).status == "failed"
         import json
         manifest = json.loads((failed_dir / "manifest.json").read_text())
         assert manifest["status"] == "failed"
@@ -200,7 +223,7 @@ class TestSweep:
         results = sweep(SPEC, SHAPE, [0.4], ["weedout"], [0], small_search(),
                         small_train(), blob_splits, out)
         assert results[0].status == "completed"
-        assert is_completed(results[0].cell_dir)
+        assert cell_state(results[0].cell_dir).status == "completed"
 
 
 class TestAtomicWrites:
@@ -244,7 +267,7 @@ class TestAtomicWrites:
         # no manifest and no temporary file; an old search.csv may stay
         assert names == (["metrics.csv"] if before == "empty"
                          else ["metrics.csv", "search.csv"])
-        assert not is_completed(cell)
+        assert cell_state(cell).status == "corrupt"
 
         results = sweep(*args, out)
         assert results[0].status == "completed"

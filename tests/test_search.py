@@ -194,9 +194,6 @@ class TestRunSearch:
             run_search(net16, self.cfg(population_size=1), 0.4, blob_splits.validation,
                        RngStream(8))
         with pytest.raises(ValueError):
-            run_search(net16, self.cfg(strategy="binary_tournament"), 0.4,
-                       blob_splits.validation, RngStream(8))
-        with pytest.raises(ValueError):
             run_search(net16, self.cfg(winner_scope="best_ever"), 0.4,
                        blob_splits.validation, RngStream(8))
 

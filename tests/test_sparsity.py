@@ -10,8 +10,7 @@ from weedout.network import (SgdState, _forward_backward, conv2d, dense,
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import Splits, TrainConfig, _train
 from weedout.search import Candidate, fitness
-from weedout.sparsity import (MaskSet, active_parameter_count,
-                              per_layer_sparsity, realized_sparsity,
+from weedout.sparsity import (MaskSet, active_parameter_count, realized_sparsity,
                               reduce_network, resample_mask, sample_mask,
                               sample_structured, sub_network)
 
@@ -148,10 +147,9 @@ class TestRealizedSparsity:
     def test_per_layer_view(self, rng):
         spec = widths_spec()
         mask = sample_structured(spec, 0.8, rng)
-        per = per_layer_sparsity(mask)
-        for i, frac in per.items():
+        for i, m in mask.masks.items():
             width = spec[i].width
-            assert frac == round_half_up(0.8 * width) / width
+            assert (~m).mean() == round_half_up(0.8 * width) / width
 
 
 class TestReduceNetwork:
@@ -265,7 +263,7 @@ class TestSubNetwork:
     def test_fitness_matches_masked_parent(self, eta):
         splits = self.splits()
         net = init_network(self.SPEC, self.SHAPE, seed=10)
-        x, y = splits.validation.inputs, splits.validation.labels
+        x, y = splits.validation.take(slice(None))
         rng = RngStream(12)
         for trial in range(4):
             mask = sample_structured(self.SPEC, eta, rng.split(f"m{trial}"))
