@@ -453,6 +453,9 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
     Returns the logits, the kept inputs and, per layer, the weight the layer
     multiplied by (for an unstructured mask, the masked product), so that the
     backward pass reuses it. ``pool`` runs the kernels' pieces.
+
+    A relu overwrites its input unless that is ``x`` or a view of it; its kept
+    input may then hold its output, as its gradient reads only ``h > 0``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
@@ -477,7 +480,7 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
             if i in node_masks:
                 h = h * node_masks[i]
         elif layer.kind == "relu":
-            h = _elementwise(pool, _relu, h)
+            h = _elementwise(pool, _relu, h, out=None if np.may_share_memory(h, x) else h)
         elif layer.kind == "flatten":
             h = h.reshape(h.shape[0], -1)
     return h, inputs, weights
@@ -547,10 +550,14 @@ class EvalResult(NamedTuple):
 
 
 def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 512,
-             pool: KernelPool | None = None) -> EvalResult:
+             pool: KernelPool | None = None, block_rows: int | None = None) -> EvalResult:
     """Accuracy and mean loss over a dataset; deterministic, in dataset order.
 
-    ``pool`` runs the kernels' pieces; the result does not depend on it.
+    The loss is taken over chunks of ``batch_size`` examples, the forward on
+    blocks of at most ``block_rows`` of them (default: whole chunks), which
+    bounds the activations held at once and leaves every logit's bytes as
+    they are. An unstructured mask is multiplied into the weights once per
+    call. ``pool`` runs the kernels' pieces; the result does not depend on it.
     """
     from .numerics import softmax_cross_entropy
 
@@ -558,11 +565,20 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_mask(net, mask)
+    if mask is not None and mask.mode == "unstructured":
+        params = [LayerParams(_elementwise(pool, np.multiply, p.weight, mask.masks[i]), p.bias)
+                  if i in mask.masks else p for i, p in enumerate(net.params)]
+        net, mask = Network(net.spec, net.input_shape, params, net.init_seed), None
+    block_rows = block_rows or batch_size
     correct = 0
     loss_sum = 0.0
     for start in range(0, n, batch_size):
-        x, y = dataset.take(slice(start, start + batch_size))
-        logits, _, _ = _forward_pass(net, mask, x, False, pool)
+        stop = min(start + batch_size, n)
+        logits = np.concatenate([
+            _forward_pass(net, mask, dataset.take(slice(b, min(b + block_rows, stop)))[0],
+                          False, pool)[0]
+            for b in range(start, stop, block_rows)])
+        y = dataset.labels[start:stop]
         loss, _ = softmax_cross_entropy(logits, y, with_grad=False)
         loss_sum += loss * len(y)
         correct += int((logits.argmax(axis=1) == y).sum())

@@ -170,7 +170,8 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
         test_acc = test_loss = None
         if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
             t_eval = time.perf_counter()
-            res = evaluate(net, mask, splits.test, pool=pool)
+            res = evaluate(net, mask, splits.test, pool=pool,
+                           block_rows=train_cfg.batch_size)
             eval_seconds += time.perf_counter() - t_eval
             test_acc, test_loss = res.accuracy, res.mean_loss
         rows.append(EpochRow(epoch=epoch, train_accuracy=correct / seen,

@@ -11,6 +11,7 @@ CI is computed, so ``weedout run`` never loads it.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -50,19 +51,33 @@ class ArmDifference:
     verdict: str
 
 
+def _expected_labels(sweep_dir: Path) -> set[str]:
+    """Labels of the cells the sweep's ``config.json`` lists; none without one."""
+    try:
+        cfg = json.loads((sweep_dir / "config.json").read_text(encoding="utf-8"))
+        cells = pipeline.sweep_cells(cfg["search"]["etas"], cfg["arms"], cfg["seeds"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    return {pipeline.run_label(*cell) for cell in cells}
+
+
 def load_records(sweep_dir: Path) -> tuple[list[pipeline.RunRecord],
                                             list[tuple[str, pipeline.CellState]]]:
     """The record of every completed cell under ``sweep_dir``, and the label
-    and state of every other cell directory, both in name order."""
-    records, excluded = [], []
+    and state of every other cell, both in name order. The cells are every
+    directory named like a cell and every cell the sweep's config lists, so
+    a cell whose directory is missing is excluded as absent."""
+    sweep_dir = Path(sweep_dir)
     prefixes = tuple(f"{arm}_" for arm in pipeline.ARMS)
-    for path in sorted(Path(sweep_dir).iterdir()):
-        if path.is_dir() and path.name.startswith(prefixes):
-            state = pipeline.cell_state(path)
-            if state.status == "completed":
-                records.append(pipeline.read_run_record(path, state.manifest))
-            else:
-                excluded.append((path.name, state))
+    labels = _expected_labels(sweep_dir) | {
+        p.name for p in sweep_dir.iterdir() if p.is_dir() and p.name.startswith(prefixes)}
+    records, excluded = [], []
+    for label in sorted(labels):
+        state = pipeline.cell_state(sweep_dir / label)
+        if state.status == "completed":
+            records.append(pipeline.read_run_record(sweep_dir / label, state.manifest))
+        else:
+            excluded.append((label, state))
     return records, excluded
 
 

@@ -40,6 +40,26 @@ def encode_cifar10_records(inputs, labels):
     return records.tobytes()
 
 
+def pre_activation(net, mask, inputs, weights, i):
+    """What entered relu ``i``, recomputed from the kept input and returned
+    weight of the parameterized layer before it, with the network's own
+    kernels: a relu runs in place, so its own kept input holds its output."""
+    from weedout.network import _conv_forward, _gemm
+
+    j = i - 1
+    if j < 0 or net.spec[j].kind not in ("dense", "conv2d"):
+        raise ValueError(f"relu {i} does not follow a parameterized layer")
+    layer, bias = net.spec[j], net.params[j].bias
+    if layer.kind == "dense":
+        h = _gemm(inputs[j], weights[j])
+        h += bias
+    else:
+        h = _conv_forward(inputs[j], weights[j], bias, layer.stride)
+    if mask is not None and mask.mode == "structured" and j in mask.masks:
+        h = h * mask.masks[j]
+    return h
+
+
 def kink_distance(net, mask, x):
     """Smallest |pre-activation| entering any relu layer, pinned entries aside.
 
@@ -53,13 +73,13 @@ def kink_distance(net, mask, x):
     """
     from weedout.network import _forward_pass
 
-    _, inputs, _ = _forward_pass(net, mask, x, keep_inputs=True)
+    _, inputs, weights = _forward_pass(net, mask, x, keep_inputs=True)
     structured = mask is not None and mask.mode == "structured"
     dist = float("inf")
     free = None  # per entry of the current activation: not pinned by a node mask
     for i, layer in enumerate(net.spec):
         if layer.kind == "relu":
-            vals = np.abs(inputs[i])
+            vals = np.abs(pre_activation(net, mask, inputs, weights, i))
             if free is not None:
                 vals = vals[free]
             if vals.size:

@@ -506,6 +506,19 @@ class TestCmdReport:
             assert (sweep_dir / "report" / name).read_bytes() == \
                 (kept / "report" / name).read_bytes()
 
+    def test_missing_cell_directory_is_named_absent(self, tmp_path, capsys):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), seeds=[0, 1],
+                          arms=["weedout", "random_baseline"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        sweep_dir = tmp_path / "sweep"
+        shutil.rmtree(sweep_dir / run_label("random_baseline", 0.3, 1))
+        capsys.readouterr()
+        assert main(["report", str(sweep_dir)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "[excluded] random_baseline_0.3_1: absent: no files"]
+
     def test_empty_sweep_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()

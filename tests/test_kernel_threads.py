@@ -274,6 +274,27 @@ class TestPasses:
         assert result == list(network.evaluate(net, mask, dataset, 5))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evaluate_in_training_batch_blocks_keeps_its_result(small_pieces, monkeypatch,
+                                                           threads):
+    """300 examples in one loss chunk, forwarded as blocks of 128, 128 and 44
+    rows, give the same result as one 300-row forward, with or without a pool."""
+    net, mask, x, y = instance("unstructured", batch=300)
+    dataset = Dataset(x, y, 3)
+    whole = network.evaluate(net, mask, dataset)
+    real_forward, rows = network._forward_pass, []
+
+    def forward_spy(net, mask, x, keep_inputs, pool=None):
+        rows.append(len(x))
+        return real_forward(net, mask, x, keep_inputs, pool)
+
+    monkeypatch.setattr(network, "_forward_pass", forward_spy)
+    with network.kernel_pool(threads) as pool:
+        blocked = network.evaluate(net, mask, dataset, pool=pool, block_rows=128)
+    assert rows == [128, 128, 44]
+    assert blocked == whole
+
+
 @pytest.mark.parametrize("mode", ["structured", "unstructured"])
 def test_training_identical_for_every_thread_count(small_pieces, mode):
     net, mask, x, y = instance(mode, batch=40)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
+from weedout import network, synthetic_blobs
 from weedout.errors import (MaskMismatchError, ShapeMismatchError,
                             SpecValidationError)
 from weedout.network import (LayerParams, SgdState, conv2d, dense, evaluate,
@@ -12,7 +14,8 @@ from weedout.network import (LayerParams, SgdState, conv2d, dense, evaluate,
                              maskable_indices, parent_checksum, relu_layer,
                              sgd_step)
 from weedout.numerics import RngStream
-from weedout.sparsity import MaskSet, resample_mask, sample_structured
+from weedout.pipeline import Splits, TrainConfig, _train
+from weedout.sparsity import MaskSet, resample_mask, sample_mask, sample_structured
 from weedout.data import Dataset
 
 
@@ -284,3 +287,52 @@ class TestEvaluate:
     def test_empty_dataset_unconstructible(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 3)
+
+
+class TestActivationMemory:
+    def test_relu_never_writes_into_the_callers_inputs(self):
+        """A relu right after flatten reads a view of the batch, and a float
+        dataset's slices are views of its inputs: the relu must not write there."""
+        ds = synthetic_blobs(num_classes=3, per_class=40, dim=6, spread=0.35, seed=5)
+        before = ds.inputs.tobytes()
+        assert (ds.inputs < 0).any()  # a relu written into them would change them
+        net = init_network([flatten_layer(), relu_layer(), dense(3, maskable=False)],
+                           (6,), seed=0)
+        x, y = ds.take(slice(0, 40))
+        steps = {
+            "evaluate": lambda: evaluate(net, None, ds),
+            "loss_and_grads": lambda: loss_and_grads(net, None, x, y),
+            "_train": lambda: _train(net, MaskSet("unstructured", {}),
+                                     TrainConfig(epochs=1, batch_size=16),
+                                     Splits(ds, ds, ds), RngStream(0), "run"),
+        }
+        for name, step in steps.items():
+            step()
+            assert ds.inputs.tobytes() == before, name
+
+    def test_evaluate_peak_stays_within_one_training_step(self):
+        """Forwarded in training-batch blocks, evaluation holds no more traced
+        memory than one forward and backward pass at that batch."""
+        spec = [conv2d(8, 3), relu_layer(), conv2d(16, 3), relu_layer(),
+                flatten_layer(), dense(32), relu_layer(), dense(10, maskable=False)]
+        shape, batch = (16, 16, 3), 32
+        rng = RngStream(8)
+        net = init_network(spec, shape, seed=1)
+        mask = sample_mask(spec, shape, 0.5, "unstructured", rng.split("mask"))
+        x = rng.split("x").normal((512,) + shape)
+        y = np.asarray(rng.split("y").integers(0, 10, size=512))
+        ds = Dataset(x, y, 10)
+
+        def traced_peak(compute) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                compute()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        eval_peak = traced_peak(lambda: evaluate(net, mask, ds, block_rows=batch))
+        step_peak = traced_peak(
+            lambda: network._forward_backward(net, mask, x[:batch], y[:batch]))
+        assert eval_peak <= step_peak
