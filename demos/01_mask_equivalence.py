@@ -10,7 +10,7 @@ import numpy as np
 
 from weedout import RngStream, forward, init_network, loss_and_grads, reduce_network
 from weedout.network import conv2d, dense, flatten_layer, relu_layer
-from weedout.sparsity import realized_sparsity, sample_structured
+from weedout.sparsity import active_parameter_count, realized_sparsity, sample_structured
 
 spec = [
     conv2d(8, 3), relu_layer(),
@@ -22,7 +22,8 @@ spec = [
 input_shape = (12, 12, 1)
 
 net = init_network(spec, input_shape, seed=7)
-print(f"parent network: {net.parameter_count()} parameters")
+parent_count = active_parameter_count(net, None)  # every weight and bias
+print(f"parent network: {parent_count} parameters")
 
 rng = RngStream(2024)
 mask = sample_structured(spec, eta=0.6, rng=rng.split("mask"))
@@ -32,8 +33,9 @@ for i, m in mask.masks.items():
     print(f"  layer {i} ({spec[i].kind}, width {spec[i].width}): {int((~m).sum())} nodes off")
 
 reduced = reduce_network(net, mask)
-print(f"\nreduced network: {reduced.parameter_count()} parameters "
-      f"({net.parameter_count() - reduced.parameter_count()} deleted)")
+reduced_count = active_parameter_count(reduced, None)
+print(f"\nreduced network: {reduced_count} parameters "
+      f"({parent_count - reduced_count} deleted)")
 
 x = rng.split("x").normal((16,) + input_shape)
 y = np.asarray(rng.split("y").integers(0, 10, size=16))

@@ -20,16 +20,3 @@ from .sparsity import (MaskSet, realized_sparsity, reduce_network, sample_mask,
                        sample_structured)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Candidate", "Dataset", "LayerSpec", "MaskSet", "Network", "RngStream",
-    "RunRecord", "SearchConfig", "SearchResult", "SgdState", "SplitSpec",
-    "Splits", "Tensor", "TrainConfig", "batches",
-    "conv2d", "default_conv_spec", "default_dense_spec", "dense",
-    "evaluate", "fitness", "flatten_layer", "forward", "he_normal",
-    "init_network", "load_cifar10_binary", "load_idx", "loss_and_grads",
-    "next_generation", "realized_sparsity", "reduce_network", "relu_layer",
-    "run_cell", "run_search", "sample_batch", "sample_mask", "sample_structured",
-    "select_best", "sgd_step",
-    "softmax_cross_entropy", "split", "sweep", "synthetic_blobs",
-]

@@ -12,9 +12,10 @@ A convolution runs as im2col GEMMs: the input's windows, unrolled in the
 weight's (kh, kw, c_in) order, multiply the flattened weight, one
 cache-sized block of examples at a time. A large dense GEMM runs as row
 chunks, or as column chunks when it has few rows, and a large element-wise
-pass (a masked weight or gradient, relu and its gradient, the SGD update)
-as flat pieces. The backward pass skips the gradient with respect to the
-first parameterized layer's input, which nothing reads.
+pass (a masked weight or gradient, relu and its gradient, the SGD update
+with its gradient mask) as flat pieces. The backward pass skips the
+gradient with respect to the first parameterized layer's input, which
+nothing reads.
 
 Blocks, chunks and pieces depend only on array shapes, and each writes its
 own part of the result; per-block weight gradients are summed in block order.
@@ -24,8 +25,10 @@ which run their pieces on it in contiguous runs. The threads only choose
 who computes a piece, so every result is the same bytes for any thread
 count, ``None`` (one thread) included.
 
-Search and training run unstructured masks through these masked passes.
-Structured masks execute on the smaller network that
+Search runs unstructured masks through these masked passes; training
+multiplies the mask into the weights once and masks only the update
+(``sgd_step``'s ``weight_masks``), to the same bytes. Structured masks
+execute on the smaller network that
 ``sparsity.reduce_network`` builds, with no mask (see
 ``sparsity.sub_network``); the masked structured pass is the oracle that
 the reduced network is checked against.
@@ -44,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MaskMismatchError, ShapeMismatchError, SpecValidationError
-from .numerics import RngStream, Tensor, he_normal
+from .numerics import RngStream, Tensor, he_normal, softmax_cross_entropy
 
 if TYPE_CHECKING:
     from .sparsity import MaskSet
@@ -202,9 +205,6 @@ class Network:
         params = [LayerParams(p.weight.copy(), p.bias.copy()) if p is not None else None
                   for p in self.params]
         return Network(list(self.spec), tuple(self.input_shape), params, self.init_seed)
-
-    def parameter_count(self) -> int:
-        return sum(p.weight.size + p.bias.size for p in self.params if p is not None)
 
 
 def init_network(spec: list[LayerSpec], input_shape, seed: int) -> Network:
@@ -454,8 +454,9 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
     multiplied by (for an unstructured mask, the masked product), so that the
     backward pass reuses it. ``pool`` runs the kernels' pieces.
 
-    A relu overwrites its input unless that is ``x`` or a view of it; its kept
-    input may then hold its output, as its gradient reads only ``h > 0``.
+    A relu after a parameterized layer overwrites its input, which no longer
+    shares memory with ``x``; its kept input then holds its output, as its
+    gradient reads only ``h > 0``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
@@ -464,7 +465,7 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
     node_masks, weight_masks = _node_and_weight_masks(mask)
     inputs: list[Tensor | None] = []
     weights: list[Tensor | None] = [None] * len(net.spec)
-    h = x
+    h, h_is_ours = x, False
     for i, layer in enumerate(net.spec):
         inputs.append(h if keep_inputs else None)
         if layer.kind in PARAM_KINDS:
@@ -479,8 +480,9 @@ def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
                 h = _conv_forward(h, w, net.params[i].bias, layer.stride, pool)
             if i in node_masks:
                 h = h * node_masks[i]
+            h_is_ours = True
         elif layer.kind == "relu":
-            h = _elementwise(pool, _relu, h, out=None if np.may_share_memory(h, x) else h)
+            h = _elementwise(pool, _relu, h, out=h if h_is_ours else None)
         elif layer.kind == "flatten":
             h = h.reshape(h.shape[0], -1)
     return h, inputs, weights
@@ -495,36 +497,37 @@ def forward(net: Network, mask: "MaskSet | None", batch: Tensor) -> Tensor:
 
 def _forward_backward(net: Network, mask, x: Tensor, labels,
                       pool: KernelPool | None = None):
-    from .numerics import softmax_cross_entropy
-
     logits, inputs, weights = _forward_pass(net, mask, x, True, pool)
     loss, dh = softmax_cross_entropy(logits, labels)
     node_masks, weight_masks = _node_and_weight_masks(mask)
     grads: Gradients = [None] * len(net.spec)
     # Nothing reads the gradient with respect to the first parameterized
-    # layer's input, so it is not computed.
-    first = next(i for i, p in enumerate(net.params) if p is not None)
+    # layer's input, so it is not computed. A dense layer's weight gradient
+    # is taken last, when the larger gradients below it are freed.
+    first = 0
+    while net.params[first] is None:
+        first += 1
+    dense_douts = []
     for i in range(len(net.spec) - 1, first - 1, -1):
         layer = net.spec[i]
-        h_in = inputs[i]
         if layer.kind in PARAM_KINDS:
             if i in node_masks:
                 dh = dh * node_masks[i]
-            input_grad = i > first
             if layer.kind == "dense":
-                dw = _gemm(h_in.T, dh, pool)
-                db = dh.sum(axis=0)
-                dh = _gemm(dh, weights[i].T, pool) if input_grad else None
+                dense_douts.append((i, dh))
+                dh = _gemm(dh, weights[i].T, pool) if i > first else None
             else:
-                dw, db, dh = _conv_backward(h_in, weights[i], layer.stride, dh,
-                                            input_grad, pool)
-            if i in weight_masks:
-                _elementwise(pool, np.multiply, dw, weight_masks[i], out=dw)
-            grads[i] = LayerParams(dw, db)
+                dw, db, dh = _conv_backward(inputs[i], weights[i], layer.stride, dh,
+                                            i > first, pool)
+                grads[i] = LayerParams(dw, db)
         elif layer.kind == "relu":
-            dh = _elementwise(pool, _relu_grad, dh, h_in, out=dh)
+            dh = _elementwise(pool, _relu_grad, dh, inputs[i], out=dh)
         elif layer.kind == "flatten":
-            dh = dh.reshape(h_in.shape)
+            dh = dh.reshape(inputs[i].shape)
+    for i, dout in dense_douts:
+        grads[i] = LayerParams(_gemm(inputs[i].T, dout, pool), dout.sum(axis=0))
+    for i, m in weight_masks.items():
+        _elementwise(pool, np.multiply, grads[i].weight, m, out=grads[i].weight)
     return loss, grads, logits
 
 
@@ -537,8 +540,6 @@ def loss_and_grads(net: Network, mask: "MaskSet | None", batch: Tensor, labels):
 
 def mean_loss(net: Network, mask: "MaskSet | None", batch: Tensor, labels) -> float:
     """Forward-only mean cross-entropy (no gradient work)."""
-    from .numerics import softmax_cross_entropy
-
     logits = forward(net, mask, batch)
     loss, _ = softmax_cross_entropy(logits, labels, with_grad=False)
     return loss
@@ -559,8 +560,6 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     they are. An unstructured mask is multiplied into the weights once per
     call. ``pool`` runs the kernels' pieces; the result does not depend on it.
     """
-    from .numerics import softmax_cross_entropy
-
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -599,10 +598,13 @@ class SgdState:
 
 
 def sgd_step(net: Network, grads: Gradients, lr: float, momentum: float,
-             state: SgdState, pool: KernelPool | None = None) -> Network:
+             state: SgdState, pool: KernelPool | None = None,
+             weight_masks: dict | None = None) -> Network:
     """One momentum-SGD update, in place on an exclusively-owned network.
 
     velocity <- momentum * velocity + grads; params <- params - lr * velocity.
+    ``weight_masks`` (by layer index) zero those gradients' masked entries in
+    place first, so a weight already masked to zero keeps its signed zero.
     ``pool`` runs large weights' updates in pieces, to the same bytes.
     """
     if not lr > 0:
@@ -615,14 +617,23 @@ def sgd_step(net: Network, grads: Gradients, lr: float, momentum: float,
         out += g
         p -= lr * out
 
-    for p, g, v in zip(net.params, grads, state.velocities):
+    def masked_update(p: Tensor, g: Tensor, m: Tensor, out: Tensor) -> None:
+        g *= m
+        update(p, g, out)
+
+    weight_masks = weight_masks or {}
+    for i, (p, g, v) in enumerate(zip(net.params, grads, state.velocities)):
         if p is None:
             continue
         if g is None or v is None:
             raise ValueError("gradients/state are not congruent with the network")
         if g.weight.shape != p.weight.shape or g.bias.shape != p.bias.shape:
             raise ValueError("gradient shapes are not congruent with the network")
-        _elementwise(pool, update, p.weight, g.weight, out=v.weight)
+        if i in weight_masks:
+            _elementwise(pool, masked_update, p.weight, g.weight, weight_masks[i],
+                         out=v.weight)
+        else:
+            _elementwise(pool, update, p.weight, g.weight, out=v.weight)
         update(p.bias, g.bias, out=v.bias)
     return net
 

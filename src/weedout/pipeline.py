@@ -137,12 +137,17 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
     """Train the sub-network ``mask`` selects from ``net``.
 
     A structured mask trains its reduced network and leaves ``net``
-    untouched; an unstructured mask trains ``net`` in place. The cell's
-    ``pool``, if any, runs the kernels, with the same results as one thread.
-    Returns epoch rows, seconds spent in evaluation and the active parameter
-    count.
+    untouched; an unstructured mask is multiplied into ``net``'s weights once,
+    in place, and the update masks each gradient, so a masked weight stays the
+    same signed zero and the passes run with no mask, to the same bytes as
+    masked passes. The cell's ``pool``, if any, runs the kernels, with the
+    same results as one thread. Returns epoch rows, seconds spent in
+    evaluation and the active parameter count.
     """
     net, mask = sub_network(net, mask)
+    weight_masks = {} if mask is None else mask.masks
+    for i, m in weight_masks.items():
+        net.params[i].weight *= m
     state = SgdState.zeros(net)
     rows: list[EpochRow] = []
     eval_seconds = 0.0
@@ -153,7 +158,7 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
         for batch_no, (x, y) in enumerate(
                 batches(splits.train, train_cfg.batch_size, rng_train.split(f"epoch{epoch}"))):
             try:
-                loss, grads, logits = _forward_backward(net, mask, x, y, pool)
+                loss, grads, logits = _forward_backward(net, None, x, y, pool)
             except ValueError as exc:
                 # forward/loss refuse non-finite values once weights blow up
                 raise DivergenceError(
@@ -162,7 +167,7 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"{run_id}: non-finite loss at epoch {epoch}, batch {batch_no}")
-            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state, pool)
+            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state, pool, weight_masks)
             n = len(y)
             seen += n
             loss_sum += loss * n
@@ -170,7 +175,7 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
         test_acc = test_loss = None
         if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
             t_eval = time.perf_counter()
-            res = evaluate(net, mask, splits.test, pool=pool,
+            res = evaluate(net, None, splits.test, pool=pool,
                            block_rows=train_cfg.batch_size)
             eval_seconds += time.perf_counter() - t_eval
             test_acc, test_loss = res.accuracy, res.mean_loss

@@ -21,6 +21,7 @@ from weedout.pipeline import (EpochRow, RunRecord, TrainConfig, run_label,
 from weedout.report import (_mean_ci, aggregate_records, arm_differences,
                             load_records, pooled_ci_half_width)
 from weedout.search import SearchConfig
+from weedout.sparsity import active_parameter_count
 
 T_975_DF4 = 2.7764451051977987  # Student-t, two-sided 95%, n=5
 
@@ -278,7 +279,7 @@ class TestCmdRun:
             assert self.run_cli(tmp_path, raw, "--out", str(out),
                                 "--parallel", str(parallel)) == 0
             outputs[parallel] = out
-        total = init_network(default_dense_spec(4), (12,), 0).parameter_count()
+        total = active_parameter_count(init_network(default_dense_spec(4), (12,), 0), None)
         cells = sorted(p.name for p in outputs[1].iterdir() if p.is_dir())
         assert cells == sorted(run_label(arm, eta, seed)
                                for arm in ("weedout", "random_baseline")

@@ -21,7 +21,7 @@ import pytest
 from helpers import write_idx_images, write_idx_labels
 from weedout import network, pipeline, search
 from weedout.cli import main
-from weedout.data import Dataset
+from weedout.data import Dataset, batches
 from weedout.network import (KernelPool, LayerParams, SgdState, conv2d, dense,
                              flatten_layer, init_network, relu_layer, sgd_step)
 from weedout.numerics import RngStream
@@ -311,6 +311,97 @@ def test_training_identical_for_every_thread_count(small_pieces, mode):
             outputs.append((rows, active, as_bytes(trained.params)))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_masked_update_equals_masking_the_gradient_first(monkeypatch, threads):
+    """Weight masks given to sgd_step zero the gradient inside the update, to
+    the bytes of masking it first and stepping without them; a weight masked
+    beforehand keeps its signed zero. On a pool the update runs in pieces."""
+    monkeypatch.setattr(network, "_PIECE_SIZE", 7)
+    monkeypatch.setattr(network, "_MIN_PIECES", 2)
+    spec, shape = [dense(8), relu_layer(), dense(3, maskable=False)], (5,)
+    rng = RngStream(9)
+    net = init_network(spec, shape, seed=2)
+    mask = sample_mask(spec, shape, 0.5, "unstructured", rng.split("mask"))
+    for i, m in mask.masks.items():
+        net.params[i].weight *= m
+    steps = [[None if p is None else
+              LayerParams(rng.split(f"w{s}/{i}").normal(p.weight.shape),
+                          rng.split(f"b{s}/{i}").normal(p.bias.shape))
+              for i, p in enumerate(net.params)] for s in range(3)]
+
+    reference, state = net.copy(), SgdState.zeros(net)
+    for grads in steps:
+        masked = [g if g is None or i not in mask.masks else
+                  LayerParams(g.weight * mask.masks[i], g.bias) for i, g in enumerate(grads)]
+        sgd_step(reference, masked, 0.1, 0.9, state)
+
+    real_run_pieces, piece_calls = network.run_pieces, []
+
+    def run_pieces_spy(pool, piece, count):
+        piece_calls.append(pool is not None and count > 1)
+        return real_run_pieces(pool, piece, count)
+
+    monkeypatch.setattr(network, "run_pieces", run_pieces_spy)
+    with network.kernel_pool(threads) as pool:
+        stepped, stepped_state = net.copy(), SgdState.zeros(net)
+        for grads in steps:
+            fresh = [g if g is None else LayerParams(g.weight.copy(), g.bias.copy())
+                     for g in grads]
+            sgd_step(stepped, fresh, 0.1, 0.9, stepped_state, pool, mask.masks)
+    assert any(piece_calls) == (threads == 2)
+    assert as_bytes(stepped.params) == as_bytes(reference.params)
+    assert as_bytes(stepped_state.velocities) == as_bytes(state.velocities)
+    for i, m in mask.masks.items():
+        assert stepped.params[i].weight[~m].tobytes() == net.params[i].weight[~m].tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_unstructured_training_runs_unmasked_passes_on_premasked_weights(
+        small_pieces, monkeypatch, threads):
+    """``_train`` multiplies an unstructured mask into the weights once and
+    masks only the update, to the rows of masked passes with an unmasked
+    update; no pass it runs receives the mask."""
+    net, mask, x, y = instance("unstructured", batch=40)
+    splits = Splits(Dataset(x[:24], y[:24], 3), Dataset(x[24:32], y[24:32], 3),
+                    Dataset(x[32:], y[32:], 3))
+    cfg = TrainConfig(epochs=2, batch_size=8, lr=0.05)
+
+    reference, state, expected = net.copy(), SgdState.zeros(net), []
+    for epoch in (1, 2):
+        seen, correct, loss_sum = 0, 0, 0.0
+        for xb, yb in batches(splits.train, cfg.batch_size,
+                              RngStream(5).split("train").split(f"epoch{epoch}")):
+            loss, grads, logits = network._forward_backward(reference, mask, xb, yb)
+            sgd_step(reference, grads, cfg.lr, cfg.momentum, state)
+            seen += len(yb)
+            loss_sum += loss * len(yb)
+            correct += int((logits.argmax(axis=1) == yb).sum())
+        test = network.evaluate(reference, mask, splits.test)
+        expected.append(pipeline.EpochRow(epoch, correct / seen, loss_sum / seen,
+                                          test.accuracy, test.mean_loss))
+
+    real_forward, masks_seen = network._forward_pass, []
+
+    def forward_spy(net, mask, x, keep_inputs, pool=None):
+        masks_seen.append(mask)
+        return real_forward(net, mask, x, keep_inputs, pool)
+
+    monkeypatch.setattr(network, "_forward_pass", forward_spy)
+    trained = net.copy()
+    with network.kernel_pool(threads) as pool:
+        rows, _, _ = pipeline._train(trained, mask, cfg, splits,
+                                     RngStream(5).split("train"), "cell", pool)
+    assert rows == expected
+    assert masks_seen and all(m is None for m in masks_seen)
+    for i, p in enumerate(trained.params):
+        if p is None:
+            continue
+        assert p.bias.tobytes() == reference.params[i].bias.tobytes()
+        m = mask.masks.get(i, np.ones(p.weight.shape, dtype=bool))
+        assert p.weight[m].tobytes() == reference.params[i].weight[m].tobytes()
+        assert not p.weight[~m].any()
 
 
 def blobs_config(tmp_path, etas, arms=("weedout", "random_baseline")):

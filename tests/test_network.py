@@ -336,3 +336,34 @@ class TestActivationMemory:
         step_peak = traced_peak(
             lambda: network._forward_backward(net, mask, x[:batch], y[:batch]))
         assert eval_peak <= step_peak
+
+    def test_dense_weight_gradients_run_after_the_conv_backward(self, monkeypatch):
+        """A dense layer's weight gradient is taken once the backward pass has
+        left the conv layers below it, whose gradients are freed by then."""
+        spec = [conv2d(4, 3), relu_layer(), conv2d(5, 2, stride=2), relu_layer(),
+                flatten_layer(), dense(6), relu_layer(), dense(3, maskable=False)]
+        shape, batch = (9, 8, 2), 13
+        rng = RngStream(3)
+        net = init_network(spec, shape, seed=4)
+        x = rng.split("x").normal((batch,) + shape)
+        y = np.asarray(rng.split("y").integers(0, 3, size=batch))
+        dense_shapes = {net.params[i].weight.shape for i in (5, 7)}
+        real_gemm, real_conv_backward, calls = network._gemm, network._conv_backward, []
+
+        def gemm_spy(a, b, pool=None):
+            out = real_gemm(a, b, pool)
+            weight_grad = a.shape[1] == batch and out.shape in dense_shapes
+            calls.append("dense dw" if weight_grad else "gemm")
+            return out
+
+        def conv_backward_spy(*args, **kwargs):
+            calls.append("conv backward")
+            return real_conv_backward(*args, **kwargs)
+
+        monkeypatch.setattr(network, "_gemm", gemm_spy)
+        monkeypatch.setattr(network, "_conv_backward", conv_backward_spy)
+        network._forward_backward(net, None, x, y)
+        last_conv = max(k for k, call in enumerate(calls) if call == "conv backward")
+        dense_dw = [k for k, call in enumerate(calls) if call == "dense dw"]
+        assert calls.count("conv backward") == 2 and len(dense_dw) == 2
+        assert min(dense_dw) > last_conv

@@ -157,7 +157,7 @@ class TestReduceNetwork:
         net = init_network(small_conv_spec, (10, 10, 1), seed=1)
         ones = resample_mask(small_conv_spec, None, "structured", 0.0, 0)
         red = reduce_network(net, ones)
-        assert red.parameter_count() == net.parameter_count()
+        assert active_parameter_count(red, None) == active_parameter_count(net, None)
         x = rng.normal((3, 10, 10, 1))
         np.testing.assert_array_equal(forward(red, None, x), forward(net, None, x))
 
@@ -215,7 +215,7 @@ class TestReduceNetwork:
             counts.append(active_parameter_count(net, mask))
             assert counts[-1] == active_parameter_count(*sub_network(net, mask))
         assert counts == sorted(counts, reverse=True)
-        assert counts[0] == net.parameter_count()
+        assert counts[0] == active_parameter_count(net, None)
 
 
 class TestSubNetwork:
@@ -241,7 +241,7 @@ class TestSubNetwork:
         before = parent_checksum(net)
         rows, _, active = _train(net, mask, cfg, splits, RngStream(7), "oracle")
         assert parent_checksum(net) == before  # the reduced copy was trained
-        assert active == reduce_network(net, mask).parameter_count()
+        assert active == active_parameter_count(reduce_network(net, mask), None)
 
         oracle = net.copy()
         state = SgdState.zeros(oracle)
