@@ -7,15 +7,13 @@ The per-generation tables show the pre-training fitness signal the selection
 acts on.
 """
 
-from weedout import (RngStream, SearchConfig, Splits, init_network, run_search,
-                     synthetic_blobs)
+from weedout import RngStream, SearchConfig, init_network, run_search, synthetic_blobs
 from weedout.data import SplitSpec, split
 from weedout.network import default_dense_spec
 from weedout.sparsity import realized_sparsity
 
 ds = synthetic_blobs(num_classes=10, per_class=200, dim=16, spread=0.35, seed=0)
-parts = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
-splits = Splits(parts.train, parts.validation, parts.test)
+splits = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
 print(f"blob task: {len(splits.train)} train / {len(splits.validation)} validation "
       f"/ {len(splits.test)} test")
 
@@ -25,7 +23,7 @@ net = init_network(spec, (16,), seed=1)
 cfg = SearchConfig(population_size=60, generations=5, validation_batch_size=256)
 result = run_search(net, cfg, 0.6, splits.validation, RngStream(1).split("search"))
 
-print(f"\npopulation {cfg.population_size}, {result.generations_run} generations, "
+print(f"\npopulation {cfg.population_size}, {cfg.generations} generations, "
       f"{result.evaluations} fitness evaluations (no weight updates)\n")
 print(f"{'gen':>4} {'best':>10} {'mean':>10} {'worst':>10}  elite")
 by_gen = {}

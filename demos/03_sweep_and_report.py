@@ -10,15 +10,14 @@ training, searched masks do not beat random ones at equal sparsity.
 import tempfile
 from pathlib import Path
 
-from weedout import SearchConfig, Splits, TrainConfig, synthetic_blobs
+from weedout import SearchConfig, TrainConfig, synthetic_blobs
 from weedout.data import SplitSpec, split
 from weedout.network import default_dense_spec
 from weedout.pipeline import sweep
 from weedout.report import aggregate_records, arm_differences
 
 ds = synthetic_blobs(num_classes=10, per_class=200, dim=16, spread=0.35, seed=0)
-parts = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
-splits = Splits(parts.train, parts.validation, parts.test)
+splits = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
 
 spec = default_dense_spec(10)
 search_cfg = SearchConfig(population_size=50, generations=5, validation_batch_size=256)

@@ -6,14 +6,14 @@ validation batches, keep the fittest mask, train it with momentum SGD, and
 compare against a randomly drawn mask at the same sparsity.
 """
 
-from .data import (Dataset, SplitSpec, batches, load_cifar10_binary, load_idx,
-                   sample_batch, split, synthetic_blobs)
+from .data import (Dataset, SplitSpec, Splits, batches, load_cifar10_binary,
+                   load_idx, sample_batch, split, synthetic_blobs)
 from .network import (LayerSpec, Network, SgdState, conv2d,
                       default_conv_spec, default_dense_spec, dense, evaluate,
                       flatten_layer, forward, init_network, loss_and_grads,
                       relu_layer, sgd_step)
 from .numerics import RngStream, Tensor, he_normal, softmax_cross_entropy
-from .pipeline import RunRecord, Splits, TrainConfig, run_cell, sweep
+from .pipeline import RunRecord, TrainConfig, run_cell, sweep
 from .search import (Candidate, SearchConfig, SearchResult, fitness,
                      next_generation, run_search, select_best)
 from .sparsity import (MaskSet, realized_sparsity, reduce_network, sample_mask,

@@ -25,6 +25,7 @@ from . import pipeline
 from .config import (build_experiment, canonical_json, load_config, parse_config,
                      resolve_out_dir)
 from .errors import ConfigError
+from .numerics import MAX_SEED
 from .report import load_records, write_report
 
 
@@ -33,8 +34,9 @@ def cmd_run(args) -> int:
         if args.parallel < 1:
             raise ConfigError([f"--parallel: must be >= 1, got {args.parallel}"])
         cfg = load_config(args.config)
-        if args.seed_offset:
-            cfg["seeds"] = [s + args.seed_offset for s in cfg["seeds"]]
+        cfg["seeds"] = [s + args.seed_offset for s in cfg["seeds"]]
+        if bad := [s for s in cfg["seeds"] if not 0 <= s < MAX_SEED]:
+            raise ConfigError([f"seeds: {bad} out of [0, 2**64) after --seed-offset"])
         out_dir = resolve_out_dir(cfg["out_dir"], args.out)
         cfg["out_dir"] = str(out_dir)
         layers, input_shape, splits, search_cfg, train_cfg = build_experiment(cfg)
@@ -130,7 +132,7 @@ def cmd_inspect(args) -> int:
     if manifest["status"] != "completed":
         print(f"error    : {manifest.get('error')}")
         return 0
-    record = pipeline.read_run_record(run_dir, manifest)
+    record = state.record
     if record.search_history:
         per_gen: dict[int, float] = {}
         for h in record.search_history:

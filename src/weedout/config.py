@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import data as data_mod
 from . import network as net_mod
 from .errors import ConfigError, WeedoutError, check_number
 from .network import LayerSpec
-from .pipeline import ARMS, Splits, TrainConfig
+from .pipeline import ARMS, TrainConfig
 from .search import SearchConfig
 
 SCHEMA_VERSION = 1
@@ -210,11 +210,11 @@ def build_experiment(cfg: dict):
     except (OSError, ValueError) as exc:
         raise ConfigError([f"dataset: {exc}"]) from exc
     try:
-        parts = data_mod.split(source, data_mod.SplitSpec(
+        splits = data_mod.split(source, data_mod.SplitSpec(
             sp["train"], sp["validation"], sp.get("test", 0), sp["seed"]))
     except ValueError as exc:
         raise ConfigError([f"splits: {exc}"]) from exc
-    splits = Splits(parts.train, parts.validation, parts.test if test is None else test)
+    splits = replace(splits, test=splits.test if test is None else test)
     if any(part is None for part in (splits.train, splits.validation, splits.test)):
         raise ConfigError(["splits: train, validation and test must each be positive"])
 

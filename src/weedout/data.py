@@ -179,17 +179,16 @@ class SplitSpec:
     seed: int = 0
 
 
-@dataclass
-class SplitResult:
-    """The three partitions; a zero-count part is None."""
+@dataclass(frozen=True)
+class Splits:
+    """The three partitions; ``split`` gives None for a zero-count part."""
 
-    train: Dataset | None
-    validation: Dataset | None
-    test: Dataset | None
-    discarded: int
+    train: Dataset
+    validation: Dataset
+    test: Dataset
 
 
-def split(ds: Dataset, spec: SplitSpec) -> SplitResult:
+def split(ds: Dataset, spec: SplitSpec) -> Splits:
     """Deterministic disjoint partition of ``ds`` per ``spec``; the parts
     keep the inputs' dtype."""
     n = len(ds)
@@ -217,12 +216,8 @@ def split(ds: Dataset, spec: SplitSpec) -> SplitResult:
         return Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes,
                        f"{ds.provenance}/{name}") if len(idx) else None
 
-    return SplitResult(
-        train=part(perm[:a], "train"),
-        validation=part(perm[a:b], "validation"),
-        test=part(perm[b:c], "test"),
-        discarded=n - c,
-    )
+    return Splits(part(perm[:a], "train"), part(perm[a:b], "validation"),
+                  part(perm[b:c], "test"))
 
 
 def batches(ds: Dataset, batch_size: int, rng: RngStream):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
-from .data import Dataset, batches
+from .data import Splits, batches
 from .errors import ChecksumError, DivergenceError, check_number
 from .network import (KernelPool, Network, SgdState, _forward_backward, evaluate,
                       init_network, kernel_pool, parent_checksum, sgd_step)
@@ -77,13 +77,6 @@ class TrainConfig:
     def validate(self) -> None:
         if problems := self.problems():
             raise ValueError("; ".join(problems))
-
-
-@dataclass(frozen=True)
-class Splits:
-    train: Dataset
-    validation: Dataset
-    test: Dataset
 
 
 @dataclass
@@ -304,19 +297,22 @@ def write_failure(cell_dir, arm: str, eta: float, seed: int, error: str,
 @dataclass(frozen=True)
 class CellState:
     """A cell directory's status (completed, failed, absent or corrupt), its
-    verified manifest if it has one, and the reason it is not reused if not."""
+    verified manifest and record if it has them, and why it is not reused if not."""
 
     status: str
     manifest: dict | None = None
     reason: str | None = None
+    record: RunRecord | None = None
 
 
 def cell_state(cell_dir) -> CellState:
     """Read and verify a cell once, hashing each file its manifest lists once.
 
-    A cell is corrupt when its manifest is unreadable, names no known status
-    or lists a file that is missing or fails its checksum, and when it holds
-    files but no manifest (an interrupted write).
+    A cell is corrupt when its manifest is unreadable, names no known status,
+    lacks a field every manifest has, or lists a file that is missing or fails
+    its checksum; when it is completed but lists no metrics file or its record
+    cannot be parsed; and when it holds files but no manifest (an interrupted
+    write).
     """
     cell_dir = Path(cell_dir)
     if not (cell_dir / MANIFEST_NAME).exists():
@@ -329,18 +325,26 @@ def cell_state(cell_dir) -> CellState:
         if not isinstance(manifest, dict) or \
                 manifest.get("status") not in ("completed", "failed"):
             raise ValueError(f"{MANIFEST_NAME} names no known status")
+        kinds = {"run_id": str, "arm": str, "eta": (int, float), "seed": int, "files": dict}
+        if bad := [k for k, t in kinds.items() if not isinstance(manifest.get(k), t)]:
+            raise ValueError(f"{MANIFEST_NAME}: {', '.join(bad)} missing or malformed")
+        if (completed := manifest["status"] == "completed") and \
+                METRICS_NAME not in manifest["files"]:
+            raise ValueError(f"{MANIFEST_NAME} lists no {METRICS_NAME}")
         for name, digest in manifest["files"].items():
             if _sha256((cell_dir / name).read_bytes()) != digest:
                 raise ChecksumError(f"{cell_dir / name}: contents do not match "
                                     "manifest checksum")
-    except (OSError, ValueError, KeyError, ChecksumError) as exc:
+        record = read_run_record(cell_dir, manifest) if completed else None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, csv.Error,
+            ChecksumError) as exc:
         return CellState("corrupt", reason=f"{type(exc).__name__}: {exc}")
-    return CellState(manifest["status"], manifest, manifest.get("error"))
+    return CellState(manifest["status"], manifest, manifest.get("error"), record)
 
 
 def read_run_record(cell_dir, manifest: dict) -> RunRecord:
     """Rehydrate a RunRecord from a completed cell directory and its manifest,
-    as :func:`cell_state` verified them."""
+    once :func:`cell_state` has verified them."""
     cell_dir = Path(cell_dir)
     record = RunRecord(run_id=manifest["run_id"], arm=manifest["arm"],
                        eta=manifest["eta"], seed=manifest["seed"])
@@ -541,7 +545,7 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
         for (arm, eta, seed, cell_dir), state in zip(cells, states):
             if state.status == "completed":
                 result = CellResult(arm, eta, seed, "cached", cell_dir,
-                                    record=read_run_record(cell_dir, state.manifest))
+                                    record=state.record)
             else:
                 cell = (arm, eta, seed)
                 corrupt = state.reason if state.status == "corrupt" else None

@@ -75,7 +75,7 @@ def load_records(sweep_dir: Path) -> tuple[list[pipeline.RunRecord],
     for label in sorted(labels):
         state = pipeline.cell_state(sweep_dir / label)
         if state.status == "completed":
-            records.append(pipeline.read_run_record(sweep_dir / label, state.manifest))
+            records.append(state.record)
         else:
             excluded.append((label, state))
     return records, excluded

@@ -22,7 +22,7 @@ passes no pool to the kernels, so a pool never waits on itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .errors import EvaluationIncompleteError, check_member, check_number
 from .network import KernelPool, Network, mean_loss, run_pieces
 from .numerics import RngStream
 from .sparsity import MASK_MODES, MaskSet, sample_mask, sub_network
-
-WINNER_SCOPES = ("final_generation", "all_generations")
 
 
 @dataclass(eq=False)
@@ -54,24 +52,13 @@ class SearchConfig:
     generations: int = 5
     validation_batch_size: int = 256
     mask_mode: str = "structured"
-    winner_scope: str = "final_generation"
-    # optional convergence stop: end early once the per-generation best
-    # improves by less than `early_stop_tol` for `early_stop_patience`
-    # consecutive generations (off by default).
-    early_stop_tol: float | None = None
-    early_stop_patience: int = 2
 
     def problems(self) -> list[str]:
         """One ``"field: reason"`` line per invalid field; empty if valid."""
-        out = (check_number("population_size", self.population_size, int, 2)
-               + check_number("generations", self.generations, int, 1)
-               + check_number("validation_batch_size", self.validation_batch_size, int, 1)
-               + check_member("mask_mode", self.mask_mode, MASK_MODES)
-               + check_member("winner_scope", self.winner_scope, WINNER_SCOPES)
-               + check_number("early_stop_patience", self.early_stop_patience, int, 1))
-        if self.early_stop_tol is not None:
-            out += check_number("early_stop_tol", self.early_stop_tol, float)
-        return out
+        return (check_number("population_size", self.population_size, int, 2)
+                + check_number("generations", self.generations, int, 1)
+                + check_number("validation_batch_size", self.validation_batch_size, int, 1)
+                + check_member("mask_mode", self.mask_mode, MASK_MODES))
 
     def validate(self) -> None:
         if problems := self.problems():
@@ -91,7 +78,6 @@ class HistoryRow:
 class SearchResult:
     best: Candidate
     history: list[HistoryRow] = field(default_factory=list)
-    generations_run: int = 0
     evaluations: int = 0
 
 
@@ -159,7 +145,8 @@ def _evaluate_population(net: Network, population: list[Candidate],
 
 def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Dataset,
                rng: RngStream, pool: KernelPool | None = None) -> SearchResult:
-    """Run the full selection phase at sparsity ``eta``; return the winner.
+    """Run ``cfg.generations`` generations at sparsity ``eta``; the winner is
+    the last generation's fittest candidate (see :func:`select_best`).
 
     Each generation draws a fresh validation batch and scores all candidates
     on that same batch, so within-generation comparisons are fair.
@@ -182,10 +169,6 @@ def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Datase
         for i in range(cfg.population_size)
     ]
     result = SearchResult(best=population[0])
-    best_overall: Candidate | None = None
-    best_gen: Candidate | None = None
-    prev_best_fitness: float | None = None
-    stale = 0
     for gen in range(1, cfg.generations + 1):
         batch = sample_batch(d_validation, cfg.validation_batch_size,
                              rng_batches.split(f"gen{gen}"))
@@ -196,23 +179,9 @@ def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Datase
                 birth_generation=c.birth_generation, fitness=c.fitness,
                 is_elite=c.birth_generation < gen))
         result.evaluations += len(population)
-        result.generations_run = gen
-        best_gen = select_best(population)
-        if best_overall is None or best_gen.fitness > best_overall.fitness:
-            best_overall = replace(best_gen)
-        if cfg.early_stop_tol is not None:
-            if prev_best_fitness is not None and \
-                    best_gen.fitness - prev_best_fitness < cfg.early_stop_tol:
-                stale += 1
-            else:
-                stale = 0
-            prev_best_fitness = max(best_gen.fitness, prev_best_fitness) \
-                if prev_best_fitness is not None else best_gen.fitness
-            if stale >= cfg.early_stop_patience:
-                break
+        result.best = select_best(population)
         if gen < cfg.generations:
-            population = next_generation(population, best_gen, net.spec, eta,
+            population = next_generation(population, result.best, net.spec, eta,
                                          rng_masks, mask_mode=cfg.mask_mode,
                                          input_shape=net.input_shape)
-    result.best = best_gen if cfg.winner_scope == "final_generation" else best_overall
     return result

@@ -1,6 +1,6 @@
 import pytest
 
-from weedout import RngStream, Splits, synthetic_blobs
+from weedout import RngStream, synthetic_blobs
 from weedout.data import SplitSpec, split
 from weedout.network import conv2d, dense, flatten_layer, relu_layer
 
@@ -25,5 +25,4 @@ def small_conv_spec():
 def blob_splits():
     """Small oracle task shared by search/pipeline tests."""
     ds = synthetic_blobs(num_classes=10, per_class=100, dim=16, spread=0.35, seed=0)
-    result = split(ds, SplitSpec(0.6, 0.2, 0.2, seed=1))
-    return Splits(result.train, result.validation, result.test)
+    return split(ds, SplitSpec(0.6, 0.2, 0.2, seed=1))

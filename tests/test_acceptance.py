@@ -17,7 +17,7 @@ from weedout.errors import FormatError
 from weedout.network import (conv2d, default_dense_spec, dense, flatten_layer,
                              forward, init_network, loss_and_grads, relu_layer)
 from weedout.numerics import RngStream, round_half_up
-from weedout.pipeline import Splits, TrainConfig, sweep
+from weedout.pipeline import TrainConfig, sweep
 from weedout.report import aggregate_records, arm_differences
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
                             next_generation, run_search, select_best)
@@ -42,8 +42,7 @@ CONV_SHAPE = (8, 8, 1)
 def desk_splits():
     """Desk-scale oracle task; validation split holds 300 >= 256 examples."""
     ds = synthetic_blobs(10, 200, 16, 0.35, seed=0)
-    res = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
-    return Splits(res.train, res.validation, res.test)
+    return split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
 
 
 @pytest.fixture(scope="module")

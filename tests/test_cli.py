@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -40,6 +41,13 @@ def minimal_raw(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def unparseable_metrics(manifest, cell):
+    """Replace metrics.csv with a file that has a valid checksum and no columns."""
+    (cell / "metrics.csv").write_bytes(b"epoch\nx\n")
+    digest = hashlib.sha256(b"epoch\nx\n").hexdigest()
+    return dict(manifest, files=dict(manifest["files"], **{"metrics.csv": digest}))
 
 
 class TestParseConfig:
@@ -222,17 +230,67 @@ class TestCmdRun:
         assert "scipy modules: []" in proc.stdout
 
     @pytest.mark.parametrize("search,field", [
-        ({"early_stop_tol": 0.1, "early_stop_patience": 0}, "search.early_stop_patience"),
-        ({"early_stop_tol": "soon"}, "search.early_stop_tol"),
-    ])
-    def test_bad_early_stop_exits_two_before_any_cell(self, tmp_path, capsys, search,
-                                                      field):
+        ({"population_size": 1}, "search.population_size"),
+        ({"generations": "many"}, "search.generations"),
+        ({"early_stop_tol": 0.1}, "search.early_stop_tol: unknown key"),
+    ], ids=["population_below_two", "generations_not_an_integer", "removed_key"])
+    def test_bad_search_field_exits_two_before_any_cell(self, tmp_path, capsys, search,
+                                                        field):
         raw = minimal_raw(out_dir=str(tmp_path / "sweep"),
                           search={"etas": [0.3], **search})
         assert self.run_cli(tmp_path, raw) == 2
         captured = capsys.readouterr()
         assert "invalid config:" in captured.err and field in captured.err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("seeds,offset,bad", [
+        ([0, 7], "-5", "[-5]"),
+        ([2**64], "0", f"[{2**64}]"),
+    ], ids=["negative_after_offset", "config_seed_2_pow_64"])
+    def test_seed_out_of_range_exits_two_before_any_cell(self, tmp_path, capsys, seeds,
+                                                         offset, bad):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), seeds=seeds)
+        assert self.run_cli(tmp_path, raw, "--seed-offset", offset) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid config:", f"  - seeds: {bad} out of [0, 2**64) after --seed-offset"]
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda m, d: {"status": "completed", "files": {}},
+         "ValueError: manifest.json: run_id, arm, eta, seed missing or malformed"),
+        (lambda m, d: {k: v for k, v in m.items() if k != "run_id"},
+         "ValueError: manifest.json: run_id missing or malformed"),
+        (lambda m, d: dict(m, files=[]), "ValueError: manifest.json: files missing"),
+        (lambda m, d: {"status": "failed", "files": {}}, "ValueError: manifest.json: run_id"),
+        (lambda m, d: dict(m, files={"search.csv": m["files"]["search.csv"]}),
+         "ValueError: manifest.json lists no metrics.csv"),
+        (unparseable_metrics, "ValueError: invalid literal for int()"),
+    ], ids=["bare_completed", "no_run_id", "files_a_list", "bare_failed",
+            "completed_without_metrics", "unparseable_record"])
+    def test_malformed_manifest_is_corrupt(self, tmp_path, capsys, damage, reason):
+        """run recomputes the cell, report excludes it and inspect exits 1."""
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"))
+        assert self.run_cli(tmp_path, raw) == 0
+        cell = tmp_path / "sweep" / run_label("weedout", 0.3, 0)
+        files = {p.name: p.read_bytes() for p in cell.iterdir()}
+        manifest = json.loads(files["manifest.json"])
+        (cell / "manifest.json").write_text(json.dumps(damage(manifest, cell)))
+        capsys.readouterr()
+        assert main(["inspect", str(cell)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"corrupt: {reason}")
+        assert main(["report", str(tmp_path / "sweep")]) == 2
+        assert f"[excluded] weedout_0.3_0: corrupt: {reason}" in capsys.readouterr().err
+        assert self.run_cli(tmp_path, raw) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"[recompute] weedout_0.3_0: {reason}")
+        assert {p.name: p.read_bytes() for p in cell.iterdir()
+                if p.name != "manifest.json"} == \
+            {k: v for k, v in files.items() if k != "manifest.json"}
 
     @pytest.mark.parametrize("section,overrides", [
         ("dataset", lambda d: {"dataset": {"kind": "mnist", **{

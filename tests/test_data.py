@@ -8,7 +8,7 @@ from weedout.errors import FormatError
 from weedout.network import (conv2d, default_dense_spec, dense, evaluate,
                              flatten_layer, init_network, relu_layer)
 from weedout.numerics import RngStream
-from weedout.pipeline import Splits, TrainConfig, run_cell
+from weedout.pipeline import TrainConfig, run_cell
 from weedout.search import SearchConfig
 
 
@@ -155,7 +155,8 @@ class TestPixels:
         loaded, full = self.read(tmp_path, kind)
         spec = SplitSpec(30, 10, 15, seed=3)
         parts, expected = split(loaded, spec), split(full, spec)
-        assert parts.discarded == expected.discarded == 5
+        assert len(loaded) - sum(len(getattr(parts, name)) for name in
+                                 ("train", "validation", "test")) == 5
         for name in ("train", "validation", "test"):
             got, want = getattr(parts, name), getattr(expected, name)
             assert got.inputs.dtype == np.uint8
@@ -206,8 +207,7 @@ class TestBlobs:
 
     def test_tiny_spread_trains_to_perfect_accuracy(self):
         ds = synthetic_blobs(4, 40, 8, 0.01, seed=2)
-        result = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
-        splits = Splits(result.train, result.validation, result.test)
+        splits = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
         rec = run_cell(default_dense_spec(4), (8,), "dense", 0.0, 0,
                        SearchConfig(),
                        TrainConfig(epochs=10, batch_size=16, lr=0.1), splits)
@@ -231,7 +231,6 @@ class TestSplit:
         ds = identifiable_dataset(1000)
         res = split(ds, SplitSpec(0.8, 0.1, 0.1, seed=0))
         assert (len(res.train), len(res.validation), len(res.test)) == (800, 100, 100)
-        assert res.discarded == 0
 
     def test_disjoint_and_exhaustive(self):
         ds = identifiable_dataset(100)
@@ -246,7 +245,7 @@ class TestSplit:
         res = split(ds, SplitSpec(50, 10, 0, seed=2))
         assert (len(res.train), len(res.validation)) == (50, 10)
         assert res.test is None
-        assert res.discarded == 40
+        assert len(ds) - len(res.train) - len(res.validation) == 40
 
     def test_deterministic(self):
         ds = identifiable_dataset(60)

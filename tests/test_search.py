@@ -132,7 +132,6 @@ class TestRunSearch:
         res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                          RngStream(1).split("s"))
         assert res.evaluations == 30
-        assert res.generations_run == 3
         assert len(res.history) == 30
         for gen in (1, 2, 3):
             assert sum(1 for h in res.history if h.generation == gen) == 10
@@ -147,7 +146,7 @@ class TestRunSearch:
     def test_within_generation_winner_attains_max(self, net16, blob_splits):
         res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                          RngStream(3).split("s"))
-        final = [h for h in res.history if h.generation == res.generations_run]
+        final = [h for h in res.history if h.generation == 3]
         assert res.best.fitness == max(h.fitness for h in final)
 
     def test_elitism_carries_winner_id_forward(self, net16, blob_splits):
@@ -173,28 +172,12 @@ class TestRunSearch:
         assert [h.fitness for h in a.history] == [h.fitness for h in b.history]
         assert a.best.candidate_id == b.best.candidate_id
 
-    def test_winner_scope_all_generations(self, net16, blob_splits):
-        final_scope = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
-                                 RngStream(6).split("s"))
-        all_scope = run_search(net16, self.cfg(winner_scope="all_generations"), 0.4,
-                               blob_splits.validation, RngStream(6).split("s"))
-        assert all_scope.best.fitness == max(h.fitness for h in all_scope.history)
-        final_gen = [h for h in final_scope.history
-                     if h.generation == final_scope.generations_run]
-        assert final_scope.best.fitness == max(h.fitness for h in final_gen)
-
-    def test_early_stop(self, net16, blob_splits):
-        cfg = self.cfg(generations=6, early_stop_tol=10.0, early_stop_patience=1)
-        res = run_search(net16, cfg, 0.4, blob_splits.validation, RngStream(7).split("s"))
-        assert res.generations_run == 2
-        assert res.evaluations == 20
-
     def test_config_validation(self, net16, blob_splits):
         with pytest.raises(ValueError):
             run_search(net16, self.cfg(population_size=1), 0.4, blob_splits.validation,
                        RngStream(8))
         with pytest.raises(ValueError):
-            run_search(net16, self.cfg(winner_scope="best_ever"), 0.4,
+            run_search(net16, self.cfg(mask_mode="diagonal"), 0.4,
                        blob_splits.validation, RngStream(8))
 
 
