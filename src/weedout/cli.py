@@ -40,13 +40,16 @@ def cmd_run(args) -> int:
         out_dir = resolve_out_dir(cfg["out_dir"], args.out)
         cfg["out_dir"] = str(out_dir)
         layers, input_shape, splits, search_cfg, train_cfg = build_experiment(cfg)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.json").write_text(canonical_json(cfg), encoding="utf-8")
     except ConfigError as exc:
         print("invalid config:", file=sys.stderr)
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(canonical_json(cfg), encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     def progress(cell):
         label = pipeline.run_label(cell.arm, cell.eta, cell.seed)
@@ -63,7 +66,6 @@ def cmd_run(args) -> int:
         results = pipeline.sweep(layers, input_shape, cfg["search"]["etas"], cfg["arms"],
                                  cfg["seeds"], search_cfg, train_cfg, splits, out_dir,
                                  parallel=args.parallel, resume=args.resume,
-                                 independent_parents=cfg["independent_parents"],
                                  effective_config=cfg, progress=progress)
     except BrokenProcessPool as exc:
         print(f"sweep aborted, a worker process died: {exc} "
@@ -89,7 +91,11 @@ def cmd_report(args) -> int:
         print(f"no completed runs under {sweep_dir}", file=sys.stderr)
         return 2
     report_dir = Path(args.out) if args.out else sweep_dir / "report"
-    agg, diffs, paths = write_report(records, report_dir)
+    try:
+        agg, diffs, paths = write_report(records, report_dir)
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     final_epoch = max(r.epoch for r in agg)
     print(f"aggregated {len(records)} runs; final epoch {final_epoch}")
     print(f"{'arm':<16} {'eta':>5} {'test_acc':>9} {'ci95':>8} {'n':>3}")

@@ -27,11 +27,10 @@ from .search import SearchConfig
 SCHEMA_VERSION = 1
 DEFAULT_ETAS = (0.0, 0.2, 0.4, 0.6, 0.8)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-DEFAULT_ARMS = ("weedout", "random_baseline")
 ENV_RUNS_DIR = "WEEDOUT_RUNS_DIR"
 
 _TOP_KEYS = ("schema_version", "dataset", "splits", "architecture", "search",
-             "train", "arms", "seeds", "independent_parents", "out_dir")
+             "train", "arms", "seeds", "out_dir")
 
 _DATASET_DEFAULTS = {
     "blobs": {"kind": "blobs", "num_classes": 10, "per_class": 200, "dim": 16,
@@ -132,7 +131,7 @@ def parse_config(raw: dict) -> dict:
     train = _expect_keys("train", raw.get("train", {}), _TRAIN_DEFAULTS, problems)
     problems += [f"train.{p}" for p in TrainConfig(**train).problems()]
 
-    arms = raw.get("arms", list(DEFAULT_ARMS))
+    arms = raw.get("arms", list(ARMS))
     if not isinstance(arms, list) or not arms:
         problems.append("arms: expected a non-empty list")
     else:
@@ -143,10 +142,11 @@ def parse_config(raw: dict) -> dict:
     if not isinstance(seeds, list) or not seeds or \
             any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds):
         problems.append("seeds: expected a non-empty list of non-negative integers")
-
-    independent_parents = raw.get("independent_parents", False)
-    if not isinstance(independent_parents, bool):
-        problems.append("independent_parents: expected true/false")
+    # a repeated value would run its cells more than once; 0 and 0.0 are one eta
+    for name, values in (("search.etas", etas), ("arms", arms), ("seeds", seeds)):
+        if isinstance(values, list):
+            problems += [f"{name}: {v!r} appears more than once"
+                         for i, v in enumerate(values) if values[:i].count(v) == 1]
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -157,7 +157,7 @@ def parse_config(raw: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "dataset": dataset, "splits": splits,
             "architecture": arch, "search": dict(search, etas=[float(e) for e in etas]),
             "train": train, "arms": list(arms), "seeds": list(seeds),
-            "independent_parents": independent_parents, "out_dir": out_dir or ""}
+            "out_dir": out_dir or ""}
 
 
 def load_config(path) -> dict:

@@ -1,18 +1,18 @@
 """End-to-end runs: parent init, mask selection, SGD training, evaluation.
 
-``run_cell`` runs every cell the same way: init the parent, take the arm's
-mask, train it and evaluate it. The three arms differ only in where the mask
-comes from:
+``run_cell`` runs every cell the same way: init the seed's parent, take the
+arm's mask, train it and evaluate it. The two arms differ only in where the
+mask comes from:
 
 * ``weedout``          -- the winner of the population search at eta,
-* ``random_baseline``  -- one random mask at the same eta, no search,
-* ``dense``            -- the all-active mask (reported under eta = 0).
+* ``random_baseline``  -- one random mask at the same eta, no search.
 
-By default both sparse arms share the parent initialization for a given seed,
-so the mask is the only difference between them. Every run is a pure function
-of (spec, configs, seed), so a sweep may compute cells in worker processes
-and still write them in a fixed order; per-cell results are persisted
-incrementally so a killed sweep resumes without recomputing finished cells.
+Both arms share the parent initialization for a given seed, so the mask is
+the only difference between them; at eta 0 both train the fully connected
+parent, to the same bytes. Every run is a pure function of (spec, configs,
+seed), so a sweep may compute cells in worker processes and still write
+them in a fixed order; per-cell results are persisted incrementally so a
+killed sweep resumes without recomputing finished cells.
 
 A cell gets the threads of ``--parallel`` that the sweep's worker processes
 leave over. Its threads score search candidates, then run the kernel pieces
@@ -46,7 +46,7 @@ from .search import HistoryRow, SearchConfig, run_search
 from .sparsity import (MaskSet, active_parameter_count, realized_sparsity,
                        sample_mask, sub_network)
 
-ARMS = ("weedout", "random_baseline", "dense")
+ARMS = ("weedout", "random_baseline")
 
 METRICS_COLUMNS = ("epoch", "train_accuracy", "train_loss",
                    "test_accuracy", "test_loss")
@@ -73,10 +73,6 @@ class TrainConfig:
                 + check_number("lr", self.lr, float, 0, lo_open=True)
                 + check_number("momentum", self.momentum, float, 0, 1, hi_open=True)
                 + check_number("eval_every", self.eval_every, int, 1))
-
-    def validate(self) -> None:
-        if problems := self.problems():
-            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -115,13 +111,8 @@ def run_label(arm: str, eta: float, seed: int) -> str:
     return f"{arm}_{eta:g}_{seed}"
 
 
-def _parent_for(spec, input_shape, seed: int, arm: str,
-                independent_parents: bool) -> Network:
-    if independent_parents:
-        parent_seed = RngStream(seed).split(f"parent/{arm}").spawn_seed()
-    else:
-        parent_seed = seed
-    return init_network(spec, input_shape, parent_seed)
+def _parent_for(spec, input_shape, seed: int) -> Network:
+    return init_network(spec, input_shape, seed)
 
 
 def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
@@ -396,39 +387,28 @@ class CellResult:
 
 
 def sweep_cells(etas, arms, seeds) -> list[tuple[str, float, int]]:
-    """Factorial cell list; the dense arm appears once per seed, at eta 0."""
-    cells: list[tuple[str, float, int]] = []
-    for eta in etas:
-        for arm in arms:
-            if arm == "dense":
-                continue
-            for seed in seeds:
-                cells.append((arm, float(eta), int(seed)))
-    if "dense" in arms:
-        for seed in seeds:
-            cells.append(("dense", 0.0, int(seed)))
-    return cells
+    """The factorial cell list, eta-major, then arm, then seed."""
+    return [(arm, float(eta), int(seed)) for eta in etas for arm in arms for seed in seeds]
 
 
 def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
              search_cfg: SearchConfig, train_cfg: TrainConfig, splits: Splits, *,
-             parallel: int = 1, independent_parents: bool = False) -> RunRecord:
-    """Run one cell: init the parent, take the arm's mask, train and evaluate it.
+             parallel: int = 1) -> RunRecord:
+    """Run one cell: init the seed's parent, take the arm's mask, train it.
 
     ``weedout`` takes the winner of a search at ``eta``; ``random_baseline``
-    draws one mask at ``eta`` in the search's mask mode; ``dense`` draws the
-    structured all-ones mask and reports eta 0. A cell's ``parallel``
-    threads score the search's candidates, then run the training and
-    evaluation kernels.
+    draws one mask at ``eta`` in the search's mask mode. At eta 0 both take
+    the all-ones mask and train the fully connected parent. A cell's
+    ``parallel`` threads score the search's candidates, then run the
+    training and evaluation kernels.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; available: {ARMS}")
-    train_cfg.validate()
-    if arm == "dense":
-        eta = 0.0
+    if problems := train_cfg.problems():
+        raise ValueError("; ".join(problems))
     run_id = run_label(arm, eta, seed)
     t0 = time.perf_counter()
-    net = _parent_for(spec, input_shape, seed, arm, independent_parents)
+    net = _parent_for(spec, input_shape, seed)
     checksum = parent_checksum(net)
     history, evaluations = None, 0
     with kernel_pool(parallel) as pool:
@@ -439,8 +419,7 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
             history, evaluations = result.history, result.evaluations
             mask = result.best.mask
         else:
-            mode = search_cfg.mask_mode if arm == "random_baseline" else "structured"
-            mask = sample_mask(spec, input_shape, eta, mode,
+            mask = sample_mask(spec, input_shape, eta, search_cfg.mask_mode,
                                RngStream(seed).split("baseline-mask"))
         t2 = time.perf_counter()
         rows, eval_s, active = _train(net, mask, train_cfg, splits,
@@ -469,7 +448,6 @@ class _SweepInputs:
     search_cfg: SearchConfig
     train_cfg: TrainConfig
     splits: Splits
-    independent_parents: bool
 
     def attempt(self, arm: str, eta: float, seed: int,
                 threads: int) -> tuple[RunRecord | None, str | None]:
@@ -477,8 +455,7 @@ class _SweepInputs:
         try:
             return run_cell(self.spec, self.input_shape, arm, eta, seed,
                             self.search_cfg, self.train_cfg, self.splits,
-                            parallel=threads,
-                            independent_parents=self.independent_parents), None
+                            parallel=threads), None
         except Exception as exc:  # a failing cell must not end the sweep
             return None, f"{type(exc).__name__}: {exc}"
 
@@ -499,7 +476,6 @@ def _attempt_in_worker(arm: str, eta: float, seed: int, threads: int):
 def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
           train_cfg: TrainConfig, splits: Splits, out_dir, *,
           parallel: int = 1, resume: bool = True,
-          independent_parents: bool = False,
           effective_config: dict | None = None,
           progress=None) -> list[CellResult]:
     """Full factorial (eta x arm x seed) execution with per-cell persistence.
@@ -523,7 +499,6 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(arm, eta, seed, out_dir / run_label(arm, eta, seed))
              for arm, eta, seed in sweep_cells(etas, arms, seeds)]
     states = [cell_state(cell_dir) if resume else CellState("absent")
@@ -532,8 +507,7 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
                if state.status != "completed"]
     workers = min(parallel, len(pending))
     threads = parallel // max(workers, 1)
-    inputs = _SweepInputs(spec, input_shape, search_cfg, train_cfg, splits,
-                          independent_parents)
+    inputs = _SweepInputs(spec, input_shape, search_cfg, train_cfg, splits)
     pool = None
     if workers >= 2:
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),

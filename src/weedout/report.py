@@ -52,10 +52,11 @@ class ArmDifference:
 
 
 def _expected_labels(sweep_dir: Path) -> set[str]:
-    """Labels of the cells the sweep's ``config.json`` lists; none without one."""
+    """Labels of the known arms' cells in the sweep's ``config.json``; none without one."""
     try:
         cfg = json.loads((sweep_dir / "config.json").read_text(encoding="utf-8"))
-        cells = pipeline.sweep_cells(cfg["search"]["etas"], cfg["arms"], cfg["seeds"])
+        arms = [arm for arm in cfg["arms"] if arm in pipeline.ARMS]
+        cells = pipeline.sweep_cells(cfg["search"]["etas"], arms, cfg["seeds"])
     except (OSError, ValueError, KeyError, TypeError):
         return set()
     return {pipeline.run_label(*cell) for cell in cells}
@@ -144,8 +145,6 @@ def arm_differences(records) -> list[ArmDifference]:
     final: dict[tuple[str, float], list[float]] = {}
     epochs: dict[tuple[str, float], int] = {}
     for rec in records:
-        if rec.arm not in ("weedout", "random_baseline"):
-            continue
         row = rec.final_row()
         if row.test_accuracy is None:
             continue

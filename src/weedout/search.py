@@ -60,10 +60,6 @@ class SearchConfig:
                 + check_number("validation_batch_size", self.validation_batch_size, int, 1)
                 + check_member("mask_mode", self.mask_mode, MASK_MODES))
 
-    def validate(self) -> None:
-        if problems := self.problems():
-            raise ValueError("; ".join(problems))
-
 
 @dataclass(frozen=True)
 class HistoryRow:
@@ -157,7 +153,8 @@ def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Datase
     hands its workers to cells first, so a cell gets the threads left over:
     all of them when it is the only cell to compute.
     """
-    cfg.validate()
+    if problems := cfg.problems():
+        raise ValueError("; ".join(problems))
     if len(d_validation) == 0:
         raise ValueError("validation split is empty")
     rng_masks = rng.split("masks")

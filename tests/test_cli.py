@@ -243,6 +243,48 @@ class TestCmdRun:
         assert "invalid config:" in captured.err and field in captured.err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("overrides,problem", [
+        ({"arms": ["dense"]},
+         "arms: unknown arm 'dense'; available ('weedout', 'random_baseline')"),
+        ({"independent_parents": False}, "independent_parents: unknown key"),
+    ], ids=["dense_arm", "independent_parents"])
+    def test_removed_arm_and_option_exit_two_before_any_cell(self, tmp_path, capsys,
+                                                             overrides, problem):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), **overrides)
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["invalid config:", f"  - {problem}"]
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("overrides,problems", [
+        ({"search": {"etas": [0.5, 0.3, 0.5]}}, ["search.etas: 0.5 appears more than once"]),
+        ({"search": {"etas": [0, 0.0]}}, ["search.etas: 0.0 appears more than once"]),
+        ({"arms": ["weedout", "random_baseline", "weedout"]},
+         ["arms: 'weedout' appears more than once"]),
+        ({"seeds": [0, 1, 0, 2, 1, 0]},
+         ["seeds: 0 appears more than once", "seeds: 1 appears more than once"]),
+    ], ids=["etas", "eta_int_and_float", "arms", "seeds"])
+    def test_repeated_value_exits_two_before_any_cell(self, tmp_path, capsys, overrides,
+                                                      problems):
+        """A repeated eta, arm or seed would compute its cells more than once."""
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), **overrides)
+        assert self.run_cli(tmp_path, raw, "--parallel", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == \
+            ["invalid config:"] + [f"  - {problem}" for problem in problems]
+        assert not (tmp_path / "sweep").exists()
+
+    def test_out_naming_a_file_exits_two_before_any_cell(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        assert self.run_cli(tmp_path, minimal_raw(), "--out", str(taken)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"cannot write {taken}: File exists"]
+        assert taken.read_text() == "a file"
+
     @pytest.mark.parametrize("seeds,offset,bad", [
         ([0, 7], "-5", "[-5]"),
         ([2**64], "0", f"[{2**64}]"),
@@ -411,12 +453,6 @@ class TestAggregation:
         assert row.ci95_test_accuracy is None
         assert row.n_runs == 1
 
-    def test_dense_rows_under_eta_zero(self, tmp_path):
-        sweep_dir = fabricate_sweep(tmp_path, {("dense", 0.0): [0.9, 0.9]})
-        records, _ = load_records(sweep_dir)
-        assert all(r.eta == 0.0 for r in aggregate_records(records)
-                   if r.arm == "dense")
-
     def test_pooled_ci_formula(self):
         a = [0.5, 0.6, 0.7]
         b = [0.55, 0.65]
@@ -578,6 +614,41 @@ class TestCmdReport:
         assert capsys.readouterr().err.splitlines() == [
             "[excluded] random_baseline_0.3_1: absent: no files"]
 
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.2): [0.9]})
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        assert main(["report", str(sweep_dir), "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"cannot write {taken}: File exists"]
+        assert taken.read_text() == "a file"
+
+    def test_sweep_with_a_dense_arm_reports_the_two_arms(self, tmp_path, capsys):
+        """A sweep written when ``dense`` was an arm: its config lists it and
+        it holds dense cells. report reads only the two arms and names none of
+        their cells absent."""
+        arms = {("weedout", 0.0): [0.9, 0.8], ("random_baseline", 0.0): [0.9, 0.8]}
+        sweep_dir = fabricate_sweep(tmp_path, arms)
+        old = dict(parse_config(minimal_raw(seeds=[0, 1])),
+                   arms=["weedout", "random_baseline", "dense"],
+                   independent_parents=False)
+        old["search"]["etas"] = [0.0]
+        (sweep_dir / "config.json").write_text(canonical_json(old))
+        assert main(["report", str(sweep_dir), "--out", str(tmp_path / "two_arms")]) == 0
+        fabricate_sweep(tmp_path, {("dense", 0.0): [0.5, 0.4]})
+        capsys.readouterr()
+        assert main(["report", str(sweep_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "aggregated 4 runs;" in captured.out
+        aggregate = (sweep_dir / "report" / "aggregate.csv").read_bytes()
+        assert {line.split(b",")[0] for line in aggregate.splitlines()[1:]} == \
+            {b"weedout", b"random_baseline"}
+        for name in ("aggregate.csv", "arm_difference.csv", "plot_long.csv",
+                     "search_spread.csv"):
+            assert (sweep_dir / "report" / name).read_bytes() == \
+                (tmp_path / "two_arms" / name).read_bytes()
+
     def test_empty_sweep_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -595,8 +666,7 @@ class TestCmdInspect:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 0
-        eta = 0.0 if arm == "dense" else 0.3
-        return tmp_path / "sweep" / run_label(arm, eta, 0)
+        return tmp_path / "sweep" / run_label(arm, 0.3, 0)
 
     def test_weedout_run_shows_generations(self, tmp_path, capsys):
         run_dir = self.make_run(tmp_path)

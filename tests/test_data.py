@@ -208,7 +208,7 @@ class TestBlobs:
     def test_tiny_spread_trains_to_perfect_accuracy(self):
         ds = synthetic_blobs(4, 40, 8, 0.01, seed=2)
         splits = split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
-        rec = run_cell(default_dense_spec(4), (8,), "dense", 0.0, 0,
+        rec = run_cell(default_dense_spec(4), (8,), "random_baseline", 0.0, 0,
                        SearchConfig(),
                        TrainConfig(epochs=10, batch_size=16, lr=0.1), splits)
         assert rec.final_row().test_accuracy == 1.0

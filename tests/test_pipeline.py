@@ -7,12 +7,14 @@ import pytest
 
 from weedout import pipeline
 from weedout.errors import DivergenceError
-from weedout.network import default_dense_spec
+from weedout.network import default_dense_spec, init_network, parent_checksum
 from weedout.pipeline import (ARMS, TrainConfig, cell_state, metrics_csv_bytes,
                               read_run_record, run_cell, run_label,
                               search_csv_bytes, sweep, sweep_cells,
                               write_failure, write_run_record)
 from weedout.search import SearchConfig
+from weedout.numerics import RngStream
+from weedout.sparsity import MASK_MODES, active_parameter_count, sample_mask
 
 SPEC = default_dense_spec(10)
 SHAPE = (16,)
@@ -35,6 +37,15 @@ def run(arm, eta, seed, splits, search=None, train=None, **kw):
                     train or small_train(), splits, **kw)
 
 
+def dense_training(seed, splits, train=None):
+    """Train the seed's whole parent under the all-ones mask, no search."""
+    mask = sample_mask(SPEC, SHAPE, 0.0, "structured", RngStream(seed).split("dense"))
+    rows, _, active = pipeline._train(init_network(SPEC, SHAPE, seed), mask,
+                                      train or small_train(), splits,
+                                      RngStream(seed).split("train"), "dense")
+    return rows, active
+
+
 class TestSingleRuns:
     def test_rerun_is_bit_identical(self, blob_splits):
         a = run("weedout", 0.4, 3, blob_splits)
@@ -53,16 +64,33 @@ class TestSingleRuns:
                 assert 0.0 <= r.test_accuracy <= 1.0
 
     def test_eta_zero_weedout_equals_dense_training(self, blob_splits):
-        """All-ones masks make the search a no-op: training matches the dense arm."""
+        """All-ones masks make the search a no-op: training matches dense training."""
         w = run("weedout", 0.0, 2, blob_splits)
-        d = run("dense", 0.0, 2, blob_splits)
-        assert metrics_csv_bytes(w) == metrics_csv_bytes(d)
+        rows, active = dense_training(2, blob_splits)
+        assert w.epoch_rows == rows
+        assert w.active_parameters == active
 
     def test_eta_zero_baseline_equals_dense_arm(self, blob_splits):
         b = run("random_baseline", 0.0, 2, blob_splits)
-        d = run("dense", 0.0, 2, blob_splits)
-        assert metrics_csv_bytes(b) == metrics_csv_bytes(d)
-        assert b.parent_checksum == d.parent_checksum
+        rows, active = dense_training(2, blob_splits)
+        assert b.epoch_rows == rows
+        assert b.active_parameters == active
+        assert b.parent_checksum == parent_checksum(init_network(SPEC, SHAPE, 2))
+
+    @pytest.mark.parametrize("mode", MASK_MODES)
+    def test_eta_zero_arms_train_the_fully_connected_parent(self, blob_splits, mode):
+        """At eta 0 both arms take the all-ones mask, so they train the seed's
+        whole parent to the same bytes: the paper's fully connected reference."""
+        search = small_search(mask_mode=mode)
+        w = run("weedout", 0.0, 2, blob_splits, search=search)
+        b = run("random_baseline", 0.0, 2, blob_splits, search=search)
+        assert metrics_csv_bytes(w) == metrics_csv_bytes(b)
+        assert w.parent_checksum == b.parent_checksum
+        parent = init_network(SPEC, SHAPE, 2)
+        assert w.parent_checksum == parent_checksum(parent)
+        assert w.realized_sparsity == b.realized_sparsity == 0.0
+        assert w.active_parameters == b.active_parameters == \
+            active_parameter_count(parent, None)
 
     def test_fitness_evaluation_budgets(self, blob_splits):
         w = run("weedout", 0.4, 4, blob_splits)
@@ -77,11 +105,6 @@ class TestSingleRuns:
         b = run("random_baseline", 0.8, 5, blob_splits)
         assert w.parent_checksum == b.parent_checksum
         assert w.active_parameters == b.active_parameters
-
-    def test_independent_parents_flag(self, blob_splits):
-        w = run("weedout", 0.4, 6, blob_splits, independent_parents=True)
-        b = run("random_baseline", 0.4, 6, blob_splits, independent_parents=True)
-        assert w.parent_checksum != b.parent_checksum
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_aborts_with_diagnostic(self, blob_splits):
@@ -106,17 +129,17 @@ class TestSingleRuns:
 
     @pytest.mark.parametrize("arm", ARMS)
     def test_what_only_the_arm_decides(self, blob_splits, arm):
-        """The search record belongs to weedout alone; dense reports eta 0
-        and draws a structured mask whatever the search's mask mode."""
+        """The search record belongs to weedout alone; both arms keep the
+        cell's eta and the search's mask mode."""
         rec = run(arm, 0.4, 10, blob_splits,
                   search=small_search(mask_mode="unstructured"))
         searched = arm == "weedout"
         assert (rec.search_history is not None) == searched
         assert (rec.fitness_evaluations == 8 * 2) == searched
-        assert rec.eta == (0.0 if arm == "dense" else 0.4)
-        assert rec.run_id == run_label(arm, rec.eta, 10)
-        assert rec.mask_mode == ("structured" if arm == "dense" else "unstructured")
-        assert rec.realized_sparsity == pytest.approx(rec.eta, abs=1e-3)
+        assert rec.eta == 0.4
+        assert rec.run_id == run_label(arm, 0.4, 10)
+        assert rec.mask_mode == "unstructured"
+        assert rec.realized_sparsity == pytest.approx(0.4, abs=1e-3)
         if not searched:
             assert rec.wall_clock["weedout_phase"] == 0.0
 
@@ -147,11 +170,12 @@ class TestPersistence:
 
 class TestSweep:
     def test_factorial_cells(self):
-        cells = sweep_cells([0.0, 0.2], ["weedout", "random_baseline"], [0, 1])
-        assert len(cells) == 8
-        cells_d = sweep_cells([0.0, 0.2], ["weedout", "dense"], [0, 1])
-        assert ("dense", 0.0, 0) in cells_d
-        assert len(cells_d) == 6  # dense not crossed with etas
+        cells = sweep_cells([0, 0.2], ["weedout", "random_baseline"], [0, 1])
+        assert cells == [("weedout", 0.0, 0), ("weedout", 0.0, 1),
+                         ("random_baseline", 0.0, 0), ("random_baseline", 0.0, 1),
+                         ("weedout", 0.2, 0), ("weedout", 0.2, 1),
+                         ("random_baseline", 0.2, 0), ("random_baseline", 0.2, 1)]
+        assert all(type(eta) is float for _, eta, _ in cells)
 
     def test_sweep_runs_and_resumes(self, tmp_path, blob_splits):
         out = tmp_path / "sweep"
