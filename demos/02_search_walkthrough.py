@@ -24,7 +24,7 @@ cfg = SearchConfig(population_size=60, generations=5, validation_batch_size=256)
 result = run_search(net, cfg, 0.6, splits.validation, RngStream(1).split("search"))
 
 print(f"\npopulation {cfg.population_size}, {cfg.generations} generations, "
-      f"{result.evaluations} fitness evaluations (no weight updates)\n")
+      f"{len(result.history)} fitness evaluations (no weight updates)\n")
 print(f"{'gen':>4} {'best':>10} {'mean':>10} {'worst':>10}  elite")
 by_gen = {}
 for row in result.history:
@@ -37,8 +37,11 @@ for gen, rows in sorted(by_gen.items()):
           f"{min(fits):>10.5f}  {label}")
 
 best = result.best
+# the winner's fitness is its row in the last generation
+fitness = next(r.fitness for r in by_gen[cfg.generations]
+               if r.candidate_id == best.candidate_id)
 print(f"\nwinner: candidate #{best.candidate_id} "
-      f"(born generation {best.birth_generation}, fitness {best.fitness:.5f}, "
+      f"(born generation {best.birth_generation}, fitness {fitness:.5f}, "
       f"realized sparsity {realized_sparsity(best.mask):.3f})")
 print("the winner's mask would now go to SGD training; see demo 03 for the "
       "full comparison against random masks")

@@ -14,8 +14,7 @@ from .network import (LayerSpec, Network, SgdState, conv2d,
                       relu_layer, sgd_step)
 from .numerics import RngStream, Tensor, he_normal, softmax_cross_entropy
 from .pipeline import RunRecord, TrainConfig, run_cell, sweep
-from .search import (Candidate, SearchConfig, SearchResult, fitness,
-                     next_generation, run_search, select_best)
+from .search import Candidate, SearchConfig, SearchResult, fitness, run_search
 from .sparsity import (MaskSet, realized_sparsity, reduce_network, sample_mask,
                        sample_structured)
 

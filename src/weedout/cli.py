@@ -22,8 +22,8 @@ from pathlib import Path
 
 from . import pipeline
 # parse_config is unused here but stays importable as weedout.cli.parse_config
-from .config import (build_experiment, canonical_json, load_config, parse_config,
-                     resolve_out_dir)
+from .config import (build_experiment, canonical_json, check_same_sweep, load_config,
+                     parse_config, resolve_out_dir)
 from .errors import ConfigError
 from .numerics import MAX_SEED
 from .report import load_records, write_report
@@ -40,6 +40,7 @@ def cmd_run(args) -> int:
         out_dir = resolve_out_dir(cfg["out_dir"], args.out)
         cfg["out_dir"] = str(out_dir)
         layers, input_shape, splits, search_cfg, train_cfg = build_experiment(cfg)
+        check_same_sweep(cfg, out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "config.json").write_text(canonical_json(cfg), encoding="utf-8")
     except ConfigError as exc:

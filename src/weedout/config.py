@@ -160,6 +160,23 @@ def parse_config(raw: dict) -> dict:
             "out_dir": out_dir or ""}
 
 
+def check_same_sweep(cfg: dict, out_dir: Path) -> None:
+    """Raise ``ConfigError``, a line per key, where ``cfg`` and the config.json of
+    a sweep in ``out_dir`` differ; arms, seeds, search.etas and out_dir may."""
+    try:
+        old = json.loads((out_dir / "config.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # no sweep there, or a torn write: replaced
+        return
+    old, new = ({f"{k}.{sub}" if isinstance(v, dict) else k: x for k, v in c.items()
+                 for sub, x in (v.items() if isinstance(v, dict) else [(k, v)])}
+                for c in (old if isinstance(old, dict) else {}, cfg))
+    if changed := [f"{key}: {value!r} here, {old.get(key, '(absent)')!r} in {out_dir}"
+                   for key, value in new.items()
+                   if key not in ("arms", "seeds", "search.etas", "out_dir")
+                   and (key not in old or old[key] != value)]:
+        raise ConfigError(changed)
+
+
 def load_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))

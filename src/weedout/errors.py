@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the field checks that
 config dataclasses build their problem lists from."""
 
+import math
+
 
 class WeedoutError(Exception):
     """Base class for all package-specific errors."""
@@ -24,10 +26,6 @@ class InfeasibleSparsityError(WeedoutError, ValueError):
 
 class UnsupportedModeError(WeedoutError, ValueError):
     """The operation does not support this mask mode."""
-
-
-class EvaluationIncompleteError(WeedoutError, RuntimeError):
-    """Selection was requested before every candidate had a fitness value."""
 
 
 class DivergenceError(WeedoutError, RuntimeError):
@@ -57,11 +55,13 @@ class ConfigError(WeedoutError, ValueError):
 
 def check_number(name: str, value, kind: type, lo=None, hi=None, *,
                  lo_open: bool = False, hi_open: bool = False) -> list[str]:
-    """``[]`` if ``value`` is a ``kind`` (int or float) within the bounds,
-    else one ``"name: reason"`` line. Booleans are not numbers here."""
+    """``[]`` if ``value`` is a finite ``kind`` (int or float) within the
+    bounds, else one ``"name: reason"`` line. Booleans are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or (kind is int and not isinstance(value, int)):
         return [f"{name}: expected {kind.__name__}, got {value!r}"]
+    if isinstance(value, float) and not math.isfinite(value):
+        return [f"{name}: must be finite, got {value}"]
     if lo is not None and (value <= lo if lo_open else value < lo):
         return [f"{name}: must be {'>' if lo_open else '>='} {lo}, got {value}"]
     if hi is not None and (value >= hi if hi_open else value > hi):

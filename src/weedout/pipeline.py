@@ -410,13 +410,13 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
     t0 = time.perf_counter()
     net = _parent_for(spec, input_shape, seed)
     checksum = parent_checksum(net)
-    history, evaluations = None, 0
+    history = None
     with kernel_pool(parallel) as pool:
         t1 = time.perf_counter()
         if arm == "weedout":
             result = run_search(net, search_cfg, eta, splits.validation,
                                 RngStream(seed).split("search"), pool)
-            history, evaluations = result.history, result.evaluations
+            history = result.history
             mask = result.best.mask
         else:
             mask = sample_mask(spec, input_shape, eta, search_cfg.mask_mode,
@@ -434,7 +434,7 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
         mask_layer_zeros={i: (m.size - int(m.sum()), m.size)
                           for i, m in mask.masks.items()},
         realized_sparsity=realized_sparsity(mask), active_parameters=active,
-        parent_checksum=checksum, fitness_evaluations=evaluations,
+        parent_checksum=checksum, fitness_evaluations=len(history or ()),
         wall_clock={"init": t1 - t0, "weedout_phase": t2 - t1,
                     "training_phase": t3 - t2 - eval_s, "evaluation": eval_s})
 

@@ -10,9 +10,9 @@ quality of each mask.
 Candidates with identical masks are scored once per generation: the first
 of them is scored and the rest take its fitness, which is the same bits
 scoring them would give on the same batch. At eta 0 every candidate is the
-all-ones mask, so a generation costs one fitness evaluation. The search
-still counts every candidate in ``SearchResult.evaluations`` (a manifest's
-``fitness_evaluations``).
+all-ones mask, so a generation costs one fitness evaluation. The history
+still holds one row per candidate, and a manifest's ``fitness_evaluations``
+counts those rows.
 
 A cell's kernel pool (see ``network.KernelPool``), when it has one, scores
 the distinct candidates here, each thread a contiguous run of them; the
@@ -22,26 +22,25 @@ passes no pool to the kernels, so a pool never waits on itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, sample_batch
-from .errors import EvaluationIncompleteError, check_member, check_number
+from .errors import check_member, check_number
 from .network import KernelPool, Network, mean_loss, run_pieces
 from .numerics import RngStream
 from .sparsity import MASK_MODES, MaskSet, sample_mask, sub_network
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Candidate:
-    """One population member: a mask, its identity, and its latest score;
-    ``==`` and ``hash`` go by identity, as for its :class:`MaskSet`."""
+    """One population member: a mask and its identity; ``==`` and ``hash``
+    go by identity, as for its :class:`MaskSet`."""
 
     mask: MaskSet
     candidate_id: int
     birth_generation: int
-    fitness: float | None = None
 
 
 @dataclass(frozen=True)
@@ -70,54 +69,22 @@ class HistoryRow:
     is_elite: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     best: Candidate
-    history: list[HistoryRow] = field(default_factory=list)
-    evaluations: int = 0
+    history: list[HistoryRow]
 
 
-def fitness(net: Network, cand: Candidate, validation_batch) -> float:
-    """Score a candidate: negative mean cost on the given validation batch.
+def fitness(net: Network, mask: MaskSet, validation_batch) -> float:
+    """Score a mask: negative mean cost on the given validation batch.
 
     The parent's weights are used untouched; this is a pre-training signal.
-    A structured candidate is scored on its reduced network. The value is
-    stored on the candidate.
+    A structured mask is scored on its reduced network.
     """
     x, y = validation_batch
     if len(y) == 0:
         raise ValueError("validation batch is empty")
-    cand.fitness = -mean_loss(*sub_network(net, cand.mask), x, y)
-    return cand.fitness
-
-
-def select_best(population: list[Candidate]) -> Candidate:
-    """Maximal-fitness candidate; ties break toward the lowest candidate_id."""
-    for c in population:
-        if c.fitness is None:
-            raise EvaluationIncompleteError(
-                f"candidate {c.candidate_id} has no fitness value")
-    return max(population, key=lambda c: (c.fitness, -c.candidate_id))
-
-
-def next_generation(population: list[Candidate], best: Candidate,
-                    spec, eta: float, rng: RngStream, *,
-                    mask_mode: str = "structured",
-                    input_shape=None) -> list[Candidate]:
-    """Elite plus population_size - 1 fresh random candidates.
-
-    The elite keeps its mask and identity but its fitness is cleared: every
-    generation re-scores all members on that generation's fresh batch.
-    """
-    next_gen = max(c.birth_generation for c in population) + 1
-    next_id = max(c.candidate_id for c in population) + 1
-    out = [Candidate(mask=best.mask, candidate_id=best.candidate_id,
-                     birth_generation=best.birth_generation, fitness=None)]
-    for j in range(len(population) - 1):
-        mask = sample_mask(spec, input_shape, eta, mask_mode, rng)
-        out.append(Candidate(mask=mask, candidate_id=next_id + j,
-                             birth_generation=next_gen))
-    return out
+    return -mean_loss(*sub_network(net, mask), x, y)
 
 
 def _mask_key(mask: MaskSet) -> tuple:
@@ -127,31 +94,34 @@ def _mask_key(mask: MaskSet) -> tuple:
 
 
 def _evaluate_population(net: Network, population: list[Candidate],
-                         batch, pool: KernelPool | None) -> None:
-    """Score every candidate on ``batch``, each distinct mask once."""
-    keys = [_mask_key(c.mask) for c in population]
-    first: dict[tuple, Candidate] = {}
-    for key, c in zip(keys, population):
-        first.setdefault(key, c)
+                         batch, pool: KernelPool | None) -> list[float]:
+    """Each candidate's score on ``batch``, scoring each distinct mask once."""
+    first: dict[tuple, int] = {}
+    owner = [first.setdefault(_mask_key(c.mask), k) for k, c in enumerate(population)]
     distinct = list(first.values())
-    run_pieces(pool, lambda k: fitness(net, distinct[k], batch), len(distinct))
-    for key, c in zip(keys, population):
-        c.fitness = first[key].fitness
+    scores = [0.0] * len(population)
+
+    def score(j: int) -> None:
+        scores[distinct[j]] = fitness(net, population[distinct[j]].mask, batch)
+
+    run_pieces(pool, score, len(distinct))
+    return [scores[k] for k in owner]
 
 
 def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Dataset,
                rng: RngStream, pool: KernelPool | None = None) -> SearchResult:
     """Run ``cfg.generations`` generations at sparsity ``eta``; the winner is
-    the last generation's fittest candidate (see :func:`select_best`).
+    the last generation's fittest candidate, ties going to the lowest id.
 
     Each generation draws a fresh validation batch and scores all candidates
-    on that same batch, so within-generation comparisons are fair.
-    Candidates with identical masks are scored once per generation, and
-    ``evaluations`` still counts every candidate. Candidate evaluations are
-    pure, so the cell's ``pool``, if any, may score them on its threads
-    without changing any value; a candidate's kernels get no pool. A sweep
-    hands its workers to cells first, so a cell gets the threads left over:
-    all of them when it is the only cell to compute.
+    on that same batch, so within-generation comparisons are fair. The
+    fittest stays as the elite, first in the next generation, and fresh
+    random candidates with new ids fill the rest: the population is in
+    ascending id order, so the first maximal score is the lowest id's.
+    Candidate evaluations are pure, so the cell's ``pool``, if any, may score
+    them on its threads without changing any value; a candidate's kernels get
+    no pool. A sweep hands its workers to cells first, so a cell gets the
+    threads left over: all of them when it is the only cell to compute.
     """
     if problems := cfg.problems():
         raise ValueError("; ".join(problems))
@@ -159,26 +129,19 @@ def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Datase
         raise ValueError("validation split is empty")
     rng_masks = rng.split("masks")
     rng_batches = rng.split("batches")
-    population = [
-        Candidate(mask=sample_mask(net.spec, net.input_shape, eta,
-                                   cfg.mask_mode, rng_masks),
-                  candidate_id=i, birth_generation=1)
-        for i in range(cfg.population_size)
-    ]
-    result = SearchResult(best=population[0])
+    population: list[Candidate] = []
+    history: list[HistoryRow] = []
     for gen in range(1, cfg.generations + 1):
+        next_id = population[-1].candidate_id + 1 if population else 0
+        population = [best] if population else []  # the elite keeps its place
+        population += [Candidate(sample_mask(net.spec, net.input_shape, eta,
+                                             cfg.mask_mode, rng_masks), next_id + j, gen)
+                       for j in range(cfg.population_size - len(population))]
         batch = sample_batch(d_validation, cfg.validation_batch_size,
                              rng_batches.split(f"gen{gen}"))
-        _evaluate_population(net, population, batch, pool)
-        for c in population:
-            result.history.append(HistoryRow(
-                generation=gen, candidate_id=c.candidate_id,
-                birth_generation=c.birth_generation, fitness=c.fitness,
-                is_elite=c.birth_generation < gen))
-        result.evaluations += len(population)
-        result.best = select_best(population)
-        if gen < cfg.generations:
-            population = next_generation(population, result.best, net.spec, eta,
-                                         rng_masks, mask_mode=cfg.mask_mode,
-                                         input_shape=net.input_shape)
-    return result
+        scores = _evaluate_population(net, population, batch, pool)
+        history += [HistoryRow(gen, c.candidate_id, c.birth_generation, s,
+                               c.birth_generation < gen)
+                    for c, s in zip(population, scores)]
+        best = population[scores.index(max(scores))]
+    return SearchResult(best, history)

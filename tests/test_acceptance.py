@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
+from weedout import search
 from weedout.cli import main
 from weedout.data import (load_cifar10_binary, load_idx, sample_batch,
                           split, synthetic_blobs, SplitSpec)
@@ -19,8 +20,7 @@ from weedout.network import (conv2d, default_dense_spec, dense, flatten_layer,
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import TrainConfig, sweep
 from weedout.report import aggregate_records, arm_differences
-from weedout.search import (Candidate, SearchConfig, _evaluate_population,
-                            next_generation, run_search, select_best)
+from weedout.search import SearchConfig, run_search
 from weedout.sparsity import reduce_network, resample_mask, sample_structured
 
 
@@ -187,51 +187,56 @@ def test_criterion_3_sparsity_exactness():
            f"width-10 literal case {literal_ok}")
 
 
-def test_criterion_4_search_protocol(desk_splits):
+def test_criterion_4_search_protocol(desk_splits, monkeypatch):
     """m=100, G=5: budget 500, per-generation argmax, bit-identical elite."""
     spec = default_dense_spec(10)
     net = init_network(spec, (16,), seed=11)
+    populations = []  # each generation's candidates and their mask bits, as scored
+    real = search._evaluate_population
+
+    def recording(net, population, batch, pool):
+        keys = [search._mask_key(c.mask) for c in population]
+        populations.append((list(population), keys))
+        return real(net, population, batch, pool)
+
+    monkeypatch.setattr(search, "_evaluate_population", recording)
     cfg = SearchConfig(population_size=100, generations=5, validation_batch_size=256)
     res = run_search(net, cfg, 0.4, desk_splits.validation, RngStream(11).split("s"))
-    budget_ok = res.evaluations == 500 and len(res.history) == 500
+    budget_ok = len(res.history) == 500 and len(populations) == 5
 
-    argmax_ok = True
+    argmax_ok = elite_ok = True
     by_gen = {}
     for h in res.history:
         by_gen.setdefault(h.generation, []).append(h)
     for gen, rows in by_gen.items():
         argmax_ok &= len(rows) == 100
-    for gen in (1, 2, 3, 4):
+    for gen in (1, 2, 3, 4, 5):
         winner = max(by_gen[gen], key=lambda h: (h.fitness, -h.candidate_id))
+        argmax_ok &= all(winner.fitness >= h.fitness for h in by_gen[gen])
+        if gen == 5:
+            argmax_ok &= res.best.candidate_id == winner.candidate_id
+            continue
         nxt = {h.candidate_id: h for h in by_gen[gen + 1]}
         argmax_ok &= winner.candidate_id in nxt and nxt[winner.candidate_id].is_elite
-
-    # elite mask carries over bit-identically
-    rng = RngStream(12).split("m")
-    pop = [Candidate(mask=sample_structured(spec, 0.4, rng), candidate_id=i,
-                     birth_generation=1) for i in range(100)]
-    batch = sample_batch(desk_splits.validation, 256, RngStream(12).split("b"))
-    _evaluate_population(net, pop, batch, None)
-    best = select_best(pop)
-    carried = next_generation(pop, best, spec, 0.4, rng)[0]
-    elite_ok = all(np.array_equal(carried.mask.masks[i], best.mask.masks[i])
-                   for i in best.mask.masks)
-    elite_ok &= best.fitness >= max(c.fitness for c in pop)
+        # elite mask carries over bit-identically
+        (population, keys), (following, following_keys) = populations[gen - 1:gen + 1]
+        k = [c.candidate_id for c in population].index(winner.candidate_id)
+        elite_ok &= following[0].mask is population[k].mask
+        elite_ok &= following_keys[0] == keys[k]
 
     # uniform-logit candidate scores exactly -ln(num_classes)
     zero_net = init_network(spec, (16,), seed=13)
     for p in zero_net.params:
         if p is not None:
             p.weight[:] = 0.0
-    cand = Candidate(mask=resample_mask(spec, None, "structured", 0.0, 0), candidate_id=0,
-                     birth_generation=1)
-    from weedout.search import fitness as fitness_fn
-    value = fitness_fn(zero_net, cand, batch)
+    batch = sample_batch(desk_splits.validation, 256, RngStream(12).split("b"))
+    value = search.fitness(zero_net, resample_mask(spec, None, "structured", 0.0, 0),
+                           batch)
     uniform_ok = abs(value - (-math.log(10))) < 1e-9
 
     ok = budget_ok and argmax_ok and elite_ok and uniform_ok
     report(4, "search protocol (m=100, G=5)", ok,
-           f"budget {res.evaluations}, argmax {argmax_ok}, elite {elite_ok}, "
+           f"budget {len(res.history)}, argmax {argmax_ok}, elite {elite_ok}, "
            f"uniform fitness {value:.9f}")
 
 
@@ -311,17 +316,14 @@ def test_criterion_8_fitness_pretraining_argmax(desk_splits):
     """On one fixed batch, the selected candidate's fitness tops the population."""
     spec = default_dense_spec(10)
     net = init_network(spec, (16,), seed=21)
-    rng = RngStream(21)
-    mask_rng = rng.split("m")
-    pop = [Candidate(mask=sample_structured(spec, 0.6, mask_rng),
-                     candidate_id=i, birth_generation=1) for i in range(50)]
-    batch = sample_batch(desk_splits.validation, 256, rng.split("b"))
-    _evaluate_population(net, pop, batch, None)
-    best = select_best(pop)
-    spread = best.fitness - min(c.fitness for c in pop)
-    ok = all(best.fitness >= c.fitness for c in pop) and spread > 0
+    cfg = SearchConfig(population_size=50, generations=1, validation_batch_size=256)
+    res = run_search(net, cfg, 0.6, desk_splits.validation, RngStream(21).split("s"))
+    fits = {h.candidate_id: h.fitness for h in res.history}
+    best = fits[res.best.candidate_id]
+    spread = best - min(fits.values())
+    ok = len(fits) == 50 and all(best >= f for f in fits.values()) and spread > 0
     report(8, "pre-training fitness argmax", ok,
-           f"population 50, best {best.fitness:.4f}, spread {spread:.4f}")
+           f"population 50, best {best:.4f}, spread {spread:.4f}")
 
 
 def test_criterion_9_data_ingestion(tmp_path):

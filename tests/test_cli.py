@@ -299,6 +299,55 @@ class TestCmdRun:
             "invalid config:", f"  - seeds: {bad} out of [0, 2**64) after --seed-offset"]
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("overrides,problem", [
+        ({"search": {"etas": [math.nan]}}, "search.etas[0]: must be finite, got nan"),
+        ({"train": {"lr": math.inf}}, "train.lr: must be finite, got inf"),
+        ({"train": {"momentum": math.nan}}, "train.momentum: must be finite, got nan"),
+    ], ids=["etas_nan", "lr_infinity", "momentum_nan"])
+    def test_non_finite_number_exits_two_before_any_cell(self, tmp_path, capsys,
+                                                         overrides, problem):
+        """Python's JSON reader takes NaN and Infinity, and NaN fails no comparison."""
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), **overrides)
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["invalid config:", f"  - {problem}"]
+        assert not (tmp_path / "sweep").exists()
+
+    def test_changed_config_exits_two_and_leaves_the_sweep(self, tmp_path, capsys):
+        """Resuming with other settings would report cells computed under the old."""
+        sweep = tmp_path / "sweep"
+        raw = minimal_raw(out_dir=str(sweep), train={"epochs": 1, "batch_size": 16})
+        assert self.run_cli(tmp_path, raw) == 0
+        written = {p: p.read_bytes() for p in sweep.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        raw["train"]["epochs"] = 5
+        raw["search"]["generations"] = 3
+        raw["search"]["etas"] = [0.3, 0.6]
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid config:", f"  - search.generations: 3 here, 2 in {sweep}",
+            f"  - train.epochs: 5 here, 1 in {sweep}"]
+        assert {p: p.read_bytes() for p in sweep.rglob("*") if p.is_file()} == written
+
+    def test_grown_copied_or_older_sweep_resumes(self, tmp_path, capsys):
+        """Other etas, arms, seeds or out_dir, and keys only an older config.json
+        names, leave the finished cells valid."""
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"))
+        assert self.run_cli(tmp_path, raw) == 0
+        shutil.copytree(tmp_path / "sweep", tmp_path / "copy")
+        old = json.loads((tmp_path / "copy" / "config.json").read_text())
+        old["independent_parents"] = False
+        old["search"]["early_stop_tol"] = 0.0
+        (tmp_path / "copy" / "config.json").write_text(canonical_json(old))
+        grown = dict(raw, arms=["weedout", "random_baseline"], seeds=[0, 1],
+                     search=dict(raw["search"], etas=[0.3, 0.6]))
+        capsys.readouterr()
+        assert self.run_cli(tmp_path, grown, "--out", str(tmp_path / "copy")) == 0
+        assert "7 computed, 1 cached" in capsys.readouterr().out
+
     @pytest.mark.parametrize("damage, reason", [
         (lambda m, d: {"status": "completed", "files": {}},
          "ValueError: manifest.json: run_id, arm, eta, seed missing or malformed"),

@@ -522,10 +522,10 @@ def test_fitness_scoring_never_receives_a_kernel_pool(monkeypatch):
     scoring = threading.local()
     calls = []
 
-    def fitness_spy(net, cand, batch):
+    def fitness_spy(net, mask, batch):
         scoring.on = True
         try:
-            return real_fitness(net, cand, batch)
+            return real_fitness(net, mask, batch)
         finally:
             scoring.on = False
 

@@ -5,13 +5,12 @@ import pytest
 
 from weedout import search
 from weedout.data import Dataset, sample_batch
-from weedout.errors import EvaluationIncompleteError
 from weedout.network import (KernelPool, conv2d, dense, flatten_layer, init_network,
                              mean_loss, relu_layer)
 from weedout.numerics import RngStream
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
-                            fitness, next_generation, run_search, select_best)
-from weedout.sparsity import resample_mask, sample_structured
+                            fitness, run_search)
+from weedout.sparsity import resample_mask, sample_mask, sample_structured
 
 from weedout.network import default_dense_spec
 
@@ -19,6 +18,30 @@ from weedout.network import default_dense_spec
 @pytest.fixture
 def net16():
     return init_network(default_dense_spec(10), (16,), seed=4)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Each generation's batch, candidates and their mask keys, as scored."""
+    real, generations = search._evaluate_population, []
+
+    def recording(net, population, batch, pool):
+        keys = [search._mask_key(c.mask) for c in population]
+        generations.append((batch, list(population), keys))
+        return real(net, population, batch, pool)
+
+    monkeypatch.setattr(search, "_evaluate_population", recording)
+    return generations
+
+
+def search_with_scores(monkeypatch, net, splits, scores):
+    """run_search with ``scores[g]`` as generation g + 1's candidate scores."""
+    given = iter(scores)
+    monkeypatch.setattr(search, "_evaluate_population",
+                        lambda net, population, batch, pool: list(next(given)))
+    cfg = SearchConfig(population_size=len(scores[0]), generations=len(scores),
+                       validation_batch_size=32)
+    return run_search(net, cfg, 0.4, splits.validation, RngStream(6).split("s"))
 
 
 def make_population(spec, eta, m, rng):
@@ -32,94 +55,104 @@ class TestFitness:
             if p is not None:
                 p.weight[:] = 0.0  # zero weights + zero biases -> uniform logits
         ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
-        cand = Candidate(mask=ones, candidate_id=0, birth_generation=1)
         batch = sample_batch(blob_splits.validation, 64, rng)
-        value = fitness(net16, cand, batch)
-        assert abs(value - (-math.log(10))) < 1e-9
-        assert cand.fitness == value
+        assert abs(fitness(net16, ones, batch) - (-math.log(10))) < 1e-9
 
     def test_all_ones_mask_equals_dense_loss(self, net16, blob_splits, rng):
         batch = sample_batch(blob_splits.validation, 64, rng)
         ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
-        cand = Candidate(mask=ones, candidate_id=0, birth_generation=1)
-        assert fitness(net16, cand, batch) == -mean_loss(net16, None, *batch)
+        assert fitness(net16, ones, batch) == -mean_loss(net16, None, *batch)
 
     def test_empty_batch_rejected(self, net16):
         ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
         with pytest.raises(ValueError):
-            fitness(net16, Candidate(ones, 0, 1),
-                    (np.zeros((0, 16)), np.zeros(0, dtype=int)))
+            fitness(net16, ones, (np.zeros((0, 16)), np.zeros(0, dtype=int)))
 
     def test_serial_equals_parallel(self, net16, blob_splits, rng):
         batch = sample_batch(blob_splits.validation, 64, rng.split("b"))
-        pop_serial = make_population(net16.spec, 0.4, 12, RngStream(5).split("m"))
-        pop_parallel = make_population(net16.spec, 0.4, 12, RngStream(5).split("m"))
-        _evaluate_population(net16, pop_serial, batch, None)
+        population = make_population(net16.spec, 0.4, 12, RngStream(5).split("m"))
+        serial = _evaluate_population(net16, population, batch, None)
         with KernelPool(4) as pool:
-            _evaluate_population(net16, pop_parallel, batch, pool)
-        assert [c.fitness for c in pop_serial] == [c.fitness for c in pop_parallel]
+            parallel = _evaluate_population(net16, population, batch, pool)
+        assert serial == parallel
+        assert serial == [fitness(net16, c.mask, batch) for c in population]
 
 
 class TestSelectBest:
-    def _pop(self, fitnesses):
-        return [Candidate(mask=None, candidate_id=i, birth_generation=1, fitness=f)
-                for i, f in enumerate(fitnesses)]
+    """The winner is the last generation's argmax, ties going to the lowest id."""
 
-    def test_argmax(self):
-        assert select_best(self._pop([-1.2, -0.5, -3.0])).candidate_id == 1
+    def test_argmax(self, net16, blob_splits, monkeypatch):
+        res = search_with_scores(monkeypatch, net16, blob_splits, [[-1.2, -0.5, -3.0]])
+        assert res.best.candidate_id == 1
+        assert [h.fitness for h in res.history] == [-1.2, -0.5, -3.0]
+        # a fresh candidate beats the elite in the last generation
+        res = search_with_scores(monkeypatch, net16, blob_splits,
+                                 [[-2.0, -1.0, -3.0], [-0.5, -0.4, -0.6]])
+        assert res.best.candidate_id == 3
 
-    def test_ties_break_to_lowest_id(self):
-        assert select_best(self._pop([-1.0, -1.0, -1.0])).candidate_id == 0
+    def test_ties_break_to_lowest_id(self, net16, blob_splits, monkeypatch):
+        for mode in ("structured", "unstructured"):
+            # at eta 0 every candidate is the all-ones mask and scores the same
+            cfg = SearchConfig(population_size=5, generations=3, validation_batch_size=32,
+                               mask_mode=mode)
+            res = run_search(net16, cfg, 0.0, blob_splits.validation,
+                             RngStream(3).split("s"))
+            assert res.best.candidate_id == 0
+            assert len({h.fitness for h in res.history if h.generation == 3}) == 1
+        res = search_with_scores(monkeypatch, net16, blob_splits, [[-1.0, -1.0, -1.0]])
+        assert res.best.candidate_id == 0
+        # the elite, first in its generation, keeps a tie with a fresh id
+        res = search_with_scores(monkeypatch, net16, blob_splits,
+                                 [[-2.0, -1.0, -3.0], [-0.5, -0.5, -0.6]])
+        assert res.best.candidate_id == 1
 
-    def test_shift_invariance(self):
-        base = [-2.0, -0.7, -1.4]
-        shifted = [f + 5.0 for f in base]
-        assert select_best(self._pop(base)).candidate_id == \
-            select_best(self._pop(shifted)).candidate_id
-
-    def test_incomplete_evaluation_rejected(self):
-        pop = self._pop([-1.0, -2.0])
-        pop[1].fitness = None
-        with pytest.raises(EvaluationIncompleteError):
-            select_best(pop)
+    def test_shift_invariance(self, net16, blob_splits, monkeypatch):
+        base = [[-2.0, -0.7, -1.4], [-1.1, -0.9, -1.0]]
+        shifted = [[f + 5.0 for f in gen] for gen in base]
+        assert search_with_scores(monkeypatch, net16, blob_splits, base).best.candidate_id \
+            == search_with_scores(monkeypatch, net16, blob_splits, shifted).best.candidate_id
 
 
 class TestNextGeneration:
-    def test_elite_plus_fresh(self, net16):
-        rng = RngStream(6).split("m")
-        pop = make_population(net16.spec, 0.4, 2, rng)
-        for i, c in enumerate(pop):
-            c.fitness = -float(i + 1)
-        best = select_best(pop)
-        out = next_generation(pop, best, net16.spec, 0.4, rng)
-        assert len(out) == 2
-        assert out[0].candidate_id == best.candidate_id
-        assert out[0].fitness is None  # re-scored on the next fresh batch
-        assert out[1].candidate_id == 2
-        assert out[1].birth_generation == 2
+    def test_elite_plus_fresh(self, net16, blob_splits, monkeypatch):
+        res = search_with_scores(monkeypatch, net16, blob_splits,
+                                 [[-1.0, -2.0], [-5.0, -6.0]])
+        rows = [(h.generation, h.candidate_id, h.birth_generation, h.fitness, h.is_elite)
+                for h in res.history]
+        # the elite is re-scored on generation 2's batch, not given its old score
+        assert rows == [(1, 0, 1, -1.0, False), (1, 1, 1, -2.0, False),
+                        (2, 0, 1, -5.0, True), (2, 2, 2, -6.0, False)]
 
-    def test_elite_mask_bit_identical(self, net16):
-        rng = RngStream(7).split("m")
-        pop = make_population(net16.spec, 0.6, 5, rng)
-        for i, c in enumerate(pop):
-            c.fitness = float(-i)
-        best = select_best(pop)
-        out = next_generation(pop, best, net16.spec, 0.6, rng)
-        for i in best.mask.masks:
-            np.testing.assert_array_equal(out[0].mask.masks[i], best.mask.masks[i])
+    def test_elite_mask_bit_identical(self, net16, blob_splits, recorded):
+        cfg = SearchConfig(population_size=6, generations=4, validation_batch_size=32)
+        res = run_search(net16, cfg, 0.6, blob_splits.validation, RngStream(7).split("s"))
+        for gen, (_, population, keys) in enumerate(recorded, start=1):
+            scores = [h.fitness for h in res.history if h.generation == gen]
+            k = max(range(6), key=lambda k: (scores[k], -population[k].candidate_id))
+            if gen == 4:
+                assert res.best is population[k]
+                continue
+            _, following, following_keys = recorded[gen]
+            assert following[0] is population[k]  # so the same mask object
+            assert following_keys[0] == keys[k]  # with the same bits
+            assert [c.candidate_id for c in following[1:]] == \
+                list(range(6 + 5 * (gen - 1), 6 + 5 * gen))
 
-    def test_fresh_masks_reproducible(self, net16):
-        def build():
-            rng = RngStream(8).split("m")
-            pop = make_population(net16.spec, 0.4, 4, rng)
-            for i, c in enumerate(pop):
-                c.fitness = float(-i)
-            return next_generation(pop, select_best(pop), net16.spec, 0.4, rng)
-
-        a, b = build(), build()
-        for ca, cb in zip(a, b):
-            for i in ca.mask.masks:
-                np.testing.assert_array_equal(ca.mask.masks[i], cb.mask.masks[i])
+    def test_fresh_masks_reproducible(self, net16, blob_splits, recorded):
+        """The initial m masks, then m - 1 per generation, from the masks stream."""
+        for mode in ("structured", "unstructured"):
+            recorded.clear()
+            cfg = SearchConfig(population_size=4, generations=3, validation_batch_size=32,
+                               mask_mode=mode)
+            run_search(net16, cfg, 0.4, blob_splits.validation, RngStream(8).split("s"))
+            stream = RngStream(8).split("s").split("masks")
+            for gen, (_, population, _) in enumerate(recorded, start=1):
+                fresh = population if gen == 1 else population[1:]
+                for c in fresh:
+                    expected = sample_mask(net16.spec, net16.input_shape, 0.4, mode,
+                                           stream)
+                    assert c.birth_generation == gen
+                    assert search._mask_key(c.mask) == search._mask_key(expected)
 
 
 class TestRunSearch:
@@ -131,7 +164,6 @@ class TestRunSearch:
     def test_budget_and_history_shape(self, net16, blob_splits):
         res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                          RngStream(1).split("s"))
-        assert res.evaluations == 30
         assert len(res.history) == 30
         for gen in (1, 2, 3):
             assert sum(1 for h in res.history if h.generation == gen) == 10
@@ -139,15 +171,14 @@ class TestRunSearch:
     def test_single_generation_is_plain_argmax(self, net16, blob_splits):
         res = run_search(net16, self.cfg(generations=1), 0.4, blob_splits.validation,
                          RngStream(2).split("s"))
-        assert res.evaluations == 10
-        best_fit = max(h.fitness for h in res.history)
-        assert res.best.fitness == best_fit
+        best = next(h for h in res.history if h.candidate_id == res.best.candidate_id)
+        assert best.fitness == max(h.fitness for h in res.history)
 
     def test_within_generation_winner_attains_max(self, net16, blob_splits):
         res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
                          RngStream(3).split("s"))
-        final = [h for h in res.history if h.generation == 3]
-        assert res.best.fitness == max(h.fitness for h in final)
+        final = {h.candidate_id: h.fitness for h in res.history if h.generation == 3}
+        assert final[res.best.candidate_id] == max(final.values())
 
     def test_elitism_carries_winner_id_forward(self, net16, blob_splits):
         res = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
@@ -163,14 +194,16 @@ class TestRunSearch:
             fresh = [h for h in by_gen[gen + 1] if not h.is_elite]
             assert len(fresh) == 9
 
-    def test_deterministic_across_reruns_and_threads(self, net16, blob_splits):
-        a = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
+    @pytest.mark.parametrize("mode", ["structured", "unstructured"])
+    def test_deterministic_across_reruns_and_threads(self, net16, blob_splits, mode):
+        a = run_search(net16, self.cfg(mask_mode=mode), 0.4, blob_splits.validation,
                        RngStream(5).split("s"), pool=None)
         with KernelPool(4) as pool:
-            b = run_search(net16, self.cfg(), 0.4, blob_splits.validation,
+            b = run_search(net16, self.cfg(mask_mode=mode), 0.4, blob_splits.validation,
                            RngStream(5).split("s"), pool=pool)
-        assert [h.fitness for h in a.history] == [h.fitness for h in b.history]
+        assert a.history == b.history
         assert a.best.candidate_id == b.best.candidate_id
+        assert search._mask_key(a.best.mask) == search._mask_key(b.best.mask)
 
     def test_config_validation(self, net16, blob_splits):
         with pytest.raises(ValueError):
@@ -188,31 +221,19 @@ class TestScoreEachMaskOnce:
     def spy(self, monkeypatch):
         real, scored = search.fitness, []
 
-        def counting_fitness(net, cand, batch):
-            scored.append(cand.candidate_id)
-            return real(net, cand, batch)
+        def counting_fitness(net, mask, batch):
+            scored.append(mask)
+            return real(net, mask, batch)
 
         monkeypatch.setattr(search, "fitness", counting_fitness)
         return scored
-
-    @pytest.fixture
-    def recorded(self, monkeypatch):
-        """Each generation's batch and (candidate_id, mask) list, as scored."""
-        real, generations = search._evaluate_population, []
-
-        def recording(net, population, batch, pool):
-            generations.append((batch, [(c.candidate_id, c.mask) for c in population]))
-            return real(net, population, batch, pool)
-
-        monkeypatch.setattr(search, "_evaluate_population", recording)
-        return generations
 
     def test_eta_zero_structured_scores_once_per_generation(self, net16, blob_splits,
                                                              spy):
         cfg = SearchConfig(population_size=100, generations=5, validation_batch_size=64)
         res = run_search(net16, cfg, 0.0, blob_splits.validation, RngStream(1).split("s"))
         assert len(spy) == 5
-        assert res.evaluations == 500 and len(res.history) == 500
+        assert len(res.history) == 500
         for gen in range(1, 6):
             values = {h.fitness for h in res.history if h.generation == gen}
             assert len(values) == 1
@@ -229,13 +250,13 @@ class TestScoreEachMaskOnce:
                            mask_mode="unstructured")
         res = run_search(net, cfg, 0.0, val, RngStream(5).split("s"))
         assert len(spy) == 3
-        assert res.evaluations == 18
+        assert len(res.history) == 18
 
     def test_desk_search_scores_every_distinct_candidate(self, net16, blob_splits, spy):
         cfg = SearchConfig(population_size=100, generations=5, validation_batch_size=64)
         res = run_search(net16, cfg, 0.6, blob_splits.validation, RngStream(2).split("s"))
         assert len(spy) == 500
-        assert res.evaluations == 500
+        assert len(res.history) == 500
 
     @pytest.mark.parametrize("eta,mode", [(0.0, "structured"), (0.5, "structured"),
                                           (0.5, "unstructured")])
@@ -250,18 +271,18 @@ class TestScoreEachMaskOnce:
         res = run_search(net, cfg, eta, blob_splits.validation, RngStream(7).split("s"))
         assert len(recorded) == 3
         distinct = 0
-        for gen, (batch, members) in enumerate(recorded, start=1):
+        for gen, (batch, members, _) in enumerate(recorded, start=1):
             rows = {h.candidate_id: h.fitness for h in res.history if h.generation == gen}
-            assert sorted(rows) == sorted(cid for cid, _ in members)
+            assert sorted(rows) == sorted(c.candidate_id for c in members)
             keys = set()
-            for cid, mask in members:
-                keys.add(search._mask_key(mask))
+            for c in members:
+                keys.add(search._mask_key(c.mask))
                 # the unpatched fitness, imported before the spy went in
-                assert rows[cid] == fitness(net, Candidate(mask, cid, 1), batch)
+                assert rows[c.candidate_id] == fitness(net, c.mask, batch)
             distinct += len(keys)
         assert len(spy) == distinct
         if mode == "structured":
-            assert distinct < res.evaluations
+            assert distinct < len(res.history)
 
     def test_mask_key_tells_masks_apart(self, net16):
         rng = RngStream(9)

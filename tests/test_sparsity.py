@@ -9,7 +9,7 @@ from weedout.network import (SgdState, _forward_backward, conv2d, dense,
                              relu_layer, sgd_step)
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import Splits, TrainConfig, _train
-from weedout.search import Candidate, fitness
+from weedout.search import fitness
 from weedout.sparsity import (MaskSet, active_parameter_count, realized_sparsity,
                               reduce_network, resample_mask, sample_mask,
                               sample_structured, sub_network)
@@ -267,7 +267,7 @@ class TestSubNetwork:
         rng = RngStream(12)
         for trial in range(4):
             mask = sample_structured(self.SPEC, eta, rng.split(f"m{trial}"))
-            score = fitness(net, Candidate(mask, trial, 1), (x, y))
+            score = fitness(net, mask, (x, y))
             assert abs(score + mean_loss(net, mask, x, y)) < 1e-12
 
     def test_unstructured_mask_keeps_parent(self, rng):
