@@ -17,7 +17,7 @@ spec = [
     conv2d(12, 3), relu_layer(),
     flatten_layer(),
     dense(32), relu_layer(),
-    dense(10, maskable=False),
+    dense(10),
 ]
 input_shape = (12, 12, 1)
 

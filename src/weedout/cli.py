@@ -3,7 +3,6 @@
 Subcommands::
 
     weedout run     --config cfg.json [--out DIR] [--parallel N]
-                    [--resume/--no-resume] [--seed-offset K]
     weedout report  SWEEP_DIR [--out DIR]
     weedout inspect RUN_DIR
 
@@ -25,7 +24,6 @@ from . import pipeline
 from .config import (build_experiment, canonical_json, check_same_sweep, load_config,
                      parse_config, resolve_out_dir)
 from .errors import ConfigError
-from .numerics import MAX_SEED
 from .report import load_records, write_report
 
 
@@ -34,9 +32,6 @@ def cmd_run(args) -> int:
         if args.parallel < 1:
             raise ConfigError([f"--parallel: must be >= 1, got {args.parallel}"])
         cfg = load_config(args.config)
-        cfg["seeds"] = [s + args.seed_offset for s in cfg["seeds"]]
-        if bad := [s for s in cfg["seeds"] if not 0 <= s < MAX_SEED]:
-            raise ConfigError([f"seeds: {bad} out of [0, 2**64) after --seed-offset"])
         out_dir = resolve_out_dir(cfg["out_dir"], args.out)
         cfg["out_dir"] = str(out_dir)
         layers, input_shape, splits, search_cfg, train_cfg = build_experiment(cfg)
@@ -66,8 +61,8 @@ def cmd_run(args) -> int:
     try:
         results = pipeline.sweep(layers, input_shape, cfg["search"]["etas"], cfg["arms"],
                                  cfg["seeds"], search_cfg, train_cfg, splits, out_dir,
-                                 parallel=args.parallel, resume=args.resume,
-                                 effective_config=cfg, progress=progress)
+                                 parallel=args.parallel, effective_config=cfg,
+                                 progress=progress)
     except BrokenProcessPool as exc:
         print(f"sweep aborted, a worker process died: {exc} "
               "Cells not yet written are recomputed on resume.", file=sys.stderr)
@@ -183,10 +178,6 @@ def main(argv=None) -> int:
                             "up to N, the rest as threads within each cell, "
                             "which score search candidates and then run the "
                             "training and evaluation kernels")
-    p_run.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
-                       help="skip completed cells (default on)")
-    p_run.add_argument("--seed-offset", type=int, default=0,
-                       help="shift every configured seed by this amount")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="aggregate a sweep into CSV tables")

@@ -21,6 +21,7 @@ from . import data as data_mod
 from . import network as net_mod
 from .errors import ConfigError, WeedoutError, check_number
 from .network import LayerSpec
+from .numerics import MAX_SEED
 from .pipeline import ARMS, TrainConfig
 from .search import SearchConfig
 
@@ -40,8 +41,7 @@ _DATASET_DEFAULTS = {
     "cifar10": {"kind": "cifar10", "train_files": None, "test_file": None},
 }
 
-_LAYER_KEYS = {"kind": None, "width": None, "kernel_size": None,
-               "stride": 1, "maskable": None}
+_LAYER_KEYS = {"kind": None, "width": None, "kernel_size": None, "stride": 1}
 
 _SEARCH_DEFAULTS = dict({f.name: f.default for f in fields(SearchConfig)},
                         etas=list(DEFAULT_ETAS))
@@ -140,8 +140,10 @@ def parse_config(raw: dict) -> dict:
 
     seeds = raw.get("seeds", list(DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds or \
-            any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds):
-        problems.append("seeds: expected a non-empty list of non-negative integers")
+            any(not isinstance(s, int) or isinstance(s, bool) for s in seeds):
+        problems.append("seeds: expected a non-empty list of integers")
+    elif bad := [s for s in seeds if not 0 <= s < MAX_SEED]:
+        problems.append(f"seeds: {bad} out of [0, 2**64)")
     # a repeated value would run its cells more than once; 0 and 0.0 are one eta
     for name, values in (("search.etas", etas), ("arms", arms), ("seeds", seeds)):
         if isinstance(values, list):
@@ -198,8 +200,7 @@ def _build_layers(arch, num_classes: int) -> list[LayerSpec]:
         if kind in net_mod.PARAM_KINDS:
             conv = kind == "conv2d"
             layers.append(LayerSpec(kind, d["width"], d["kernel_size"] if conv else None,
-                                    d.get("stride", 1) if conv else 1,
-                                    True if d.get("maskable") is None else d["maskable"]))
+                                    d.get("stride", 1) if conv else 1))
         else:
             layers.append(LayerSpec(kind))
     return layers

@@ -24,7 +24,7 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
 
 @dataclass
 class Dataset:
-    """Inputs, integer labels, and provenance for one data split.
+    """Inputs, integer labels and the class count for one data split.
 
     Inputs stay as given: uint8 pixels from an image file, float64 for blobs.
     ``take`` is the one way to read them, as float64 rows; it divides uint8
@@ -35,7 +35,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
-    provenance: str = ""
 
     def __post_init__(self):
         if np.asarray(self.inputs).dtype != np.uint8:
@@ -99,7 +98,7 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     labels = np.frombuffer(raw_l, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if n else 0
-    return Dataset(pixels, labels, num_classes, provenance=f"idx:{images_path.name}")
+    return Dataset(pixels, labels, num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def load_cifar10_binary(batch_paths) -> Dataset:
         raise FormatError(f"label byte {labels.max()} out of range for CIFAR-10")
     # channel-major planes (R, G, B) -> HWC
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    return Dataset(pixels, labels, 10, provenance=f"cifar10:{len(batch_paths)} file(s)")
+    return Dataset(pixels, labels, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +154,7 @@ def synthetic_blobs(num_classes: int, per_class: int, dim: int, spread: float,
     means[np.arange(num_classes), np.arange(num_classes)] = 1.0
     inputs = means[labels] + spread * rng.normal((n, dim))
     perm = rng.permutation(n)
-    return Dataset(inputs[perm], labels[perm], num_classes,
-                   provenance=f"blobs(k={num_classes},per_class={per_class},"
-                              f"dim={dim},spread={spread},seed={seed})")
+    return Dataset(inputs[perm], labels[perm], num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +209,10 @@ def split(ds: Dataset, spec: SplitSpec) -> Splits:
     perm = RngStream(spec.seed).split("split").permutation(n)
     a, b, c = n_train, n_train + n_val, n_train + n_val + n_test
 
-    def part(idx, name):
-        return Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes,
-                       f"{ds.provenance}/{name}") if len(idx) else None
+    def part(idx):
+        return Dataset(ds.inputs[idx], ds.labels[idx], ds.num_classes) if len(idx) else None
 
-    return Splits(part(perm[:a], "train"), part(perm[a:b], "validation"),
-                  part(perm[b:c], "test"))
+    return Splits(part(perm[:a]), part(perm[a:b]), part(perm[b:c]))
 
 
 def batches(ds: Dataset, batch_size: int, rng: RngStream):

@@ -1,9 +1,10 @@
 """The overparameterized parent network: layer stack, masked passes, SGD.
 
 A network is a flat list of :class:`LayerSpec` plus per-layer parameter
-tensors. The passes here take an optional mask: each maskable layer's
-output is multiplied by a binary node mask (structured mode) or its weight
-tensor is multiplied by a binary weight mask (unstructured mode).
+tensors. Every parameterized layer but the last, the logits, is maskable.
+The passes here take an optional mask: each maskable layer's output is
+multiplied by a binary node mask (structured mode) or its weight tensor is
+multiplied by a binary weight mask (unstructured mode).
 Backpropagation is hand-written per layer kind, which keeps the masked
 gradient flow exact: weights incident only to deactivated nodes receive
 gradients that are zero bit-for-bit.
@@ -61,24 +62,23 @@ class LayerSpec:
     """One layer of the stack.
 
     ``width`` is the output feature count: units for dense layers, output
-    channels for conv2d. ``maskable`` marks layers whose output nodes may be
-    deactivated; the final logits layer must never be maskable.
+    channels for conv2d. Every parameterized layer but the last is maskable:
+    its output nodes may be deactivated. The last layer is the dense logits
+    layer, which is never masked.
     """
 
     kind: str
     width: int | None = None
     kernel_size: int | None = None
     stride: int = 1
-    maskable: bool = False
 
 
-def dense(width: int, maskable: bool = True) -> LayerSpec:
-    return LayerSpec("dense", width=width, maskable=maskable)
+def dense(width: int) -> LayerSpec:
+    return LayerSpec("dense", width=width)
 
 
-def conv2d(channels: int, kernel_size: int, stride: int = 1, maskable: bool = True) -> LayerSpec:
-    return LayerSpec("conv2d", width=channels, kernel_size=kernel_size,
-                     stride=stride, maskable=maskable)
+def conv2d(channels: int, kernel_size: int, stride: int = 1) -> LayerSpec:
+    return LayerSpec("conv2d", width=channels, kernel_size=kernel_size, stride=stride)
 
 
 def relu_layer() -> LayerSpec:
@@ -96,7 +96,7 @@ def default_conv_spec(num_classes: int = 10) -> list[LayerSpec]:
         conv2d(32, 3), relu_layer(),
         flatten_layer(),
         dense(128), relu_layer(),
-        dense(num_classes, maskable=False),
+        dense(num_classes),
     ]
 
 
@@ -106,7 +106,7 @@ def default_dense_spec(num_classes: int = 10, hidden: tuple[int, ...] = (64, 32)
     for width in hidden:
         spec.append(dense(width))
         spec.append(relu_layer())
-    spec.append(dense(num_classes, maskable=False))
+    spec.append(dense(num_classes))
     return spec
 
 
@@ -147,17 +147,14 @@ def layer_output_shapes(spec: list[LayerSpec], input_shape) -> list[tuple[int, .
         else:
             raise SpecValidationError(f"{where}: unknown layer kind {layer.kind!r}")
         shapes.append(shape)
-    last = spec[-1]
-    if last.kind != "dense":
+    if spec[-1].kind != "dense":
         raise SpecValidationError("final layer must be a dense logits layer")
-    if last.maskable:
-        raise SpecValidationError("the logits layer must not be maskable")
     return shapes
 
 
 def maskable_indices(spec: list[LayerSpec]) -> list[int]:
-    return [i for i, layer in enumerate(spec)
-            if layer.kind in PARAM_KINDS and layer.maskable]
+    """Spec indices of the parameterized layers before the last (the logits)."""
+    return [i for i, layer in enumerate(spec[:-1]) if layer.kind in PARAM_KINDS]
 
 
 def weight_shapes(spec: list[LayerSpec], input_shape) -> dict[int, tuple[int, ...]]:
@@ -188,23 +185,18 @@ Gradients = list  # list[LayerParams | None], congruent with Network.params
 class Network:
     """Layer stack with materialized parameters.
 
-    Before any training, ``init_network(spec, input_shape, init_seed)``
-    reconstructs ``params`` bit-exactly.
+    Before any training, ``init_network(spec, input_shape, seed)`` with the
+    seed that built it reconstructs ``params`` bit-exactly.
     """
 
     spec: list[LayerSpec]
     input_shape: tuple[int, ...]
     params: list[LayerParams | None]
-    init_seed: int
-
-    @property
-    def num_classes(self) -> int:
-        return self.spec[-1].width
 
     def copy(self) -> "Network":
         params = [LayerParams(p.weight.copy(), p.bias.copy()) if p is not None else None
                   for p in self.params]
-        return Network(list(self.spec), tuple(self.input_shape), params, self.init_seed)
+        return Network(list(self.spec), tuple(self.input_shape), params)
 
 
 def init_network(spec: list[LayerSpec], input_shape, seed: int) -> Network:
@@ -216,7 +208,7 @@ def init_network(spec: list[LayerSpec], input_shape, seed: int) -> Network:
     for i, shape in shapes.items():
         w = he_normal(math.prod(shape[:-1]), shape, rng.split(f"layer{i}"))
         params[i] = LayerParams(w, np.zeros(shape[-1]))
-    return Network(spec, tuple(int(s) for s in input_shape), params, int(seed))
+    return Network(spec, tuple(int(s) for s in input_shape), params)
 
 
 def _check_mask(net: Network, mask: "MaskSet | None") -> None:
@@ -564,7 +556,7 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     if mask is not None and mask.mode == "unstructured":
         params = [LayerParams(_elementwise(pool, np.multiply, p.weight, mask.masks[i]), p.bias)
                   if i in mask.masks else p for i, p in enumerate(net.params)]
-        net, mask = Network(net.spec, net.input_shape, params, net.init_seed), None
+        net, mask = Network(net.spec, net.input_shape, params), None
     block_rows = block_rows or batch_size
     correct = 0
     loss_sum = 0.0
@@ -640,6 +632,10 @@ def parent_checksum(net: Network) -> str:
     import hashlib
 
     h = hashlib.sha256()
+    # Hashing the arrays gives the same digest without the copies, but freeing
+    # a large copy raises glibc's mmap threshold, so later temporaries reuse heap
+    # pages: without it the bench's conv_search_mnist cell (2-vCPU Xeon) made
+    # 4x the page faults and took 14% more CPU time.
     for p in net.params:
         if p is not None:
             h.update(np.ascontiguousarray(p.weight).tobytes())

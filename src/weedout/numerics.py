@@ -65,10 +65,6 @@ class RngStream:
             h.update(raw)
         return h.digest()[:16]
 
-    @property
-    def path(self) -> tuple[str, ...]:
-        return self._path
-
     def split(self, label) -> "RngStream":
         """Derive the independent child stream named ``label``."""
         return RngStream(self.seed, self._path + (str(label),))

@@ -301,9 +301,9 @@ def cell_state(cell_dir) -> CellState:
 
     A cell is corrupt when its manifest is unreadable, names no known status,
     lacks a field every manifest has, or lists a file that is missing or fails
-    its checksum; when it is completed but lists no metrics file or its record
-    cannot be parsed; and when it holds files but no manifest (an interrupted
-    write).
+    its checksum; when it is completed but lists no metrics file, lacks a field
+    every completed manifest has, or its record cannot be parsed; and when it
+    holds files but no manifest (an interrupted write).
     """
     cell_dir = Path(cell_dir)
     if not (cell_dir / MANIFEST_NAME).exists():
@@ -335,20 +335,20 @@ def cell_state(cell_dir) -> CellState:
 
 def read_run_record(cell_dir, manifest: dict) -> RunRecord:
     """Rehydrate a RunRecord from a completed cell directory and its manifest,
-    once :func:`cell_state` has verified them."""
+    once :func:`cell_state` has verified them. A field that every completed
+    manifest has and this one lacks raises ``KeyError``."""
     cell_dir = Path(cell_dir)
-    record = RunRecord(run_id=manifest["run_id"], arm=manifest["arm"],
-                       eta=manifest["eta"], seed=manifest["seed"])
-    record.parent_checksum = manifest.get("parent_checksum", "")
-    record.fitness_evaluations = manifest.get("fitness_evaluations", 0)
-    record.wall_clock = manifest.get("wall_clock", {})
-    record.realized_sparsity = manifest.get("mask", {}).get("realized_sparsity", 0.0)
-    record.mask_mode = manifest.get("mask", {}).get("mode", "structured")
-    record.mask_sample_seed = manifest.get("mask", {}).get("sample_seed", 0)
-    record.mask_layer_zeros = {
-        int(i): (entry["zeros"], entry["size"])
-        for i, entry in manifest.get("mask", {}).get("per_layer", {}).items()}
-    record.active_parameters = manifest.get("active_parameters", 0)
+    mask = manifest["mask"]
+    record = RunRecord(
+        run_id=manifest["run_id"], arm=manifest["arm"], eta=manifest["eta"],
+        seed=manifest["seed"], mask_mode=mask["mode"], mask_sample_seed=mask["sample_seed"],
+        mask_layer_zeros={int(i): (entry["zeros"], entry["size"])
+                          for i, entry in mask["per_layer"].items()},
+        realized_sparsity=mask["realized_sparsity"],
+        active_parameters=manifest["active_parameters"],
+        parent_checksum=manifest["parent_checksum"],
+        fitness_evaluations=manifest["fitness_evaluations"],
+        wall_clock=manifest["wall_clock"])
     with open(cell_dir / METRICS_NAME, newline="", encoding="utf-8") as f:
         for row in csv.DictReader(f):
             record.epoch_rows.append(EpochRow(
@@ -475,14 +475,14 @@ def _attempt_in_worker(arm: str, eta: float, seed: int, threads: int):
 
 def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
           train_cfg: TrainConfig, splits: Splits, out_dir, *,
-          parallel: int = 1, resume: bool = True,
-          effective_config: dict | None = None,
+          parallel: int = 1, effective_config: dict | None = None,
           progress=None) -> list[CellResult]:
     """Full factorial (eta x arm x seed) execution with per-cell persistence.
 
-    Completed cells are skipped on resume; a cell that raises is recorded
-    with its error in a failure manifest and the sweep continues; a corrupt
-    or interrupted cell is recomputed, and its result's ``recomputed`` says why.
+    Every cell's state is read first and a completed cell is reused, so a
+    sweep always resumes; a cell that raises is recorded with its error in a
+    failure manifest and the sweep continues; a corrupt or interrupted cell
+    is recomputed, and its result's ``recomputed`` says why.
 
     ``parallel`` workers go to cells first. When ``min(parallel, pending)``
     is two or more, that many forked worker processes compute the pending
@@ -501,8 +501,7 @@ def sweep(spec, input_shape, etas, arms, seeds, search_cfg: SearchConfig,
     out_dir = Path(out_dir)
     cells = [(arm, eta, seed, out_dir / run_label(arm, eta, seed))
              for arm, eta, seed in sweep_cells(etas, arms, seeds)]
-    states = [cell_state(cell_dir) if resume else CellState("absent")
-              for *_, cell_dir in cells]
+    states = [cell_state(cell_dir) for *_, cell_dir in cells]
     pending = [cell[:3] for cell, state in zip(cells, states)
                if state.status != "completed"]
     workers = min(parallel, len(pending))

@@ -10,7 +10,6 @@ CI is computed, so ``weedout run`` never loads it.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import astuple, dataclass, fields
@@ -203,17 +202,10 @@ def search_spread(records) -> list[tuple]:
     return rows
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([pipeline._fmt(v) for v in row])
-
-
 def write_report(records, report_dir) -> tuple[list[AggregateRow], list[ArmDifference],
                                                 dict[str, Path]]:
-    """Write the four report tables under ``report_dir``.
+    """Write the four report tables under ``report_dir``, each whole or not
+    at all, in the cell files' CSV format. An ``OSError`` names the table's path.
 
     Returns ``(aggregate rows, arm differences, {table name: path})``.
     """
@@ -236,5 +228,8 @@ def write_report(records, report_dir) -> tuple[list[AggregateRow], list[ArmDiffe
     paths = {}
     for name, (file_name, columns, rows) in tables.items():
         paths[name] = report_dir / file_name
-        _write_csv(paths[name], columns, rows)
+        try:
+            pipeline._write_atomic(paths[name], pipeline._csv_bytes(columns, rows))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(paths[name])) from exc
     return agg, diffs, paths

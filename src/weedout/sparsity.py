@@ -133,17 +133,16 @@ def reduce_network(net: Network, mask: MaskSet) -> Network:
         if p is None:
             continue
         layer = net.spec[i]
-        keep_out = mask.masks[i] if layer.maskable else np.ones(layer.width, dtype=bool)
+        keep_out = mask.masks[i] if i in mask.masks else np.ones(layer.width, dtype=bool)
         # After a flatten the channel varies fastest, so its flags repeat.
         keep_in = np.tile(selector, p.weight.shape[-2] // len(selector))
         w = p.weight.take(np.flatnonzero(keep_in), axis=-2) \
             .take(np.flatnonzero(keep_out), axis=-1)
         new_params[i] = LayerParams(w, p.bias[keep_out])
         new_spec[i] = LayerSpec(layer.kind, width=int(keep_out.sum()),
-                                kernel_size=layer.kernel_size,
-                                stride=layer.stride, maskable=layer.maskable)
+                                kernel_size=layer.kernel_size, stride=layer.stride)
         selector = keep_out
-    return Network(new_spec, tuple(net.input_shape), new_params, net.init_seed)
+    return Network(new_spec, tuple(net.input_shape), new_params)
 
 
 def sub_network(net: Network, mask: MaskSet) -> tuple[Network, MaskSet | None]:

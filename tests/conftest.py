@@ -12,13 +12,13 @@ def rng():
 
 @pytest.fixture
 def small_dense_spec():
-    return [dense(8), relu_layer(), dense(6), relu_layer(), dense(3, maskable=False)]
+    return [dense(8), relu_layer(), dense(6), relu_layer(), dense(3)]
 
 
 @pytest.fixture
 def small_conv_spec():
     return [conv2d(3, 3), relu_layer(), conv2d(4, 3), relu_layer(),
-            flatten_layer(), dense(8), relu_layer(), dense(3, maskable=False)]
+            flatten_layer(), dense(8), relu_layer(), dense(3)]
 
 
 @pytest.fixture(scope="session")

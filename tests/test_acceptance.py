@@ -16,7 +16,8 @@ from weedout.data import (load_cifar10_binary, load_idx, sample_batch,
                           split, synthetic_blobs, SplitSpec)
 from weedout.errors import FormatError
 from weedout.network import (conv2d, default_dense_spec, dense, flatten_layer,
-                             forward, init_network, loss_and_grads, relu_layer)
+                             forward, init_network, loss_and_grads, maskable_indices,
+                             relu_layer)
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import TrainConfig, sweep
 from weedout.report import aggregate_records, arm_differences
@@ -31,9 +32,9 @@ def report(num, name, ok, detail=""):
 
 
 DENSE_SPEC = [dense(12), relu_layer(), dense(10), relu_layer(),
-              dense(3, maskable=False)]
+              dense(3)]
 CONV_SPEC = [conv2d(4, 3), relu_layer(), conv2d(6, 3), relu_layer(),
-             flatten_layer(), dense(10), relu_layer(), dense(3, maskable=False)]
+             flatten_layer(), dense(10), relu_layer(), dense(3)]
 DENSE_SHAPE = (9,)
 CONV_SHAPE = (8, 8, 1)
 
@@ -148,8 +149,8 @@ def test_criterion_3_sparsity_exactness():
     for w in widths:
         spec.append(dense(w))
         spec.append(relu_layer())
-    spec.append(dense(3, maskable=False))
-    layer_idx = [i for i, l in enumerate(spec) if l.maskable]
+    spec.append(dense(3))
+    layer_idx = maskable_indices(spec)
 
     counts_ok = True
     freq_ok = True
@@ -175,7 +176,7 @@ def test_criterion_3_sparsity_exactness():
 
     # the width-10 case where round(eta*width)/width == eta exactly
     rng = RngStream(3).split("w10")
-    spec10 = [dense(10), relu_layer(), dense(3, maskable=False)]
+    spec10 = [dense(10), relu_layer(), dense(3)]
     off = np.zeros(10)
     for _ in range(n_freq):
         off += sample_structured(spec10, 0.2, rng).masks[0] == 0.0

@@ -6,12 +6,14 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import weedout
+from weedout import pipeline
 from weedout.cli import main
 from weedout.config import build_experiment, canonical_json, load_config, parse_config
 from weedout.errors import ConfigError
@@ -19,8 +21,8 @@ from weedout.network import default_dense_spec, init_network
 from weedout.numerics import round_half_up
 from weedout.pipeline import (EpochRow, RunRecord, TrainConfig, run_label,
                               write_failure, write_run_record)
-from weedout.report import (_mean_ci, aggregate_records, arm_differences,
-                            load_records, pooled_ci_half_width)
+from weedout.report import (AggregateRow, _mean_ci, aggregate_records, arm_differences,
+                            load_records, pooled_ci_half_width, write_report)
 from weedout.search import SearchConfig
 from weedout.sparsity import active_parameter_count
 
@@ -91,6 +93,14 @@ class TestParseConfig:
             parse_config(minimal_raw(arms=["weedout", "magnitude"]))
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(minimal_raw(seeds=[-1]))
+
+    @pytest.mark.parametrize("seeds,bad", [([-5, 7], [-5]), ([2**64], [2**64])],
+                             ids=["negative", "2_pow_64"])
+    def test_seed_outside_64_bits_rejected(self, seeds, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_raw(seeds=seeds))
+        assert err.value.problems == [f"seeds: {bad} out of [0, 2**64)"]
+        assert parse_config(minimal_raw(seeds=[0, 2**64 - 1]))["seeds"] == [0, 2**64 - 1]
 
     def test_unknown_preset_and_layer_kind(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -190,11 +200,6 @@ class TestCmdRun:
             .read_text())
         assert canonical_json(manifest["effective_config"]) == sweep_cfg
 
-    def test_seed_offset(self, tmp_path):
-        raw = minimal_raw(out_dir=str(tmp_path / "sweep"))
-        assert self.run_cli(tmp_path, raw, "--seed-offset", "5") == 0
-        assert (tmp_path / "sweep" / run_label("weedout", 0.3, 5)).exists()
-
     def test_env_var_reroots_relative_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WEEDOUT_RUNS_DIR", str(tmp_path / "root"))
         assert self.run_cli(tmp_path, minimal_raw(out_dir="inner")) == 0
@@ -285,18 +290,53 @@ class TestCmdRun:
         assert captured.err.splitlines() == [f"cannot write {taken}: File exists"]
         assert taken.read_text() == "a file"
 
-    @pytest.mark.parametrize("seeds,offset,bad", [
-        ([0, 7], "-5", "[-5]"),
-        ([2**64], "0", f"[{2**64}]"),
-    ], ids=["negative_after_offset", "config_seed_2_pow_64"])
+    @pytest.mark.parametrize("seeds,bad", [
+        ([-5, 7], "[-5]"),
+        ([2**64], f"[{2**64}]"),
+    ], ids=["negative", "config_seed_2_pow_64"])
     def test_seed_out_of_range_exits_two_before_any_cell(self, tmp_path, capsys, seeds,
-                                                         offset, bad):
+                                                         bad):
         raw = minimal_raw(out_dir=str(tmp_path / "sweep"), seeds=seeds)
-        assert self.run_cli(tmp_path, raw, "--seed-offset", offset) == 2
+        assert self.run_cli(tmp_path, raw) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "invalid config:", f"  - seeds: {bad} out of [0, 2**64) after --seed-offset"]
+            "invalid config:", f"  - seeds: {bad} out of [0, 2**64)"]
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("flag", [["--seed-offset", "1"], ["--no-resume"]],
+                             ids=["seed_offset", "no_resume"])
+    def test_removed_flag_exits_two_before_any_cell(self, tmp_path, capsys, flag):
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"))
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(tmp_path, raw, *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_custom_architecture_masks_every_hidden_layer(self, tmp_path, capsys):
+        """An explicit layer list needs no per-layer flag: each parameterized
+        layer but the last is masked, and the logits layer never is."""
+        arch = [{"kind": "dense", "width": 8}, {"kind": "relu"},
+                {"kind": "dense", "width": 4}]
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), architecture=arch,
+                          arms=["weedout", "random_baseline"])
+        assert self.run_cli(tmp_path, raw) == 0
+        for arm in ("weedout", "random_baseline"):
+            manifest = json.loads((tmp_path / "sweep" / run_label(arm, 0.3, 0)
+                                   / "manifest.json").read_text())
+            assert manifest["mask"]["per_layer"] == {"0": {"zeros": 2, "size": 8}}
+
+    def test_architecture_naming_maskable_exits_two_before_any_cell(self, tmp_path,
+                                                                     capsys):
+        arch = [{"kind": "dense", "width": 8}, {"kind": "relu"},
+                {"kind": "dense", "width": 4, "maskable": False}]
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), architecture=arch)
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid config:", "  - architecture[2].maskable: unknown key"]
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("overrides,problem", [
@@ -358,8 +398,15 @@ class TestCmdRun:
         (lambda m, d: dict(m, files={"search.csv": m["files"]["search.csv"]}),
          "ValueError: manifest.json lists no metrics.csv"),
         (unparseable_metrics, "ValueError: invalid literal for int()"),
+        (lambda m, d: {k: v for k, v in m.items()
+                       if k not in ("mask", "parent_checksum", "active_parameters",
+                                    "wall_clock", "fitness_evaluations")},
+         "KeyError: 'mask'"),
+        (lambda m, d: {k: v for k, v in m.items() if k != "fitness_evaluations"},
+         "KeyError: 'fitness_evaluations'"),
     ], ids=["bare_completed", "no_run_id", "files_a_list", "bare_failed",
-            "completed_without_metrics", "unparseable_record"])
+            "completed_without_metrics", "unparseable_record", "completed_without_mask",
+            "completed_without_fitness_evaluations"])
     def test_malformed_manifest_is_corrupt(self, tmp_path, capsys, damage, reason):
         """run recomputes the cell, report excludes it and inspect exits 1."""
         raw = minimal_raw(out_dir=str(tmp_path / "sweep"))
@@ -663,6 +710,25 @@ class TestCmdReport:
         assert capsys.readouterr().err.splitlines() == [
             "[excluded] random_baseline_0.3_1: absent: no files"]
 
+    def test_table_stopped_part_way_leaves_no_file(self, tmp_path, monkeypatch):
+        """A table is written whole or not at all: an error in its second row
+        leaves neither the table nor a temporary file."""
+        sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.2): [0.9, 0.8]})
+        records, _ = load_records(sweep_dir)
+        values = []
+
+        def fmt_then_fail(value):
+            values.append(value)
+            if len(values) > len(fields(AggregateRow)):  # the second aggregate row
+                raise RuntimeError("stopped")
+            return fmt(value)
+
+        fmt = pipeline._fmt
+        monkeypatch.setattr(pipeline, "_fmt", fmt_then_fail)
+        with pytest.raises(RuntimeError, match="stopped"):
+            write_report(records, tmp_path / "report")
+        assert list((tmp_path / "report").iterdir()) == []
+
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
         sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.2): [0.9]})
         taken = tmp_path / "taken"
@@ -672,6 +738,17 @@ class TestCmdReport:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"cannot write {taken}: File exists"]
         assert taken.read_text() == "a file"
+
+    def test_table_path_taken_by_a_directory_exits_two(self, tmp_path, capsys):
+        """The error names the table, not its temporary file, and leaves none."""
+        sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.2): [0.9]})
+        (sweep_dir / "report" / "aggregate.csv").mkdir(parents=True)
+        assert main(["report", str(sweep_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cannot write {sweep_dir / 'report' / 'aggregate.csv'}: Is a directory"]
+        assert [p.name for p in (sweep_dir / "report").iterdir()] == ["aggregate.csv"]
 
     def test_sweep_with_a_dense_arm_reports_the_two_arms(self, tmp_path, capsys):
         """A sweep written when ``dense`` was an arm: its config lists it and

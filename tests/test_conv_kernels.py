@@ -119,7 +119,7 @@ def masked_conv_nets(draw):
     spec = [conv2d(draw(st.integers(2, 4)), k1, stride=s1), relu_layer(),
             conv2d(draw(st.integers(2, 4)), k2, stride=s2), relu_layer(),
             flatten_layer(), dense(draw(st.integers(2, 5))), relu_layer(),
-            dense(3, maskable=False)]
+            dense(3)]
     dims = []
     for _ in range(2):
         size = draw(st.integers(1, 3))
@@ -184,9 +184,9 @@ def kink_free_instance(spec, shape, mask_for, seed):
 
 
 CONV_FIRST = ([conv2d(3, 3, stride=2), relu_layer(), conv2d(4, 2), relu_layer(),
-               flatten_layer(), dense(5), relu_layer(), dense(3, maskable=False)],
+               flatten_layer(), dense(5), relu_layer(), dense(3)],
               (9, 8, 2))
-DENSE_FIRST = ([dense(6), relu_layer(), dense(5), relu_layer(), dense(3, maskable=False)],
+DENSE_FIRST = ([dense(6), relu_layer(), dense(5), relu_layer(), dense(3)],
                (7,))
 
 

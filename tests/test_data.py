@@ -146,7 +146,7 @@ class TestPixels:
             loaded = load_cifar10_binary(tmp_path / "batch.bin")
             images = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
             labels = records[:, 0]
-        full = Dataset(images / 255.0, labels, 10, loaded.provenance)
+        full = Dataset(images / 255.0, labels, 10)
         assert loaded.inputs.dtype == np.uint8 and full.inputs.dtype == np.float64
         return loaded, full
 
@@ -165,7 +165,6 @@ class TestPixels:
             assert x.dtype == np.float64 and x.shape == x_want.shape
             assert x.tobytes() == x_want.tobytes()
             np.testing.assert_array_equal(y, y_want)
-            assert got.provenance == want.provenance
         assert ([x.tobytes() + y.tobytes() for x, y in batches(parts.train, 16, RngStream(3))]
                 == [x.tobytes() + y.tobytes()
                     for x, y in batches(expected.train, 16, RngStream(3))])
@@ -178,7 +177,7 @@ class TestPixels:
 
         def outputs(ds):
             net = init_network([conv2d(2, 3, stride=2), relu_layer(), flatten_layer(),
-                                dense(10, maskable=False)], ds.input_shape, seed=0)
+                                dense(10)], ds.input_shape, seed=0)
             rows = [ds.take(slice(None)), *batches(ds, 16, RngStream(1)),
                     sample_batch(ds, 8, RngStream(2))]
             return ([x.tobytes() + y.tobytes() for x, y in rows],

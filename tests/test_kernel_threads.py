@@ -30,7 +30,7 @@ from weedout.search import SearchConfig
 from weedout.sparsity import sample_mask
 
 SPEC = [conv2d(3, 3), relu_layer(), conv2d(4, 2, stride=2), relu_layer(),
-        flatten_layer(), dense(6), relu_layer(), dense(3, maskable=False)]
+        flatten_layer(), dense(6), relu_layer(), dense(3)]
 SHAPE = (9, 8, 2)
 
 
@@ -199,7 +199,7 @@ class TestKernels:
     def test_sgd_step_identical_for_every_thread_count(self):
         """A weight of the fewest element-wise pieces a pool takes is updated
         piece by piece on it; two steps make the momentum term count."""
-        net = init_network([dense(1024), relu_layer(), dense(3, maskable=False)],
+        net = init_network([dense(1024), relu_layer(), dense(3)],
                            (1100,), seed=1)
         assert net.params[0].weight.size > network._MIN_PIECES * network._PIECE_SIZE
         rng = np.random.default_rng(4)
@@ -222,7 +222,7 @@ class TestKernels:
             raise AssertionError("a pass of few pieces ran on the pool")
 
         monkeypatch.setattr(network, "run_pieces", refuse)
-        net = init_network([dense(51), relu_layer(), dense(10, maskable=False)],
+        net = init_network([dense(51), relu_layer(), dense(10)],
                            (7488,), seed=1)
         assert net.params[0].weight.size > network._PIECE_SIZE
         grads = [None if p is None else LayerParams(np.ones_like(p.weight), p.bias)
@@ -320,7 +320,7 @@ def test_masked_update_equals_masking_the_gradient_first(monkeypatch, threads):
     beforehand keeps its signed zero. On a pool the update runs in pieces."""
     monkeypatch.setattr(network, "_PIECE_SIZE", 7)
     monkeypatch.setattr(network, "_MIN_PIECES", 2)
-    spec, shape = [dense(8), relu_layer(), dense(3, maskable=False)], (5,)
+    spec, shape = [dense(8), relu_layer(), dense(3)], (5,)
     rng = RngStream(9)
     net = init_network(spec, shape, seed=2)
     mask = sample_mask(spec, shape, 0.5, "unstructured", rng.split("mask"))
@@ -440,7 +440,7 @@ def conv_config(tmp_path):
                          {"kind": "conv2d", "width": 6, "kernel_size": 3, "stride": 2},
                          {"kind": "relu"}, {"kind": "flatten"},
                          {"kind": "dense", "width": 16}, {"kind": "relu"},
-                         {"kind": "dense", "width": 10, "maskable": False}],
+                         {"kind": "dense", "width": 10}],
         "search": {"etas": [0.5], "mask_mode": "unstructured",
                    "validation_batch_size": 16},
         "train": {"epochs": 2, "batch_size": 16},

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -39,22 +40,17 @@ class TestSpecValidation:
         assert shapes[-1] == (3,)
 
     def test_dense_on_image_requires_flatten(self):
-        spec = [dense(4), relu_layer(), dense(2, maskable=False)]
+        spec = [dense(4), relu_layer(), dense(2)]
         with pytest.raises(SpecValidationError):
             layer_output_shapes(spec, (5, 5, 1))
 
     def test_kernel_too_large(self):
-        spec = [conv2d(2, 7), flatten_layer(), dense(2, maskable=False)]
+        spec = [conv2d(2, 7), flatten_layer(), dense(2)]
         with pytest.raises(SpecValidationError):
             layer_output_shapes(spec, (5, 5, 1))
 
-    def test_maskable_logits_rejected(self):
-        spec = [dense(4), relu_layer(), dense(2, maskable=True)]
-        with pytest.raises(SpecValidationError):
-            layer_output_shapes(spec, (3,))
-
     def test_final_layer_must_be_dense(self):
-        spec = [conv2d(2, 3, maskable=False)]
+        spec = [conv2d(2, 3)]
         with pytest.raises(SpecValidationError):
             layer_output_shapes(spec, (5, 5, 1))
 
@@ -62,7 +58,7 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError):
             layer_output_shapes([], (3,))
         with pytest.raises(SpecValidationError):
-            layer_output_shapes([dense(0, maskable=False)], (3,))
+            layer_output_shapes([dense(0)], (3,))
 
 
 class TestInitNetwork:
@@ -78,7 +74,7 @@ class TestInitNetwork:
         assert not params_equal(a, b)
 
     def test_he_sigma_on_dense_layer(self):
-        spec = [dense(40), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(40), relu_layer(), dense(3)]
         net = init_network(spec, (50,), seed=3)
         w = net.params[0].weight
         assert w.shape == (50, 40)
@@ -90,9 +86,20 @@ class TestInitNetwork:
             if p is not None:
                 assert np.all(p.bias == 0.0)
 
+    def test_parent_checksum_is_sha256_of_every_parameter_in_order(self, small_conv_spec):
+        net = init_network(small_conv_spec, (10, 10, 1), seed=4)
+        blob = b"".join(p.weight.tobytes() + p.bias.tobytes()
+                        for p in net.params if p is not None)
+        assert parent_checksum(net) == hashlib.sha256(blob).hexdigest()
+        # a weight held in another memory order hashes as its C-order bytes
+        net.params[0] = LayerParams(np.asfortranarray(net.params[0].weight),
+                                    net.params[0].bias)
+        assert not net.params[0].weight.flags.c_contiguous
+        assert parent_checksum(net) == hashlib.sha256(blob).hexdigest()
+
     def test_inconsistent_spec_rejected(self):
         with pytest.raises(SpecValidationError):
-            init_network([dense(4), dense(2, maskable=True)], (3,), seed=0)
+            init_network([conv2d(2, 3), dense(2)], (5, 5, 1), seed=0)
 
 
 class TestForward:
@@ -114,7 +121,7 @@ class TestForward:
 
     def test_masked_node_equals_hand_reduced_network(self, rng):
         """4-unit hidden layer with node 1 hidden == 3-unit network built by hand."""
-        spec = [dense(4), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(4), relu_layer(), dense(3)]
         net = init_network(spec, (5,), seed=7)
         mask = MaskSet("structured", {0: np.array([1.0, 0.0, 1.0, 1.0])})
         x = rng.normal((6, 5))
@@ -151,7 +158,7 @@ class TestGradients:
 
     def test_conv_gradients_match_finite_differences(self, rng):
         spec = [conv2d(2, 3), relu_layer(), flatten_layer(),
-                dense(5), relu_layer(), dense(3, maskable=False)]
+                dense(5), relu_layer(), dense(3)]
         net = init_network(spec, (6, 6, 1), seed=12)
         x = rng.normal((3, 6, 6, 1))
         y = np.array([0, 2, 1])
@@ -188,7 +195,7 @@ class TestGradients:
 
 class TestSgd:
     def make_one_param_net(self, w0):
-        spec = [dense(1, maskable=False)]
+        spec = [dense(1)]
         net = init_network(spec, (1,), seed=0)
         net.params[0].weight[:] = w0
         net.params[0].bias[:] = 0.0
@@ -266,7 +273,7 @@ class TestEvaluate:
         assert res.accuracy == 1.0
 
     def test_balanced_random_labels_near_chance(self):
-        spec = [dense(16), relu_layer(), dense(10, maskable=False)]
+        spec = [dense(16), relu_layer(), dense(10)]
         net = init_network(spec, (8,), seed=21)
         rng = RngStream(77)
         n = 2000
@@ -296,7 +303,7 @@ class TestActivationMemory:
         ds = synthetic_blobs(num_classes=3, per_class=40, dim=6, spread=0.35, seed=5)
         before = ds.inputs.tobytes()
         assert (ds.inputs < 0).any()  # a relu written into them would change them
-        net = init_network([flatten_layer(), relu_layer(), dense(3, maskable=False)],
+        net = init_network([flatten_layer(), relu_layer(), dense(3)],
                            (6,), seed=0)
         x, y = ds.take(slice(0, 40))
         steps = {
@@ -314,7 +321,7 @@ class TestActivationMemory:
         """Forwarded in training-batch blocks, evaluation holds no more traced
         memory than one forward and backward pass at that batch."""
         spec = [conv2d(8, 3), relu_layer(), conv2d(16, 3), relu_layer(),
-                flatten_layer(), dense(32), relu_layer(), dense(10, maskable=False)]
+                flatten_layer(), dense(32), relu_layer(), dense(10)]
         shape, batch = (16, 16, 3), 32
         rng = RngStream(8)
         net = init_network(spec, shape, seed=1)
@@ -341,7 +348,7 @@ class TestActivationMemory:
         """A dense layer's weight gradient is taken once the backward pass has
         left the conv layers below it, whose gradients are freed by then."""
         spec = [conv2d(4, 3), relu_layer(), conv2d(5, 2, stride=2), relu_layer(),
-                flatten_layer(), dense(6), relu_layer(), dense(3, maskable=False)]
+                flatten_layer(), dense(6), relu_layer(), dense(3)]
         shape, batch = (9, 8, 2), 13
         rng = RngStream(3)
         net = init_network(spec, shape, seed=4)

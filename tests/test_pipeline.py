@@ -273,8 +273,10 @@ class TestAtomicWrites:
                 blob_splits)
         clean = sweep(*args, tmp_path / "clean")[0].cell_dir
         out = tmp_path / "sweep"
+        cell = out / run_label("weedout", 0.4, 0)
         if before == "completed":
             sweep(*args, out)
+            (cell / "manifest.json").unlink()  # so the sweep writes the cell again
         replace = os.replace
 
         def stop_after_metrics(src, dst):
@@ -284,9 +286,8 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(pipeline.os, "replace", stop_after_metrics)
         with pytest.raises(OSError, match="no space"):
-            sweep(*args, out, resume=False)
+            sweep(*args, out)
         monkeypatch.undo()
-        cell = out / run_label("weedout", 0.4, 0)
         names = sorted(p.name for p in cell.iterdir())
         # no manifest and no temporary file; an old search.csv may stay
         assert names == (["metrics.csv"] if before == "empty"

@@ -240,7 +240,7 @@ class TestScoreEachMaskOnce:
 
     def test_eta_zero_unstructured_conv_scores_once_per_generation(self, spy):
         spec = [conv2d(3, 3), relu_layer(), conv2d(4, 3), relu_layer(),
-                flatten_layer(), dense(8), relu_layer(), dense(3, maskable=False)]
+                flatten_layer(), dense(8), relu_layer(), dense(3)]
         shape = (7, 7, 2)
         net = init_network(spec, shape, seed=3)
         rng = RngStream(4)
@@ -265,7 +265,7 @@ class TestScoreEachMaskOnce:
         # widths 4 and 3 at eta 0.5 allow 6 x 3 = 18 node masks, so 20
         # candidates must repeat some
         net = init_network([dense(4), relu_layer(), dense(3), relu_layer(),
-                            dense(10, maskable=False)], (16,), seed=6)
+                            dense(10)], (16,), seed=6)
         cfg = SearchConfig(population_size=20, generations=3, validation_batch_size=32,
                            mask_mode=mode)
         res = run_search(net, cfg, eta, blob_splits.validation, RngStream(7).split("s"))

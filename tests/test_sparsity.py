@@ -24,7 +24,7 @@ def widths_spec():
     for w in WIDTHS:
         spec.append(dense(w))
         spec.append(relu_layer())
-    spec.append(dense(3, maskable=False))
+    spec.append(dense(3))
     return spec
 
 
@@ -44,19 +44,19 @@ class TestStructuredSampling:
                 assert int((m == 0.0).sum()) == round_half_up(eta * width)
 
     def test_width_10_eta_08_has_8_zeros(self, rng):
-        spec = [dense(10), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(10), relu_layer(), dense(3)]
         mask = sample_structured(spec, 0.8, rng)
         assert int((mask.masks[0] == 0.0).sum()) == 8
         assert int(mask.masks[0].sum()) == 2
 
     def test_half_counts_round_up(self, rng):
-        spec = [dense(10), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(10), relu_layer(), dense(3)]
         mask = sample_structured(spec, 0.25, rng)  # 2.5 -> 3
         assert int((mask.masks[0] == 0.0).sum()) == 3
 
     def test_masking_frequency_roughly_uniform(self):
         # quick check; the acceptance suite runs the full 10^4-sample version
-        spec = [dense(10), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(10), relu_layer(), dense(3)]
         rng = RngStream(5)
         trials = 2000
         off_counts = np.zeros(10)
@@ -80,7 +80,7 @@ class TestStructuredSampling:
             np.testing.assert_array_equal(a.masks[i], b.masks[i])
 
     def test_infeasible_layer_named(self, rng):
-        spec = [dense(1), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(1), relu_layer(), dense(3)]
         with pytest.raises(InfeasibleSparsityError, match="layer 0"):
             sample_structured(spec, 0.5, rng)
 
@@ -93,7 +93,7 @@ class TestStructuredSampling:
 
 class TestUnstructuredSampling:
     def test_exact_weight_zero_counts(self, rng):
-        spec = [dense(10), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(10), relu_layer(), dense(3)]
         mask = sample_mask(spec, (10,), 0.4, "unstructured", rng)
         assert mask.masks[0].shape == (10, 10)
         assert int((mask.masks[0] == 0.0).sum()) == 40
@@ -134,13 +134,13 @@ class TestRealizedSparsity:
         for w in widths:
             spec.append(dense(w))
             spec.append(relu_layer())
-        spec.append(dense(3, maskable=False))
+        spec.append(dense(3))
         mask = sample_structured(spec, 0.6, rng)
         expected = sum(round_half_up(0.6 * w) for w in widths) / sum(widths)
         assert realized_sparsity(mask) == pytest.approx(expected, abs=1e-12)
 
     def test_unstructured_exact_when_integral(self, rng):
-        spec = [dense(10), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(10), relu_layer(), dense(3)]
         mask = sample_mask(spec, (10,), 0.2, "unstructured", rng)
         assert realized_sparsity(mask) == 0.2
 
@@ -162,7 +162,7 @@ class TestReduceNetwork:
         np.testing.assert_array_equal(forward(red, None, x), forward(net, None, x))
 
     def test_dense_drop_one_node_matches_slices(self, rng):
-        spec = [dense(4), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(4), relu_layer(), dense(3)]
         net = init_network(spec, (5,), seed=2)
         mask = MaskSet("structured", {0: np.array([1.0, 0.0, 1.0, 1.0])})
         red = reduce_network(net, mask)
@@ -200,7 +200,7 @@ class TestReduceNetwork:
         assert helpers.gradients_close(sliced, grads_r, atol=1e-9)
 
     def test_unstructured_mask_unsupported(self, rng):
-        spec = [dense(10), relu_layer(), dense(3, maskable=False)]
+        spec = [dense(10), relu_layer(), dense(3)]
         net = init_network(spec, (10,), seed=5)
         mask = sample_mask(spec, (10,), 0.3, "unstructured", rng)
         with pytest.raises(UnsupportedModeError):
@@ -222,7 +222,7 @@ class TestSubNetwork:
     """Scoring and training the reduced network reproduce the masked parent."""
 
     SPEC = [conv2d(4, 3, stride=2), relu_layer(), conv2d(5, 2), relu_layer(),
-            flatten_layer(), dense(6), relu_layer(), dense(3, maskable=False)]
+            flatten_layer(), dense(6), relu_layer(), dense(3)]
     SHAPE = (9, 9, 2)
 
     def splits(self):
