@@ -26,13 +26,15 @@ which run their pieces on it in contiguous runs. The threads only choose
 who computes a piece, so every result is the same bytes for any thread
 count, ``None`` (one thread) included.
 
-Search runs unstructured masks through these masked passes; training
-multiplies the mask into the weights once and masks only the update
-(``sgd_step``'s ``weight_masks``), to the same bytes. Structured masks
-execute on the smaller network that
-``sparsity.reduce_network`` builds, with no mask (see
-``sparsity.sub_network``); the masked structured pass is the oracle that
-the reduced network is checked against.
+An unstructured mask is multiplied into the weights once: per candidate in
+``mean_loss`` (search fitness), per call in ``evaluate`` and per cell in
+training, which then masks only the update (``sgd_step``'s
+``weight_masks``), all to the same bytes. ``mean_loss`` and ``evaluate``
+forward in row blocks and take one loss over the joined logits (see
+_ROW_ALIGN for when those are the bytes of one pass). Structured masks
+execute on the smaller network that ``sparsity.reduce_network`` builds,
+with no mask (see ``sparsity.sub_network``); the masked structured pass is
+the oracle that the reduced network is checked against.
 """
 
 from __future__ import annotations
@@ -527,9 +529,55 @@ def loss_and_grads(net: Network, mask: "MaskSet | None", batch: Tensor, labels):
     return loss, grads
 
 
-def mean_loss(net: Network, mask: "MaskSet | None", batch: Tensor, labels) -> float:
-    """Forward-only mean cross-entropy (no gradient work)."""
-    logits = forward(net, mask, batch)
+def _premasked(net: Network, mask: "MaskSet | None", pool: KernelPool | None = None):
+    """``(net, mask)`` to run: an unstructured mask multiplied into the weights
+    once, leaving no mask; any other mask as it is."""
+    if mask is None or mask.mode != "unstructured":
+        return net, mask
+    params = [LayerParams(_elementwise(pool, np.multiply, p.weight, mask.masks[i]), p.bias)
+              if i in mask.masks else p for i, p in enumerate(net.params)]
+    return Network(net.spec, net.input_shape, params), None
+
+
+# A BLAS GEMM computes a row by the kernel of the tile holding it, so row
+# blocks keep a whole-batch pass's bits only when they start on tile bounds:
+# 51-row blocks moved logits by an ulp where 48-row ones did not (OpenBLAS
+# 0.3.31 on one thread, AVX-512), and 1- or 2-row GEMMs take other kernels,
+# as does a block under the small-matrix limit (about 1e6 multiply-adds)
+# when its whole batch is over it. A multi-threaded BLAS also splits a
+# GEMM's rows among its threads by size, so there a block's last bits can
+# differ from one pass's, as evaluate's blocks' could before.
+_ROW_ALIGN = 16
+
+
+def activation_block_rows(net: Network) -> int:
+    """Rows per forward block: as many as fill _BLOCK_BYTES or match ``net``'s
+    largest weight in its widest activation, whichever is more, rounded down
+    to a multiple of _ROW_ALIGN. A block much smaller than the weight re-reads
+    it per block for little saving: 10-row blocks scored a CIFAR-shaped
+    unstructured search 20% slower than 128."""
+    widest = max(math.prod(s) for s in layer_output_shapes(net.spec, net.input_shape))
+    largest = max(p.weight.size for p in net.params if p is not None)
+    rows = max(_BLOCK_BYTES // (widest * 8), largest // widest)
+    return max(_ROW_ALIGN, rows - rows % _ROW_ALIGN)
+
+
+def mean_loss(net: Network, mask: "MaskSet | None", batch: Tensor, labels,
+              block_rows: int | None = None) -> float:
+    """Forward-only mean cross-entropy (no gradient work), the forward on
+    blocks of ``block_rows`` examples (default: one block), a last one of
+    fewer than _ROW_ALIGN rows joining the block before it. With
+    ``block_rows`` a multiple of _ROW_ALIGN and one BLAS thread, the loss
+    keeps the bits of one pass."""
+    _check_mask(net, mask)
+    net, mask = _premasked(net, mask)
+    n = len(batch)
+    starts = range(0, max(n - _ROW_ALIGN, 0) + 1, block_rows or n)
+    if len(starts) == 1:
+        logits = _forward_pass(net, mask, batch, False)[0]
+    else:
+        logits = np.concatenate([_forward_pass(net, mask, batch[a:b], False)[0]
+                                 for a, b in zip(starts, [*starts[1:], n])])
     loss, _ = softmax_cross_entropy(logits, labels, with_grad=False)
     return loss
 
@@ -553,10 +601,7 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_mask(net, mask)
-    if mask is not None and mask.mode == "unstructured":
-        params = [LayerParams(_elementwise(pool, np.multiply, p.weight, mask.masks[i]), p.bias)
-                  if i in mask.masks else p for i, p in enumerate(net.params)]
-        net, mask = Network(net.spec, net.input_shape, params), None
+    net, mask = _premasked(net, mask, pool)
     block_rows = block_rows or batch_size
     correct = 0
     loss_sum = 0.0

@@ -195,10 +195,10 @@ def test_criterion_4_search_protocol(desk_splits, monkeypatch):
     populations = []  # each generation's candidates and their mask bits, as scored
     real = search._evaluate_population
 
-    def recording(net, population, batch, pool):
+    def recording(net, population, batch, *args):
         keys = [search._mask_key(c.mask) for c in population]
         populations.append((list(population), keys))
-        return real(net, population, batch, pool)
+        return real(net, population, batch, *args)
 
     monkeypatch.setattr(search, "_evaluate_population", recording)
     cfg = SearchConfig(population_size=100, generations=5, validation_batch_size=256)

@@ -522,10 +522,10 @@ def test_fitness_scoring_never_receives_a_kernel_pool(monkeypatch):
     scoring = threading.local()
     calls = []
 
-    def fitness_spy(net, mask, batch):
+    def fitness_spy(net, mask, batch, *args):
         scoring.on = True
         try:
-            return real_fitness(net, mask, batch)
+            return real_fitness(net, mask, batch, *args)
         finally:
             scoring.on = False
 

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 import helpers
-from weedout import network, synthetic_blobs
+from weedout import network, search, synthetic_blobs
 from weedout.errors import (MaskMismatchError, ShapeMismatchError,
                             SpecValidationError)
-from weedout.network import (LayerParams, SgdState, conv2d, dense, evaluate,
+from weedout.network import (LayerParams, SgdState, activation_block_rows, conv2d,
+                             default_conv_spec, default_dense_spec, dense, evaluate,
                              flatten_layer, forward, init_network,
                              layer_output_shapes, loss_and_grads,
                              maskable_indices, parent_checksum, relu_layer,
                              sgd_step)
 from weedout.numerics import RngStream
 from weedout.pipeline import Splits, TrainConfig, _train
-from weedout.sparsity import MaskSet, resample_mask, sample_mask, sample_structured
+from weedout.search import SearchConfig, run_search
+from weedout.sparsity import (MaskSet, resample_mask, sample_mask, sample_structured,
+                              sub_network)
 from weedout.data import Dataset
 
 
@@ -29,6 +32,17 @@ def params_equal(a, b):
                     and np.array_equal(pa.bias, pb.bias)):
                 return False
     return True
+
+
+def traced_peak(compute) -> int:
+    """Peak traced bytes that ``compute()`` allocates above what it starts with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestSpecValidation:
@@ -329,20 +343,61 @@ class TestActivationMemory:
         x = rng.split("x").normal((512,) + shape)
         y = np.asarray(rng.split("y").integers(0, 10, size=512))
         ds = Dataset(x, y, 10)
-
-        def traced_peak(compute) -> int:
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                compute()
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
         eval_peak = traced_peak(lambda: evaluate(net, mask, ds, block_rows=batch))
         step_peak = traced_peak(
             lambda: network._forward_backward(net, mask, x[:batch], y[:batch]))
         assert eval_peak <= step_peak
+
+    def test_block_rows_fill_2mb_or_match_the_largest_weight(self):
+        """Hand-computed: the desk net's widest activation is 64 floats, so 2 MB
+        holds 4,096 rows; the MNIST conv net reduced at eta 0.6 has a 7488x51
+        dense weight on its widest activation of 7,488 (51 rows, rounded down
+        to 48), and the CIFAR-shaped parent a 25088x128 one on 25,088."""
+        desk = init_network(default_dense_spec(10), (16,), seed=0)
+        mnist = init_network(default_conv_spec(10), (28, 28, 1), seed=0)
+        reduced, _ = sub_network(mnist, resample_mask(mnist.spec, None, "structured", 0.6, 0))
+        cifar = init_network(default_conv_spec(10), (32, 32, 3), seed=0)
+        assert reduced.params[5].weight.shape == (7488, 51)
+        assert [activation_block_rows(n) for n in (desk, reduced, cifar)] == [4096, 48, 128]
+
+    def test_blocked_search_peak_is_within_three_quarters_of_one_block(self, monkeypatch):
+        """A structured conv_default search on 28x28 images at batch 128, eta
+        0.6, scores in blocks of 48, 48 and 32 rows: it holds well under the
+        activations of one 128-row block."""
+        net = init_network(default_conv_spec(10), (28, 28, 1), seed=0)
+        rng = RngStream(9)
+        val = Dataset(rng.split("x").normal((128, 28, 28, 1)),
+                      np.asarray(rng.split("y").integers(0, 10, size=128)), 10)
+        cfg = SearchConfig(population_size=2, generations=1, validation_batch_size=128)
+
+        def one_search():
+            run_search(net, cfg, 0.6, val, RngStream(1))
+
+        blocked_peak = traced_peak(one_search)
+        monkeypatch.setattr(search, "activation_block_rows", lambda net: 1 << 30)
+        assert blocked_peak <= 0.75 * traced_peak(one_search)
+
+    def test_desk_search_forwards_each_candidate_once(self, monkeypatch):
+        """The desk net's 4,096-row blocks keep a 256-row batch one forward."""
+        real_fitness, real_forward = search.fitness, network._forward_pass
+        scored, forwarded = [], []
+
+        def fitness_spy(*args):
+            scored.append(args[1])
+            return real_fitness(*args)
+
+        def forward_spy(net, mask, x, keep_inputs, pool=None):
+            forwarded.append(len(x))
+            return real_forward(net, mask, x, keep_inputs, pool)
+
+        monkeypatch.setattr(search, "fitness", fitness_spy)
+        monkeypatch.setattr(network, "_forward_pass", forward_spy)
+        ds = synthetic_blobs(num_classes=10, per_class=40, dim=16, spread=0.35, seed=0)
+        net = init_network(default_dense_spec(10), (16,), seed=4)
+        cfg = SearchConfig(population_size=20, generations=3, validation_batch_size=256)
+        run_search(net, cfg, 0.6, ds, RngStream(2))
+        assert len(scored) == 60  # every candidate is distinct at eta 0.6
+        assert forwarded == [256] * 60
 
     def test_dense_weight_gradients_run_after_the_conv_backward(self, monkeypatch):
         """A dense layer's weight gradient is taken once the backward pass has

@@ -1,18 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weedout import search
+from weedout import network, search
 from weedout.data import Dataset, sample_batch
 from weedout.network import (KernelPool, conv2d, dense, flatten_layer, init_network,
-                             mean_loss, relu_layer)
+                             kernel_pool, mean_loss, relu_layer)
 from weedout.numerics import RngStream
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
                             fitness, run_search)
 from weedout.sparsity import resample_mask, sample_mask, sample_structured
 
 from weedout.network import default_dense_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -25,10 +31,10 @@ def recorded(monkeypatch):
     """Each generation's batch, candidates and their mask keys, as scored."""
     real, generations = search._evaluate_population, []
 
-    def recording(net, population, batch, pool):
+    def recording(net, population, batch, *args):
         keys = [search._mask_key(c.mask) for c in population]
         generations.append((batch, list(population), keys))
-        return real(net, population, batch, pool)
+        return real(net, population, batch, *args)
 
     monkeypatch.setattr(search, "_evaluate_population", recording)
     return generations
@@ -38,7 +44,7 @@ def search_with_scores(monkeypatch, net, splits, scores):
     """run_search with ``scores[g]`` as generation g + 1's candidate scores."""
     given = iter(scores)
     monkeypatch.setattr(search, "_evaluate_population",
-                        lambda net, population, batch, pool: list(next(given)))
+                        lambda net, population, batch, *args: list(next(given)))
     cfg = SearchConfig(population_size=len(scores[0]), generations=len(scores),
                        validation_batch_size=32)
     return run_search(net, cfg, 0.4, splits.validation, RngStream(6).split("s"))
@@ -71,11 +77,82 @@ class TestFitness:
     def test_serial_equals_parallel(self, net16, blob_splits, rng):
         batch = sample_batch(blob_splits.validation, 64, rng.split("b"))
         population = make_population(net16.spec, 0.4, 12, RngStream(5).split("m"))
-        serial = _evaluate_population(net16, population, batch, None)
+        serial = _evaluate_population(net16, population, batch, None, 64)
         with KernelPool(4) as pool:
-            parallel = _evaluate_population(net16, population, batch, pool)
+            parallel = _evaluate_population(net16, population, batch, pool, 64)
         assert serial == parallel
         assert serial == [fitness(net16, c.mask, batch) for c in population]
+
+
+class TestBlockedScores:
+    """Scores forwarded in row blocks keep the bits of one whole-batch pass."""
+
+    @pytest.mark.parametrize("mode", ["structured", "unstructured"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    # 32-row blocks with a short last one, or a 1-row tail joining the block before
+    @pytest.mark.parametrize("rows,blocks", [(88, [32, 32, 24]), (97, [32, 32, 33])])
+    def test_blocked_scores_equal_one_block(self, monkeypatch, mode, threads, rows, blocks):
+        spec = [conv2d(3, 3), relu_layer(), conv2d(4, 2, stride=2), relu_layer(),
+                flatten_layer(), dense(6), relu_layer(), dense(3)]
+        shape = (9, 8, 2)
+        net = init_network(spec, shape, seed=2)
+        rng = RngStream(3)
+        batch = (rng.split("x").normal((rows,) + shape),
+                 np.asarray(rng.split("y").integers(0, 3, size=rows)))
+        population = [Candidate(sample_mask(spec, shape, 0.5, mode, rng.split(f"m{k}")), k, 1)
+                      for k in range(6)]
+        whole = _evaluate_population(net, population, batch, None, rows)
+        real_forward, real_elementwise = network._forward_pass, network._elementwise
+        forwarded, multiplies = [], []
+
+        def forward_spy(net, mask, x, keep_inputs, pool=None):
+            forwarded.append(len(x))
+            return real_forward(net, mask, x, keep_inputs, pool)
+
+        def elementwise_spy(pool, op, *arrays, out=None):
+            if op is np.multiply:
+                multiplies.append(arrays[0].shape)
+            return real_elementwise(pool, op, *arrays, out=out)
+
+        monkeypatch.setattr(network, "_forward_pass", forward_spy)
+        monkeypatch.setattr(network, "_elementwise", elementwise_spy)
+        with kernel_pool(threads) as pool:
+            blocked = _evaluate_population(net, population, batch, pool, 32)
+        assert np.array(blocked).tobytes() == np.array(whole).tobytes()
+        assert sorted(forwarded) == sorted(blocks * 6)
+        # an unstructured mask goes into each of the 3 maskable weights once
+        # per candidate, not once per block
+        assert len(multiplies) == (6 * 3 if mode == "unstructured" else 0)
+
+    def test_search_blocks_keep_every_logit_on_the_28x28_conv_net(self):
+        """BLAS tiles make a GEMM row's bits depend on where a block starts; on
+        one BLAS thread, as the benchmark runs, the rule's 48-row blocks
+        reproduce every logit of one 128-row pass. A multi-threaded BLAS
+        splits a GEMM's rows among its threads by the GEMM's size, so the
+        check runs in a child process with one BLAS thread."""
+        code = """if True:
+            import numpy as np
+            from weedout import network
+            from weedout.numerics import RngStream
+            from weedout.sparsity import resample_mask, sub_network
+            net = network.init_network(network.default_conv_spec(10), (28, 28, 1), seed=0)
+            for k in range(3):
+                mask = resample_mask(net.spec, None, "structured", 0.6, k)
+                reduced, _ = sub_network(net, mask)
+                x = np.maximum(RngStream(k).normal((128, 28, 28, 1)), 0.0)
+                rows = network.activation_block_rows(reduced)
+                blocks = [network._forward_pass(reduced, None, x[b:b + rows], False)[0]
+                          for b in range(0, 128, rows)]
+                whole = network._forward_pass(reduced, None, x, False)[0]
+                print(rows, np.concatenate(blocks).tobytes() == whole.tobytes())
+        """
+        one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+        env = dict(os.environ, PYTHONPATH=str(SRC), **one_thread)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["48", "True"] * 3
 
 
 class TestSelectBest:
@@ -221,9 +298,9 @@ class TestScoreEachMaskOnce:
     def spy(self, monkeypatch):
         real, scored = search.fitness, []
 
-        def counting_fitness(net, mask, batch):
+        def counting_fitness(net, mask, batch, *args):
             scored.append(mask)
-            return real(net, mask, batch)
+            return real(net, mask, batch, *args)
 
         monkeypatch.setattr(search, "fitness", counting_fitness)
         return scored
