@@ -23,15 +23,17 @@ own part of the result; per-block weight gradients are summed in block order.
 A cell with two or more threads scores its search candidates on a
 :class:`KernelPool`, and training and evaluation pass one to the kernels,
 which run their pieces on it in contiguous runs. The threads only choose
-who computes a piece, so every result is the same bytes for any thread
-count, ``None`` (one thread) included.
+who computes a piece, so at a fixed BLAS thread count every result is the
+same bytes for any pool size, ``None`` (one thread) included.
 
 An unstructured mask is multiplied into the weights once: per candidate in
 ``mean_loss`` (search fitness), per call in ``evaluate`` and per cell in
 training, which then masks only the update (``sgd_step``'s
 ``weight_masks``), all to the same bytes. ``mean_loss`` and ``evaluate``
-forward in row blocks and take one loss over the joined logits (see
-_ROW_ALIGN for when those are the bytes of one pass). Structured masks
+forward in the same tile-aligned row blocks (``_blocked_logits``) and take
+one loss over the joined logits. Those logits are the bytes of one pass
+only on one BLAS thread: a multi-threaded BLAS splits a GEMM's rows among
+its threads by the GEMM's size (see _ROW_ALIGN). Structured masks
 execute on the smaller network that ``sparsity.reduce_network`` builds,
 with no mask (see ``sparsity.sub_network``); the masked structured pass is
 the oracle that the reduced network is checked against.
@@ -546,7 +548,7 @@ def _premasked(net: Network, mask: "MaskSet | None", pool: KernelPool | None = N
 # as does a block under the small-matrix limit (about 1e6 multiply-adds)
 # when its whole batch is over it. A multi-threaded BLAS also splits a
 # GEMM's rows among its threads by size, so there a block's last bits can
-# differ from one pass's, as evaluate's blocks' could before.
+# differ from one pass's.
 _ROW_ALIGN = 16
 
 
@@ -562,22 +564,27 @@ def activation_block_rows(net: Network) -> int:
     return max(_ROW_ALIGN, rows - rows % _ROW_ALIGN)
 
 
+def _blocked_logits(net: Network, mask, rows, n: int, block_rows: int | None,
+                    pool: KernelPool | None = None) -> Tensor:
+    """Logits of ``n`` examples, ``rows(a, b)`` giving the inputs of rows a to
+    b, forwarded in blocks of ``block_rows`` rounded down to a multiple of
+    _ROW_ALIGN, at least _ROW_ALIGN (default: one block); a last block of
+    fewer than _ROW_ALIGN rows joins the block before it. With one BLAS
+    thread, the logits keep the bits of one pass."""
+    step = max(_ROW_ALIGN, block_rows - block_rows % _ROW_ALIGN) if block_rows else n
+    starts = range(0, max(n - _ROW_ALIGN, 0) + 1, step)
+    logits = [_forward_pass(net, mask, rows(a, b), False, pool)[0]
+              for a, b in zip(starts, [*starts[1:], n])]
+    return logits[0] if len(logits) == 1 else np.concatenate(logits)
+
+
 def mean_loss(net: Network, mask: "MaskSet | None", batch: Tensor, labels,
               block_rows: int | None = None) -> float:
     """Forward-only mean cross-entropy (no gradient work), the forward on
-    blocks of ``block_rows`` examples (default: one block), a last one of
-    fewer than _ROW_ALIGN rows joining the block before it. With
-    ``block_rows`` a multiple of _ROW_ALIGN and one BLAS thread, the loss
-    keeps the bits of one pass."""
+    ``_blocked_logits``'s blocks of ``block_rows`` examples."""
     _check_mask(net, mask)
     net, mask = _premasked(net, mask)
-    n = len(batch)
-    starts = range(0, max(n - _ROW_ALIGN, 0) + 1, block_rows or n)
-    if len(starts) == 1:
-        logits = _forward_pass(net, mask, batch, False)[0]
-    else:
-        logits = np.concatenate([_forward_pass(net, mask, batch[a:b], False)[0]
-                                 for a, b in zip(starts, [*starts[1:], n])])
+    logits = _blocked_logits(net, mask, lambda a, b: batch[a:b], len(batch), block_rows)
     loss, _ = softmax_cross_entropy(logits, labels, with_grad=False)
     return loss
 
@@ -592,25 +599,23 @@ def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 51
     """Accuracy and mean loss over a dataset; deterministic, in dataset order.
 
     The loss is taken over chunks of ``batch_size`` examples, the forward on
-    blocks of at most ``block_rows`` of them (default: whole chunks), which
-    bounds the activations held at once and leaves every logit's bytes as
-    they are. An unstructured mask is multiplied into the weights once per
-    call. ``pool`` runs the kernels' pieces; the result does not depend on it.
+    ``_blocked_logits``'s blocks of ``block_rows`` of them (default: whole
+    chunks), which bounds the activations held at once. An unstructured mask
+    is multiplied into the weights once per call. ``pool`` runs the kernels'
+    pieces; the result does not depend on it.
     """
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_mask(net, mask)
     net, mask = _premasked(net, mask, pool)
-    block_rows = block_rows or batch_size
     correct = 0
     loss_sum = 0.0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        logits = np.concatenate([
-            _forward_pass(net, mask, dataset.take(slice(b, min(b + block_rows, stop)))[0],
-                          False, pool)[0]
-            for b in range(start, stop, block_rows)])
+        logits = _blocked_logits(
+            net, mask, lambda a, b: dataset.take(slice(start + a, start + b))[0],
+            stop - start, block_rows, pool)
         y = dataset.labels[start:stop]
         loss, _ = softmax_cross_entropy(logits, y, with_grad=False)
         loss_sum += loss * len(y)

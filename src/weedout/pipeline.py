@@ -156,6 +156,10 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
             seen += n
             loss_sum += loss * n
             correct += int((logits.argmax(axis=1) == y).sum())
+            # Names keep arrays alive until rebound: without this the weight-sized
+            # gradients of one step would stay through the next step's
+            # activation peak, and the last step's through the evaluation.
+            del x, y, grads, logits
         test_acc = test_loss = None
         if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
             t_eval = time.perf_counter()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from weedout import network, search, synthetic_blobs
+from weedout import network, pipeline, search, synthetic_blobs
 from weedout.errors import (MaskMismatchError, ShapeMismatchError,
                             SpecValidationError)
 from weedout.network import (LayerParams, SgdState, activation_block_rows, conv2d,
@@ -16,7 +16,7 @@ from weedout.network import (LayerParams, SgdState, activation_block_rows, conv2
                              maskable_indices, parent_checksum, relu_layer,
                              sgd_step)
 from weedout.numerics import RngStream
-from weedout.pipeline import Splits, TrainConfig, _train
+from weedout.pipeline import Splits, TrainConfig, _train, run_cell
 from weedout.search import SearchConfig, run_search
 from weedout.sparsity import (MaskSet, resample_mask, sample_mask, sample_structured,
                               sub_network)
@@ -398,6 +398,34 @@ class TestActivationMemory:
         run_search(net, cfg, 0.6, ds, RngStream(2))
         assert len(scored) == 60  # every candidate is distinct at eta 0.6
         assert forwarded == [256] * 60
+
+    def test_later_training_steps_peak_no_higher_than_the_first(self, monkeypatch):
+        """A step's gradients are dropped once the update has applied them, so
+        the next step's forward and backward run without them: on an
+        unstructured conv_default cell every step's traced peak stays within
+        1 MiB of the first step's, where a kept gradient would add its 28x28
+        net's weights (18.9 MB)."""
+        rng = RngStream(11)
+        ds = Dataset(rng.split("x").normal((96, 28, 28, 1)),
+                     np.asarray(rng.split("y").integers(0, 10, size=96)), 10)
+        real_forward_backward, peaks = pipeline._forward_backward, []
+
+        def forward_backward_spy(*args):
+            tracemalloc.reset_peak()
+            out = real_forward_backward(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(pipeline, "_forward_backward", forward_backward_spy)
+        tracemalloc.start()
+        try:
+            run_cell(default_conv_spec(10), (28, 28, 1), "random_baseline", 0.6, 0,
+                     SearchConfig(mask_mode="unstructured"),
+                     TrainConfig(epochs=1, batch_size=32), Splits(ds, ds, ds))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert max(peaks) - peaks[0] <= 1 << 20
 
     def test_dense_weight_gradients_run_after_the_conv_backward(self, monkeypatch):
         """A dense layer's weight gradient is taken once the backward pass has

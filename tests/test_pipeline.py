@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from weedout.search import SearchConfig
 from weedout.numerics import RngStream
 from weedout.sparsity import MASK_MODES, active_parameter_count, sample_mask
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SPEC = default_dense_spec(10)
 SHAPE = (16,)
 
@@ -305,3 +308,50 @@ class TestAtomicWrites:
         assert sorted(p.name for p in cell.iterdir()) == ["manifest.json"]
         assert json.loads((cell / "manifest.json").read_text())["error"] == \
             "RuntimeError: second"
+
+
+class TestEvaluationBlocks:
+    def test_blocks_of_any_training_batch_keep_one_pass_bits(self):
+        """A cell evaluates in blocks of its training batch size, which need
+        not be a multiple of 16: blocks are cut down to whole BLAS tiles, and a
+        short tail joins the block before it, so on one BLAS thread every logit
+        and the result equal one pass. 129 rows in blocks of 128 run as one
+        block; 500 rows in blocks of 50 as 48-row blocks and a 20-row tail. A
+        multi-threaded BLAS splits a GEMM's rows by its size, so the check runs
+        in a child process with one BLAS thread."""
+        code = """if True:
+            import numpy as np
+            from weedout import network
+            from weedout.data import Dataset
+            from weedout.numerics import RngStream
+            nets = [(network.default_dense_spec(10), (16,)),
+                    (network.default_conv_spec(10), (28, 28, 1)),
+                    (network.default_conv_spec(10), (32, 32, 3))]
+            real_forward = network._forward_pass
+            for spec, shape in nets:
+                net = network.init_network(spec, shape, seed=0)
+                for n, rows in ((129, 128), (500, 50)):
+                    rng = RngStream(n)
+                    ds = Dataset(rng.split("x").normal((n,) + shape),
+                                 np.asarray(rng.split("y").integers(0, 10, size=n)), 10)
+                    blocks = []
+
+                    def forward_spy(*args):
+                        blocks.append(real_forward(*args))
+                        return blocks[-1]
+
+                    network._forward_pass = forward_spy
+                    blocked = network.evaluate(net, None, ds, block_rows=rows)
+                    network._forward_pass = real_forward
+                    logits = np.concatenate([b[0] for b in blocks])
+                    whole = real_forward(net, None, ds.inputs, False)[0]
+                    print(logits.tobytes() == whole.tobytes(),
+                          blocked == network.evaluate(net, None, ds))
+        """
+        one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+        env = dict(os.environ, PYTHONPATH=str(SRC), **one_thread)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"] * 6
