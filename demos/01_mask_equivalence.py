@@ -3,13 +3,14 @@
 
 Walks one sparse sub-network end to end: sample a structured mask over a
 small conv net, physically delete the deactivated channels/units, and compare
-logits, loss, and gradients between the masked parent and the reduced copy.
+logits, loss, and gradients between the pruned parent (the parent with each
+dead node's incoming weights and bias zeroed) and the reduced copy.
 """
 
 import numpy as np
 
 from weedout import RngStream, forward, init_network, loss_and_grads, reduce_network
-from weedout.network import conv2d, dense, flatten_layer, relu_layer
+from weedout.network import conv2d, dense, flatten_layer, masked_network, relu_layer
 from weedout.sparsity import active_parameter_count, realized_sparsity, sample_structured
 
 spec = [
@@ -40,14 +41,15 @@ print(f"\nreduced network: {reduced_count} parameters "
 x = rng.split("x").normal((16,) + input_shape)
 y = np.asarray(rng.split("y").integers(0, 10, size=16))
 
-logits_masked = forward(net, mask, x)
+pruned = masked_network(net, mask)
+logits_pruned = forward(pruned, None, x)
 logits_reduced = forward(reduced, None, x)
-print(f"\nmax |masked logits - reduced logits| = "
-      f"{np.abs(logits_masked - logits_reduced).max():.3e}")
+print(f"\nmax |pruned logits - reduced logits| = "
+      f"{np.abs(logits_pruned - logits_reduced).max():.3e}")
 
-loss_masked, grads = loss_and_grads(net, mask, x, y)
-loss_reduced, _ = loss_and_grads(reduced, None, x, y)
-print(f"loss difference = {abs(loss_masked - loss_reduced):.3e}")
+loss_pruned, grads = loss_and_grads(pruned, x, y)
+loss_reduced, _ = loss_and_grads(reduced, x, y)
+print(f"loss difference = {abs(loss_pruned - loss_reduced):.3e}")
 
 # gradients incident to a deactivated channel are exactly zero
 off_channels = np.where(mask.masks[0] == 0.0)[0]

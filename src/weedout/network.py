@@ -1,22 +1,20 @@
-"""The overparameterized parent network: layer stack, masked passes, SGD.
+"""The overparameterized parent network: layer stack, passes, SGD.
 
 A network is a flat list of :class:`LayerSpec` plus per-layer parameter
 tensors. Every parameterized layer but the last, the logits, is maskable.
-The passes here take an optional mask: each maskable layer's output is
-multiplied by a binary node mask (structured mode) or its weight tensor is
-multiplied by a binary weight mask (unstructured mode).
-Backpropagation is hand-written per layer kind, which keeps the masked
-gradient flow exact: weights incident only to deactivated nodes receive
-gradients that are zero bit-for-bit.
+No pass takes a mask: ``masked_network`` is the one place a mask meets the
+parameters. It multiplies each weight by its binary weight mask
+(unstructured mode), or zeroes a deactivated node's incoming weights and
+bias (structured mode), so a dead node outputs zero. Backpropagation is
+hand-written per layer kind.
 
 A convolution runs as im2col GEMMs: the input's windows, unrolled in the
 weight's (kh, kw, c_in) order, multiply the flattened weight, one
 cache-sized block of examples at a time. A large dense GEMM runs as row
 chunks, or as column chunks when it has few rows, and a large element-wise
-pass (a masked weight or gradient, relu and its gradient, the SGD update
-with its gradient mask) as flat pieces. The backward pass skips the
-gradient with respect to the first parameterized layer's input, which
-nothing reads.
+pass (relu and its gradient, the SGD update with its gradient mask) as flat
+pieces. The backward pass skips the gradient with respect to the first
+parameterized layer's input, which nothing reads.
 
 Blocks, chunks and pieces depend only on array shapes, and each writes its
 own part of the result; per-block weight gradients are summed in block order.
@@ -27,16 +25,14 @@ who computes a piece, so at a fixed BLAS thread count every result is the
 same bytes for any pool size, ``None`` (one thread) included.
 
 An unstructured mask is multiplied into the weights once: per candidate in
-``mean_loss`` (search fitness), per call in ``evaluate`` and per cell in
-training, which then masks only the update (``sgd_step``'s
-``weight_masks``), all to the same bytes. ``mean_loss`` and ``evaluate``
-forward in the same tile-aligned row blocks (``_blocked_logits``) and take
-one loss over the joined logits. Those logits are the bytes of one pass
-only on one BLAS thread: a multi-threaded BLAS splits a GEMM's rows among
-its threads by the GEMM's size (see _ROW_ALIGN). Structured masks
-execute on the smaller network that ``sparsity.reduce_network`` builds,
-with no mask (see ``sparsity.sub_network``); the masked structured pass is
-the oracle that the reduced network is checked against.
+search fitness and per cell in training, which then masks only the update
+(``sgd_step``'s ``weight_masks``). Structured masks execute on the smaller
+network that ``sparsity.reduce_network`` builds (see
+``sparsity.sub_network``). ``mean_loss`` and ``evaluate`` forward in the
+same tile-aligned row blocks (``_blocked_logits``) and take one loss over
+the joined logits. Those logits are the bytes of one pass only on one BLAS
+thread: a multi-threaded BLAS splits a GEMM's rows among its threads by the
+GEMM's size (see _ROW_ALIGN).
 """
 
 from __future__ import annotations
@@ -230,6 +226,21 @@ def _check_mask(net: Network, mask: "MaskSet | None") -> None:
         if m.shape != expected:
             raise MaskMismatchError(
                 f"{mask.mode} mask for layer {i} has shape {m.shape}, expected {expected}")
+
+
+def masked_network(net: Network, mask: "MaskSet | None") -> Network:
+    """``net`` with ``mask`` applied to its parameters, or ``net`` itself for
+    no mask: each weight times its weight mask (unstructured), or a dead
+    node's incoming weights and bias zeroed (structured, the node vector
+    broadcast over the weight's last axis)."""
+    if mask is None:
+        return net
+    _check_mask(net, mask)
+    structured = mask.mode == "structured"
+    params = [p if i not in mask.masks else LayerParams(
+        p.weight * mask.masks[i], p.bias * mask.masks[i] if structured else p.bias)
+        for i, p in enumerate(net.params)]
+    return Network(net.spec, net.input_shape, params)
 
 
 class KernelPool:
@@ -432,67 +443,52 @@ def _conv_backward(x: Tensor, w: Tensor, stride: int, dout: Tensor,
     return dw.reshape(w.shape), db, dx
 
 
-def _node_and_weight_masks(mask) -> tuple[dict, dict]:
-    """A mask's arrays by layer index: ``(node masks, weight masks)``."""
-    if mask is None:
-        return {}, {}
-    return (mask.masks, {}) if mask.mode == "structured" else ({}, mask.masks)
-
-
 def _forward_pass(net: Network, mask, x: Tensor, keep_inputs: bool,
                   pool: KernelPool | None = None):
-    """Run the stack; optionally keep each layer's input for backprop.
-
-    Returns the logits, the kept inputs and, per layer, the weight the layer
-    multiplied by (for an unstructured mask, the masked product), so that the
-    backward pass reuses it. ``pool`` runs the kernels' pieces.
+    """Run ``masked_network(net, mask)``; optionally keep each layer's input
+    for backprop. Returns the logits and the kept inputs; ``pool`` runs the
+    kernels' pieces. ``bench/trace_layers.py`` counts multiply-adds from the
+    ``net``, ``mask`` and ``x`` of this call, so they stay positional.
 
     A relu after a parameterized layer overwrites its input, which no longer
     shares memory with ``x``; its kept input then holds its output, as its
     gradient reads only ``h > 0``.
     """
+    net = masked_network(net, mask)
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
         raise ShapeMismatchError(
             f"batch shape {x.shape[1:]} does not match input shape {net.input_shape}")
-    node_masks, weight_masks = _node_and_weight_masks(mask)
     inputs: list[Tensor | None] = []
-    weights: list[Tensor | None] = [None] * len(net.spec)
     h, h_is_ours = x, False
     for i, layer in enumerate(net.spec):
         inputs.append(h if keep_inputs else None)
         if layer.kind in PARAM_KINDS:
-            w = net.params[i].weight
-            if i in weight_masks:
-                w = _elementwise(pool, np.multiply, w, weight_masks[i])
-            weights[i] = w
+            p = net.params[i]
             if layer.kind == "dense":
-                h = _gemm(h, w, pool)
-                h += net.params[i].bias
+                h = _gemm(h, p.weight, pool)
+                h += p.bias
             else:
-                h = _conv_forward(h, w, net.params[i].bias, layer.stride, pool)
-            if i in node_masks:
-                h = h * node_masks[i]
+                h = _conv_forward(h, p.weight, p.bias, layer.stride, pool)
             h_is_ours = True
         elif layer.kind == "relu":
             h = _elementwise(pool, _relu, h, out=h if h_is_ours else None)
         elif layer.kind == "flatten":
             h = h.reshape(h.shape[0], -1)
-    return h, inputs, weights
+    return h, inputs
 
 
 def forward(net: Network, mask: "MaskSet | None", batch: Tensor) -> Tensor:
-    """Logits of the masked network on a batch; logits are never masked."""
-    _check_mask(net, mask)
-    logits, _, _ = _forward_pass(net, mask, batch, keep_inputs=False)
-    return logits
+    """Logits of ``masked_network(net, mask)`` on a batch, in blocks of
+    _ROW_ALIGN rows, so the masked weights it copies do not add to a whole
+    batch's activations (18.9 and 17 MB on a 28x28 conv parent at 64 rows)."""
+    return _blocked_logits(masked_network(net, mask), lambda a, b: batch[a:b],
+                           len(batch), _ROW_ALIGN)
 
 
-def _forward_backward(net: Network, mask, x: Tensor, labels,
-                      pool: KernelPool | None = None):
-    logits, inputs, weights = _forward_pass(net, mask, x, True, pool)
+def _forward_backward(net: Network, x: Tensor, labels, pool: KernelPool | None = None):
+    logits, inputs = _forward_pass(net, None, x, True, pool)
     loss, dh = softmax_cross_entropy(logits, labels)
-    node_masks, weight_masks = _node_and_weight_masks(mask)
     grads: Gradients = [None] * len(net.spec)
     # Nothing reads the gradient with respect to the first parameterized
     # layer's input, so it is not computed. A dense layer's weight gradient
@@ -503,42 +499,26 @@ def _forward_backward(net: Network, mask, x: Tensor, labels,
     dense_douts = []
     for i in range(len(net.spec) - 1, first - 1, -1):
         layer = net.spec[i]
-        if layer.kind in PARAM_KINDS:
-            if i in node_masks:
-                dh = dh * node_masks[i]
-            if layer.kind == "dense":
-                dense_douts.append((i, dh))
-                dh = _gemm(dh, weights[i].T, pool) if i > first else None
-            else:
-                dw, db, dh = _conv_backward(inputs[i], weights[i], layer.stride, dh,
-                                            i > first, pool)
-                grads[i] = LayerParams(dw, db)
+        if layer.kind == "dense":
+            dense_douts.append((i, dh))
+            dh = _gemm(dh, net.params[i].weight.T, pool) if i > first else None
+        elif layer.kind == "conv2d":
+            dw, db, dh = _conv_backward(inputs[i], net.params[i].weight, layer.stride, dh,
+                                        i > first, pool)
+            grads[i] = LayerParams(dw, db)
         elif layer.kind == "relu":
             dh = _elementwise(pool, _relu_grad, dh, inputs[i], out=dh)
         elif layer.kind == "flatten":
             dh = dh.reshape(inputs[i].shape)
     for i, dout in dense_douts:
         grads[i] = LayerParams(_gemm(inputs[i].T, dout, pool), dout.sum(axis=0))
-    for i, m in weight_masks.items():
-        _elementwise(pool, np.multiply, grads[i].weight, m, out=grads[i].weight)
     return loss, grads, logits
 
 
-def loss_and_grads(net: Network, mask: "MaskSet | None", batch: Tensor, labels):
-    """Mean cross-entropy plus exact backprop gradients through the masked graph."""
-    _check_mask(net, mask)
-    loss, grads, _ = _forward_backward(net, mask, batch, labels)
+def loss_and_grads(net: Network, batch: Tensor, labels):
+    """Mean cross-entropy plus exact backprop gradients."""
+    loss, grads, _ = _forward_backward(net, batch, labels)
     return loss, grads
-
-
-def _premasked(net: Network, mask: "MaskSet | None", pool: KernelPool | None = None):
-    """``(net, mask)`` to run: an unstructured mask multiplied into the weights
-    once, leaving no mask; any other mask as it is."""
-    if mask is None or mask.mode != "unstructured":
-        return net, mask
-    params = [LayerParams(_elementwise(pool, np.multiply, p.weight, mask.masks[i]), p.bias)
-              if i in mask.masks else p for i, p in enumerate(net.params)]
-    return Network(net.spec, net.input_shape, params), None
 
 
 # A BLAS GEMM computes a row by the kernel of the tile holding it, so row
@@ -564,7 +544,7 @@ def activation_block_rows(net: Network) -> int:
     return max(_ROW_ALIGN, rows - rows % _ROW_ALIGN)
 
 
-def _blocked_logits(net: Network, mask, rows, n: int, block_rows: int | None,
+def _blocked_logits(net: Network, rows, n: int, block_rows: int | None,
                     pool: KernelPool | None = None) -> Tensor:
     """Logits of ``n`` examples, ``rows(a, b)`` giving the inputs of rows a to
     b, forwarded in blocks of ``block_rows`` rounded down to a multiple of
@@ -573,18 +553,15 @@ def _blocked_logits(net: Network, mask, rows, n: int, block_rows: int | None,
     thread, the logits keep the bits of one pass."""
     step = max(_ROW_ALIGN, block_rows - block_rows % _ROW_ALIGN) if block_rows else n
     starts = range(0, max(n - _ROW_ALIGN, 0) + 1, step)
-    logits = [_forward_pass(net, mask, rows(a, b), False, pool)[0]
+    logits = [_forward_pass(net, None, rows(a, b), False, pool)[0]
               for a, b in zip(starts, [*starts[1:], n])]
     return logits[0] if len(logits) == 1 else np.concatenate(logits)
 
 
-def mean_loss(net: Network, mask: "MaskSet | None", batch: Tensor, labels,
-              block_rows: int | None = None) -> float:
+def mean_loss(net: Network, batch: Tensor, labels, block_rows: int | None = None) -> float:
     """Forward-only mean cross-entropy (no gradient work), the forward on
     ``_blocked_logits``'s blocks of ``block_rows`` examples."""
-    _check_mask(net, mask)
-    net, mask = _premasked(net, mask)
-    logits = _blocked_logits(net, mask, lambda a, b: batch[a:b], len(batch), block_rows)
+    logits = _blocked_logits(net, lambda a, b: batch[a:b], len(batch), block_rows)
     loss, _ = softmax_cross_entropy(logits, labels, with_grad=False)
     return loss
 
@@ -594,27 +571,24 @@ class EvalResult(NamedTuple):
     mean_loss: float
 
 
-def evaluate(net: Network, mask: "MaskSet | None", dataset, batch_size: int = 512,
+def evaluate(net: Network, dataset, batch_size: int = 512,
              pool: KernelPool | None = None, block_rows: int | None = None) -> EvalResult:
     """Accuracy and mean loss over a dataset; deterministic, in dataset order.
 
     The loss is taken over chunks of ``batch_size`` examples, the forward on
     ``_blocked_logits``'s blocks of ``block_rows`` of them (default: whole
-    chunks), which bounds the activations held at once. An unstructured mask
-    is multiplied into the weights once per call. ``pool`` runs the kernels'
-    pieces; the result does not depend on it.
+    chunks), which bounds the activations held at once. ``pool`` runs the
+    kernels' pieces; the result does not depend on it.
     """
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _check_mask(net, mask)
-    net, mask = _premasked(net, mask, pool)
     correct = 0
     loss_sum = 0.0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
         logits = _blocked_logits(
-            net, mask, lambda a, b: dataset.take(slice(start + a, start + b))[0],
+            net, lambda a, b: dataset.take(slice(start + a, start + b))[0],
             stop - start, block_rows, pool)
         y = dataset.labels[start:stop]
         loss, _ = softmax_cross_entropy(logits, y, with_grad=False)

@@ -44,7 +44,7 @@ from .network import (KernelPool, Network, SgdState, _forward_backward, evaluate
 from .numerics import RngStream
 from .search import HistoryRow, SearchConfig, run_search
 from .sparsity import (MaskSet, active_parameter_count, realized_sparsity,
-                       sample_mask, sub_network)
+                       reduce_network, sample_mask)
 
 ARMS = ("weedout", "random_baseline")
 
@@ -123,12 +123,12 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
     A structured mask trains its reduced network and leaves ``net``
     untouched; an unstructured mask is multiplied into ``net``'s weights once,
     in place, and the update masks each gradient, so a masked weight stays the
-    same signed zero and the passes run with no mask, to the same bytes as
-    masked passes. The cell's ``pool``, if any, runs the kernels, with the
+    same signed zero. The cell's ``pool``, if any, runs the kernels, with the
     same results as one thread. Returns epoch rows, seconds spent in
     evaluation and the active parameter count.
     """
-    net, mask = sub_network(net, mask)
+    if mask.mode == "structured":
+        net, mask = reduce_network(net, mask), None
     weight_masks = {} if mask is None else mask.masks
     for i, m in weight_masks.items():
         net.params[i].weight *= m
@@ -142,7 +142,7 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
         for batch_no, (x, y) in enumerate(
                 batches(splits.train, train_cfg.batch_size, rng_train.split(f"epoch{epoch}"))):
             try:
-                loss, grads, logits = _forward_backward(net, None, x, y, pool)
+                loss, grads, logits = _forward_backward(net, x, y, pool)
             except ValueError as exc:
                 # forward/loss refuse non-finite values once weights blow up
                 raise DivergenceError(
@@ -163,7 +163,7 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
         test_acc = test_loss = None
         if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
             t_eval = time.perf_counter()
-            res = evaluate(net, None, splits.test, pool=pool,
+            res = evaluate(net, splits.test, pool=pool,
                            block_rows=train_cfg.batch_size)
             eval_seconds += time.perf_counter() - t_eval
             test_acc, test_loss = res.accuracy, res.mean_loss

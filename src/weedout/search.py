@@ -38,7 +38,8 @@ from .errors import check_member, check_number
 from .network import (KernelPool, Network, activation_block_rows, mean_loss,
                       run_pieces)
 from .numerics import RngStream
-from .sparsity import MASK_MODES, MaskSet, sample_mask, sub_network
+from .sparsity import (MASK_MODES, MaskSet, reduce_network, sample_mask,
+                       sub_network)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +95,7 @@ def fitness(net: Network, mask: MaskSet, validation_batch,
     x, y = validation_batch
     if len(y) == 0:
         raise ValueError("validation batch is empty")
-    return -mean_loss(*sub_network(net, mask), x, y, block_rows)
+    return -mean_loss(sub_network(net, mask), x, y, block_rows)
 
 
 def _mask_key(mask: MaskSet) -> tuple:
@@ -148,7 +149,9 @@ def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Datase
                                              cfg.mask_mode, rng_masks), next_id + j, gen)
                        for j in range(cfg.population_size - len(population))]
         if gen == 1:  # every candidate's network has the first one's shapes
-            block_rows = activation_block_rows(sub_network(net, population[0].mask)[0])
+            first = population[0].mask
+            block_rows = activation_block_rows(
+                reduce_network(net, first) if first.mode == "structured" else net)
         batch = sample_batch(d_validation, cfg.validation_batch_size,
                              rng_batches.split(f"gen{gen}"))
         scores = _evaluate_population(net, population, batch, pool, block_rows)

@@ -8,12 +8,11 @@ at identical sparsity, so configuration quality is the only variable.
 ``resample_mask`` is the one sampler.
 
 ``reduce_network`` physically deletes deactivated nodes (dense units or conv
-channels) and their incident weight rows/columns. ``sub_network`` is the one
-place a mask becomes something to run: a structured mask is scored, trained
-and evaluated as its reduced network, with no mask, while an unstructured
-mask keeps the parent and its masked kernels. The masked structured forward
-in ``network`` stays as the equivalence oracle the reduced network must
-reproduce.
+channels) and their incident weight rows/columns. ``sub_network`` is the
+network a search scores a mask on: a structured mask's reduced network, or
+the parent with an unstructured mask multiplied into its weights
+(``network.masked_network``). Training builds the same network, an
+unstructured one in place.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import (InfeasibleSparsityError, MaskMismatchError,
                      UnsupportedModeError)
 from .network import (LayerParams, LayerSpec, Network, _check_mask,
-                      maskable_indices, weight_shapes)
+                      maskable_indices, masked_network, weight_shapes)
 from .numerics import RngStream, round_half_up
 
 MASK_MODES = ("structured", "unstructured")
@@ -145,29 +144,24 @@ def reduce_network(net: Network, mask: MaskSet) -> Network:
     return Network(new_spec, tuple(net.input_shape), new_params)
 
 
-def sub_network(net: Network, mask: MaskSet) -> tuple[Network, MaskSet | None]:
-    """The network and mask that compute ``net`` under ``mask``.
-
-    A structured mask yields its reduced network, run with no mask; it
-    shares no arrays with ``net``, so training it leaves the parent intact.
-    A deactivated node gets exactly zero gradient and momentum in the
-    masked parent, so the reduced network trains to the same values up to
-    the order of summation. An unstructured mask keeps ``net`` and ``mask``.
-    """
+def sub_network(net: Network, mask: MaskSet) -> Network:
+    """The network that computes ``net`` under ``mask``: the reduced network
+    for a structured mask, ``masked_network(net, mask)`` for an unstructured
+    one. Neither shares a masked weight with ``net``."""
     if mask.mode == "structured":
-        return reduce_network(net, mask), None
-    return net, mask
+        return reduce_network(net, mask)
+    return masked_network(net, mask)
 
 
 def active_parameter_count(net: Network, mask: MaskSet | None) -> int:
     """Number of parameters of ``net`` that can still influence the output.
 
-    A structured mask counts its reduced network's parameters; pass the
-    :func:`sub_network` pair when it is already built. An unstructured mask
-    counts the weights it leaves on plus every bias.
+    A structured mask counts its reduced network's parameters, which is what
+    the reduced network counts with no mask. An unstructured mask counts the
+    weights it leaves on plus every bias.
     """
     if mask is not None and mask.mode == "structured":
-        net, mask = sub_network(net, mask)
+        net, mask = reduce_network(net, mask), None
     total = 0
     for i, p in enumerate(net.params):
         if p is None:

@@ -1,7 +1,12 @@
 """Shared oracles and fixture writers for the test suite.
 
-The gradient oracle differentiates the forward-only loss numerically, so it
-never touches the hand-written backward pass it is checking. The selector
+The reference pass computes a network under a mask directly from the
+definitions: ``einsum`` for every layer, a structured mask multiplying each
+maskable layer's output by its node vector and an unstructured one each
+weight by its mask. It calls none of ``weedout.network``'s kernels, so a
+fault in them cannot cancel out of a comparison against it. The gradient
+oracle differentiates the reference loss numerically, so it touches neither
+the kernels nor the hand-written backward pass it is checking. The selector
 helper maps parent-network parameter coordinates onto reduced-network ones
 using only the flatten/channel geometry, for comparing the two gradient
 paths. The writers produce IDX and CIFAR-10 files for the loaders to read.
@@ -12,7 +17,8 @@ import struct
 import numpy as np
 
 from weedout.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
-from weedout.network import LayerParams, layer_output_shapes, mean_loss
+from weedout.network import LayerParams, forward, layer_output_shapes
+from weedout.sparsity import reduce_network
 
 
 def write_idx_images(path, images):
@@ -40,24 +46,72 @@ def encode_cifar10_records(inputs, labels):
     return records.tobytes()
 
 
-def pre_activation(net, mask, inputs, weights, i):
-    """What entered relu ``i``, recomputed from the kept input and returned
-    weight of the parameterized layer before it, with the network's own
-    kernels: a relu runs in place, so its own kept input holds its output."""
-    from weedout.network import _conv_forward, _gemm
+def reference_forward(x, w, b, stride):
+    """A convolution that visits every output position and contracts its
+    window with ``einsum``."""
+    n, h, wd, _ = x.shape
+    kh, kw, _, c_out = w.shape
+    oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
+    out = np.empty((n, oh, ow, c_out))
+    for i in range(oh):
+        for j in range(ow):
+            window = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
+            out[:, i, j] = np.einsum("nabc,abcd->nd", window, w) + b
+    return out
 
-    j = i - 1
-    if j < 0 or net.spec[j].kind not in ("dense", "conv2d"):
-        raise ValueError(f"relu {i} does not follow a parameterized layer")
-    layer, bias = net.spec[j], net.params[j].bias
-    if layer.kind == "dense":
-        h = _gemm(inputs[j], weights[j])
-        h += bias
-    else:
-        h = _conv_forward(inputs[j], weights[j], bias, layer.stride)
-    if mask is not None and mask.mode == "structured" and j in mask.masks:
-        h = h * mask.masks[j]
-    return h
+
+def reference_backward(x, w, stride, dout):
+    """``(dw, db, dx)`` of :func:`reference_forward`, position by position."""
+    kh, kw = w.shape[:2]
+    dw = np.zeros_like(w)
+    dx = np.zeros_like(x)
+    for i in range(dout.shape[1]):
+        for j in range(dout.shape[2]):
+            rows = slice(i * stride, i * stride + kh)
+            cols = slice(j * stride, j * stride + kw)
+            dw += np.einsum("nabc,nd->abcd", x[:, rows, cols, :], dout[:, i, j])
+            dx[:, rows, cols, :] += np.einsum("nd,abcd->nabc", dout[:, i, j], w)
+    return dw, dout.sum(axis=(0, 1, 2)), dx
+
+
+def reference_pass(net, mask, x):
+    """Logits of ``net`` under ``mask``, and per relu its input and the
+    entries a structured node mask leaves free to move (None: all of them)."""
+    structured = mask is not None and mask.mode == "structured"
+    masks = {} if mask is None else mask.masks
+    h, free, relu_inputs = np.asarray(x, dtype=np.float64), None, []
+    for i, layer in enumerate(net.spec):
+        if layer.kind in ("dense", "conv2d"):
+            p, free = net.params[i], None
+            w = p.weight * masks[i] if i in masks and not structured else p.weight
+            if layer.kind == "dense":
+                h = np.einsum("nk,kd->nd", h, w) + p.bias
+            else:
+                h = reference_forward(h, w, p.bias, layer.stride)
+            if structured and i in masks:  # never the logits layer
+                h = h * masks[i]
+                free = np.broadcast_to(masks[i], h.shape)
+        elif layer.kind == "relu":
+            relu_inputs.append((h, free))
+            h = np.maximum(h, 0.0)
+        elif layer.kind == "flatten":
+            h = h.reshape(len(h), -1)
+            free = None if free is None else free.reshape(len(h), -1)
+    return h, relu_inputs
+
+
+def reference_loss(net, mask, x, y):
+    """Mean cross-entropy of :func:`reference_pass`'s logits."""
+    z, _ = reference_pass(net, mask, x)
+    z = z - z.max(axis=1, keepdims=True)
+    return float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(len(y)), y]))
+
+
+def reduced_logit_gap(net, mask, x):
+    """Largest gap between the reduced network's logits and the reference
+    pass of ``net`` under the structured ``mask``."""
+    reduced = forward(reduce_network(net, mask), None, x)
+    return float(np.abs(reduced - reference_pass(net, mask, x)[0]).max())
 
 
 def kink_distance(net, mask, x):
@@ -71,30 +125,13 @@ def kink_distance(net, mask, x):
     column an unstructured mask removes whole) sits on the kink and gives
     distance 0.
     """
-    from weedout.network import _forward_pass
-
-    _, inputs, weights = _forward_pass(net, mask, x, keep_inputs=True)
-    structured = mask is not None and mask.mode == "structured"
-    dist = float("inf")
-    free = None  # per entry of the current activation: not pinned by a node mask
-    for i, layer in enumerate(net.spec):
-        if layer.kind == "relu":
-            vals = np.abs(pre_activation(net, mask, inputs, weights, i))
-            if free is not None:
-                vals = vals[free]
-            if vals.size:
-                dist = min(dist, float(vals.min()))
-        elif layer.kind in ("dense", "conv2d"):
-            free = None
-            if structured and i in mask.masks:  # never the logits layer
-                free = np.broadcast_to(mask.masks[i] != 0.0, inputs[i + 1].shape)
-        elif layer.kind == "flatten" and free is not None:
-            free = free.reshape(len(x), -1)
-    return dist
+    _, relu_inputs = reference_pass(net, mask, x)
+    values = [np.abs(h if free is None else h[free]) for h, free in relu_inputs]
+    return min((float(v.min()) for v in values if v.size), default=float("inf"))
 
 
 def numeric_gradients(net, mask, x, y, eps=1e-5):
-    """Central finite differences of the mean loss wrt every parameter."""
+    """Central finite differences of :func:`reference_loss` wrt every parameter."""
     grads = []
     for p in net.params:
         if p is None:
@@ -108,9 +145,9 @@ def numeric_gradients(net, mask, x, y, eps=1e-5):
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + eps
-                up = mean_loss(net, mask, x, y)
+                up = reference_loss(net, mask, x, y)
                 flat[j] = orig - eps
-                down = mean_loss(net, mask, x, y)
+                down = reference_loss(net, mask, x, y)
                 flat[j] = orig
                 gf[j] = (up - down) / (2.0 * eps)
             pair.append(g)

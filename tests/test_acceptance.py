@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import helpers
-from weedout import search
+from weedout import network, search
 from weedout.cli import main
 from weedout.data import (load_cifar10_binary, load_idx, sample_batch,
                           split, synthetic_blobs, SplitSpec)
 from weedout.errors import FormatError
 from weedout.network import (conv2d, default_dense_spec, dense, flatten_layer,
-                             forward, init_network, loss_and_grads, maskable_indices,
-                             relu_layer)
+                             init_network, loss_and_grads, maskable_indices,
+                             masked_network, relu_layer)
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import TrainConfig, sweep
 from weedout.report import aggregate_records, arm_differences
@@ -64,8 +64,18 @@ def desk_sweep(tmp_path_factory, desk_splits):
     return out, [r.record for r in results], elapsed
 
 
+def oracle_instance(spec, shape, eta, r):
+    """A parent, a structured mask at ``eta`` and a labelled batch of 4."""
+    net = init_network(spec, shape, seed=r.spawn_seed())
+    mask = sample_structured(spec, eta, r.split("mask"))
+    x = r.split("x").normal((4,) + shape)
+    y = np.asarray(r.split("y").integers(0, 3, size=4))
+    return net, mask, x, y
+
+
 def test_criterion_1_mask_equivalence_oracle():
-    """Masked pass == physically reduced network, 100+ random triples."""
+    """Reduced network == the masked parent's reference pass, and the pruned
+    parent's gradients == the reduced network's, 100+ random triples."""
     t0 = time.perf_counter()
     rng = RngStream(100)
     worst_logit = worst_loss = worst_grad = 0.0
@@ -75,28 +85,23 @@ def test_criterion_1_mask_equivalence_oracle():
         for eta in (0.2, 0.4, 0.6, 0.8):
             for trial in range(13):
                 r = rng.split(f"{len(shape)}d/{eta}/{trial}")
-                net = init_network(spec, shape, seed=r.spawn_seed())
-                mask = sample_structured(spec, eta, r.split("mask"))
-                x = r.split("x").normal((4,) + shape)
-                y = np.asarray(r.split("y").integers(0, 3, size=4))
+                net, mask, x, y = oracle_instance(spec, shape, eta, r)
                 red = reduce_network(net, mask)
+                worst_logit = max(worst_logit, helpers.reduced_logit_gap(net, mask, x))
 
-                logits_m = forward(net, mask, x)
-                logits_r = forward(red, None, x)
-                worst_logit = max(worst_logit, float(np.abs(logits_m - logits_r).max()))
+                loss_p, grads_p = loss_and_grads(masked_network(net, mask), x, y)
+                loss_r, grads_r = loss_and_grads(red, x, y)
+                worst_loss = max(worst_loss, abs(loss_p - loss_r),
+                                 abs(helpers.reference_loss(net, mask, x, y) - loss_r))
 
-                loss_m, grads_m = loss_and_grads(net, mask, x, y)
-                loss_r, grads_r = loss_and_grads(red, None, x, y)
-                worst_loss = max(worst_loss, abs(loss_m - loss_r))
-
-                sliced = helpers.slice_parent_gradients(net, mask, grads_m)
+                sliced = helpers.slice_parent_gradients(net, mask, grads_p)
                 for a, b in zip(sliced, grads_r):
                     if a is None:
                         continue
                     worst_grad = max(worst_grad,
                                      float(np.abs(a.weight - b.weight).max()),
                                      float(np.abs(a.bias - b.bias).max()))
-                incident_ok &= helpers.masked_incident_zero(net, mask, grads_m)
+                incident_ok &= helpers.masked_incident_zero(net, mask, grads_p)
                 triples += 1
     elapsed = time.perf_counter() - t0
     ok = (triples >= 100 and worst_logit < 1e-9 and worst_loss < 1e-9
@@ -107,12 +112,28 @@ def test_criterion_1_mask_equivalence_oracle():
            f"{elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("kernel, spec, shape", [
+    ("_conv_forward", CONV_SPEC, CONV_SHAPE), ("_gemm", DENSE_SPEC, DENSE_SHAPE)])
+def test_criterion_1_oracle_catches_a_kernel_fault(monkeypatch, kernel, spec, shape):
+    """A kernel whose outputs are off by one part in a million moves the
+    reduced network's logits away from the reference pass, which shares no
+    kernel with it."""
+    net, mask, x, _ = oracle_instance(spec, shape, 0.4, RngStream(101))
+    real = getattr(network, kernel)
+    monkeypatch.setattr(network, kernel, lambda *args: real(*args) * (1 + 1e-6))
+    assert helpers.reduced_logit_gap(net, mask, x) > 1e-9
+
+
 def test_criterion_2_gradient_checks():
-    """Backprop vs central finite differences, masked and unmasked.
+    """Backprop vs central finite differences of the reference loss, on the
+    parent and on the reduced network of a masked parent.
 
     Instances whose active pre-activations sit within 10*eps of a relu kink
     are redrawn: a central difference straddling the kink measures the slope
-    change, not the gradient, so such points cannot certify anything.
+    change, not the gradient, so such points cannot certify anything. The
+    differences are taken of the masked parent's reference loss, in which a
+    dead node's output is multiplied by zero, and projected onto the reduced
+    network's coordinates.
     """
     eps = 1e-5
     rng = RngStream(200)
@@ -132,8 +153,12 @@ def test_criterion_2_gradient_checks():
                 if helpers.kink_distance(net, mask, x) > 10 * eps:
                     break
                 redraws += 1
-            _, analytic = loss_and_grads(net, mask, x, y)
             numeric = helpers.numeric_gradients(net, mask, x, y, eps=eps)
+            if mask is None:
+                _, analytic = loss_and_grads(net, x, y)
+            else:
+                _, analytic = loss_and_grads(reduce_network(net, mask), x, y)
+                numeric = helpers.slice_parent_gradients(net, mask, numeric)
             worst = max(worst, helpers.max_rel_error(analytic, numeric))
             instances += 1
     ok = instances >= 20 and worst < 1e-6

@@ -1,10 +1,12 @@
 """Property tests for the blocked im2col convolution kernels and the backward pass.
 
 The kernels are checked against a direct reference that visits every output
-position and contracts its window with ``einsum``. Block sizes are shrunk so
-that small batches cover a single example, exactly one block and several
-blocks with a ragged last one. The whole-network checks compare the masked
-parent with its reduced network and with central finite differences.
+position and contracts its window with ``einsum`` (``helpers.reference_forward``
+and ``reference_backward``). Block sizes are shrunk so that small batches
+cover a single example, exactly one block and several blocks with a ragged
+last one. The whole-network checks compare the reduced network with the
+masked parent's reference pass, with the pruned parent and with central
+finite differences of the reference loss.
 """
 
 import math
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 import helpers
 from weedout import network
 from weedout.network import (conv2d, dense, flatten_layer, init_network,
-                             loss_and_grads, relu_layer)
+                             loss_and_grads, masked_network, relu_layer)
 from weedout.numerics import RngStream
 from weedout.sparsity import reduce_network, sample_mask, sample_structured
 
@@ -29,31 +31,6 @@ NETWORK_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
 # an indexing error moves entries by O(1).
 ATOL = 1e-10
 FD_EPS = 1e-5
-
-
-def reference_forward(x, w, b, stride):
-    n, h, wd, _ = x.shape
-    kh, kw, _, c_out = w.shape
-    oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
-    out = np.empty((n, oh, ow, c_out))
-    for i in range(oh):
-        for j in range(ow):
-            window = x[:, i * stride:i * stride + kh, j * stride:j * stride + kw, :]
-            out[:, i, j] = np.einsum("nabc,abcd->nd", window, w) + b
-    return out
-
-
-def reference_backward(x, w, stride, dout):
-    kh, kw = w.shape[:2]
-    dw = np.zeros_like(w)
-    dx = np.zeros_like(x)
-    for i in range(dout.shape[1]):
-        for j in range(dout.shape[2]):
-            rows = slice(i * stride, i * stride + kh)
-            cols = slice(j * stride, j * stride + kw)
-            dw += np.einsum("nabc,nd->abcd", x[:, rows, cols, :], dout[:, i, j])
-            dx[:, rows, cols, :] += np.einsum("nd,abcd->nabc", dout[:, i, j], w)
-    return dw, dout.sum(axis=(0, 1, 2)), dx
 
 
 @st.composite
@@ -91,7 +68,7 @@ class TestConvKernels:
         with mock.patch.object(network, "_BLOCK_BYTES", block_bytes):
             assert len(list(network._patch_blocks(x, *w.shape[:2], stride))) == n_blocks
             out = network._conv_forward(x, w, b, stride)
-        np.testing.assert_allclose(out, reference_forward(x, w, b, stride), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(out, helpers.reference_forward(x, w, b, stride), rtol=0, atol=ATOL)
 
     @PROPERTY
     @given(conv_cases())
@@ -101,7 +78,7 @@ class TestConvKernels:
             dw, db, dx = network._conv_backward(x, w, stride, dout)
             dw_only, db_only, no_dx = network._conv_backward(x, w, stride, dout,
                                                              input_grad=False)
-        ref_dw, ref_db, ref_dx = reference_backward(x, w, stride, dout)
+        ref_dw, ref_db, ref_dx = helpers.reference_backward(x, w, stride, dout)
         np.testing.assert_allclose(dw, ref_dw, rtol=0, atol=ATOL)
         np.testing.assert_allclose(db, ref_db, rtol=0, atol=ATOL)
         np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=ATOL)
@@ -157,16 +134,17 @@ class TestMaskedReducedFiniteDifferences:
         y = np.asarray(rng.split("y").integers(0, 3, size=4))
         assume(helpers.kink_distance(net, mask, x) > 10 * FD_EPS)
 
-        loss_m, grads_m = loss_and_grads(net, mask, x, y)
-        red = reduce_network(net, mask)
-        loss_r, grads_r = loss_and_grads(red, None, x, y)
-        assert abs(loss_m - loss_r) < 1e-9
-        assert np.abs(network.forward(net, mask, x) - network.forward(red, None, x)).max() < 1e-9
-        sliced = helpers.slice_parent_gradients(net, mask, grads_m)
+        loss_p, grads_p = loss_and_grads(masked_network(net, mask), x, y)
+        loss_r, grads_r = loss_and_grads(reduce_network(net, mask), x, y)
+        assert abs(loss_p - loss_r) < 1e-9
+        assert abs(helpers.reference_loss(net, mask, x, y) - loss_r) < 1e-9
+        assert helpers.reduced_logit_gap(net, mask, x) < 1e-9
+        sliced = helpers.slice_parent_gradients(net, mask, grads_p)
         assert helpers.gradients_close(sliced, grads_r, atol=1e-9)
-        assert helpers.masked_incident_zero(net, mask, grads_m)
+        assert helpers.masked_incident_zero(net, mask, grads_p)
         numeric = helpers.numeric_gradients(net, mask, x, y, eps=FD_EPS)
-        assert helpers.max_rel_error(grads_m, numeric) < 1e-6
+        assert helpers.max_rel_error(grads_r, helpers.slice_parent_gradients(
+            net, mask, numeric)) < 1e-6
 
 
 def kink_free_instance(spec, shape, mask_for, seed):
@@ -201,14 +179,13 @@ class TestFirstLayerInputGradient:
             return sample_mask(spec, shape, 0.5, "unstructured", rng) if masked else None
 
         net, mask, x, y = kink_free_instance(spec, shape, mask_for, seed=7)
-        _, grads = loss_and_grads(net, mask, x, y)
+        _, grads = loss_and_grads(masked_network(net, mask), x, y)
         numeric = helpers.numeric_gradients(net, mask, x, y, eps=FD_EPS)
-        assert helpers.max_rel_error(grads, numeric) < 1e-6
-        if masked:
+        if masked:  # a masked-off weight has no effect, so no numeric gradient
             for i, m in mask.masks.items():
-                off = m == 0.0
-                assert off.any()
-                assert np.all(grads[i].weight[off] == 0.0)
+                assert (~m).any() and np.all(numeric[i].weight[~m] == 0.0)
+                grads[i].weight *= m  # as sgd_step's weight_masks does
+        assert helpers.max_rel_error(grads, numeric) < 1e-6
 
     def test_conv_first_layer_skips_input_gradient(self, monkeypatch):
         spec, shape = CONV_FIRST
@@ -224,6 +201,6 @@ class TestFirstLayerInputGradient:
             return result
 
         monkeypatch.setattr(network, "_conv_backward", spy)
-        loss_and_grads(net, None, x, y)
+        loss_and_grads(net, x, y)
         # Backward runs from the last layer: conv2 first, then conv1.
         assert calls == [((3, 4, 3, 3), True, False), ((3,) + shape, False, True)]

@@ -181,7 +181,7 @@ class TestPixels:
             rows = [ds.take(slice(None)), *batches(ds, 16, RngStream(1)),
                     sample_batch(ds, 8, RngStream(2))]
             return ([x.tobytes() + y.tobytes() for x, y in rows],
-                    evaluate(net, None, ds, batch_size=25))
+                    evaluate(net, ds, batch_size=25))
 
         assert outputs(loaded) == outputs(full)
 

@@ -245,7 +245,7 @@ class TestKernels:
                                                          rng.split("mask"))
             x = rng.split("x").normal((512,) + shape)
             y = np.asarray(rng.split("y").integers(0, 10, size=512))
-            _, grads, _ = network._forward_backward(net, mask, x, y)
+            _, grads, _ = network._forward_backward(network.masked_network(net, mask), x, y)
             sgd_step(net, grads, 0.1, 0.9, SgdState.zeros(net))
 
 
@@ -263,15 +263,16 @@ def instance(mode, batch=13):
 class TestPasses:
     def test_forward_backward_identical_for_every_thread_count(self, small_pieces, mode):
         net, mask, x, y = instance(mode)
+        net = network.masked_network(net, mask)
         same_for_every_thread_count(
-            lambda pool: network._forward_backward(net, mask, x, y, pool))
+            lambda pool: network._forward_backward(net, x, y, pool))
 
     def test_evaluate_identical_for_every_thread_count(self, small_pieces, mode):
         net, mask, x, y = instance(mode)
-        dataset = Dataset(x, y, 3)
+        net, dataset = network.masked_network(net, mask), Dataset(x, y, 3)
         result = same_for_every_thread_count(
-            lambda pool: network.evaluate(net, mask, dataset, 5, pool))
-        assert result == list(network.evaluate(net, mask, dataset, 5))
+            lambda pool: network.evaluate(net, dataset, 5, pool))
+        assert result == list(network.evaluate(net, dataset, 5))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -280,8 +281,8 @@ def test_evaluate_in_training_batch_blocks_keeps_its_result(small_pieces, monkey
     """300 examples in one loss chunk, forwarded as blocks of 128, 128 and 44
     rows, give the same result as one 300-row forward, with or without a pool."""
     net, mask, x, y = instance("unstructured", batch=300)
-    dataset = Dataset(x, y, 3)
-    whole = network.evaluate(net, mask, dataset)
+    net, dataset = network.masked_network(net, mask), Dataset(x, y, 3)
+    whole = network.evaluate(net, dataset)
     real_forward, rows = network._forward_pass, []
 
     def forward_spy(net, mask, x, keep_inputs, pool=None):
@@ -290,7 +291,7 @@ def test_evaluate_in_training_batch_blocks_keeps_its_result(small_pieces, monkey
 
     monkeypatch.setattr(network, "_forward_pass", forward_spy)
     with network.kernel_pool(threads) as pool:
-        blocked = network.evaluate(net, mask, dataset, pool=pool, block_rows=128)
+        blocked = network.evaluate(net, dataset, pool=pool, block_rows=128)
     assert rows == [128, 128, 44]
     assert blocked == whole
 
@@ -361,8 +362,9 @@ def test_masked_update_equals_masking_the_gradient_first(monkeypatch, threads):
 def test_unstructured_training_runs_unmasked_passes_on_premasked_weights(
         small_pieces, monkeypatch, threads):
     """``_train`` multiplies an unstructured mask into the weights once and
-    masks only the update, to the rows of masked passes with an unmasked
-    update; no pass it runs receives the mask."""
+    masks only the update, to the rows of passes on ``masked_network`` with
+    the gradient masked before an unmasked update, which leaves the masked
+    weights at their initial values; no pass it runs receives the mask."""
     net, mask, x, y = instance("unstructured", batch=40)
     splits = Splits(Dataset(x[:24], y[:24], 3), Dataset(x[24:32], y[24:32], 3),
                     Dataset(x[32:], y[32:], 3))
@@ -373,12 +375,15 @@ def test_unstructured_training_runs_unmasked_passes_on_premasked_weights(
         seen, correct, loss_sum = 0, 0, 0.0
         for xb, yb in batches(splits.train, cfg.batch_size,
                               RngStream(5).split("train").split(f"epoch{epoch}")):
-            loss, grads, logits = network._forward_backward(reference, mask, xb, yb)
+            loss, grads, logits = network._forward_backward(
+                network.masked_network(reference, mask), xb, yb)
+            for i, m in mask.masks.items():
+                grads[i].weight *= m
             sgd_step(reference, grads, cfg.lr, cfg.momentum, state)
             seen += len(yb)
             loss_sum += loss * len(yb)
             correct += int((logits.argmax(axis=1) == yb).sum())
-        test = network.evaluate(reference, mask, splits.test)
+        test = network.evaluate(network.masked_network(reference, mask), splits.test)
         expected.append(pipeline.EpochRow(epoch, correct / seen, loss_sum / seen,
                                           test.accuracy, test.mean_loss))
 

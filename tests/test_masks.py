@@ -9,10 +9,10 @@ from weedout.data import Dataset
 from weedout.errors import MaskMismatchError, UnsupportedModeError
 from weedout.network import (default_conv_spec, default_dense_spec, evaluate,
                              forward, init_network, loss_and_grads,
-                             parent_checksum)
+                             masked_network, parent_checksum)
 from weedout.numerics import RngStream
 from weedout.search import Candidate, _mask_key
-from weedout.sparsity import MaskSet, reduce_network, sample_mask
+from weedout.sparsity import MaskSet, reduce_network, sample_mask, sub_network
 
 CASES = {"dense": (default_dense_spec(), (16,)),
          "conv28": (default_conv_spec(), (28, 28, 1)),
@@ -112,8 +112,9 @@ class TestCongruence:
         y = np.array([0, 1, 2])
         return {
             "forward": lambda net, mask: forward(net, mask, x),
-            "loss_and_grads": lambda net, mask: loss_and_grads(net, mask, x, y),
-            "evaluate": lambda net, mask: evaluate(net, mask, Dataset(x, y, 3)),
+            # no pass takes a mask: these run it through the one place that applies it
+            "loss_and_grads": lambda net, mask: loss_and_grads(masked_network(net, mask), x, y),
+            "evaluate": lambda net, mask: evaluate(sub_network(net, mask), Dataset(x, y, 3)),
             "reduce_network": reduce_network,
         }
 

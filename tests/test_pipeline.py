@@ -341,12 +341,12 @@ class TestEvaluationBlocks:
                         return blocks[-1]
 
                     network._forward_pass = forward_spy
-                    blocked = network.evaluate(net, None, ds, block_rows=rows)
+                    blocked = network.evaluate(net, ds, block_rows=rows)
                     network._forward_pass = real_forward
                     logits = np.concatenate([b[0] for b in blocks])
                     whole = real_forward(net, None, ds.inputs, False)[0]
                     print(logits.tobytes() == whole.tobytes(),
-                          blocked == network.evaluate(net, None, ds))
+                          blocked == network.evaluate(net, ds))
         """
         one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS")}

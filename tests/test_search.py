@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weedout import network, search
+from weedout import network, search, sparsity
 from weedout.data import Dataset, sample_batch
 from weedout.network import (KernelPool, conv2d, dense, flatten_layer, init_network,
                              kernel_pool, mean_loss, relu_layer)
@@ -67,7 +67,7 @@ class TestFitness:
     def test_all_ones_mask_equals_dense_loss(self, net16, blob_splits, rng):
         batch = sample_batch(blob_splits.validation, 64, rng)
         ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
-        assert fitness(net16, ones, batch) == -mean_loss(net16, None, *batch)
+        assert fitness(net16, ones, batch) == -mean_loss(net16, *batch)
 
     def test_empty_batch_rejected(self, net16):
         ones = resample_mask(net16.spec, None, "structured", 0.0, 0)
@@ -102,27 +102,26 @@ class TestBlockedScores:
         population = [Candidate(sample_mask(spec, shape, 0.5, mode, rng.split(f"m{k}")), k, 1)
                       for k in range(6)]
         whole = _evaluate_population(net, population, batch, None, rows)
-        real_forward, real_elementwise = network._forward_pass, network._elementwise
-        forwarded, multiplies = [], []
+        real_forward, real_masked_network = network._forward_pass, sparsity.masked_network
+        forwarded, masked = [], []
 
         def forward_spy(net, mask, x, keep_inputs, pool=None):
             forwarded.append(len(x))
             return real_forward(net, mask, x, keep_inputs, pool)
 
-        def elementwise_spy(pool, op, *arrays, out=None):
-            if op is np.multiply:
-                multiplies.append(arrays[0].shape)
-            return real_elementwise(pool, op, *arrays, out=out)
+        def masked_network_spy(net, mask):
+            masked.append(mask.mode)
+            return real_masked_network(net, mask)
 
         monkeypatch.setattr(network, "_forward_pass", forward_spy)
-        monkeypatch.setattr(network, "_elementwise", elementwise_spy)
+        monkeypatch.setattr(sparsity, "masked_network", masked_network_spy)
         with kernel_pool(threads) as pool:
             blocked = _evaluate_population(net, population, batch, pool, 32)
         assert np.array(blocked).tobytes() == np.array(whole).tobytes()
         assert sorted(forwarded) == sorted(blocks * 6)
-        # an unstructured mask goes into each of the 3 maskable weights once
-        # per candidate, not once per block
-        assert len(multiplies) == (6 * 3 if mode == "unstructured" else 0)
+        # an unstructured mask goes into the weights once per candidate, not
+        # once per block
+        assert masked == (["unstructured"] * 6 if mode == "unstructured" else [])
 
     def test_search_blocks_keep_every_logit_on_the_28x28_conv_net(self):
         """BLAS tiles make a GEMM row's bits depend on where a block starts; on
@@ -138,7 +137,7 @@ class TestBlockedScores:
             net = network.init_network(network.default_conv_spec(10), (28, 28, 1), seed=0)
             for k in range(3):
                 mask = resample_mask(net.spec, None, "structured", 0.6, k)
-                reduced, _ = sub_network(net, mask)
+                reduced = sub_network(net, mask)
                 x = np.maximum(RngStream(k).normal((128, 28, 28, 1)), 0.0)
                 rows = network.activation_block_rows(reduced)
                 blocks = [network._forward_pass(reduced, None, x[b:b + rows], False)[0]

@@ -5,8 +5,8 @@ from weedout.data import Dataset, batches
 from weedout.errors import InfeasibleSparsityError, UnsupportedModeError
 from weedout.network import (SgdState, _forward_backward, conv2d, dense,
                              evaluate, flatten_layer, forward, init_network,
-                             loss_and_grads, mean_loss, parent_checksum,
-                             relu_layer, sgd_step)
+                             loss_and_grads, masked_network, mean_loss,
+                             parent_checksum, relu_layer, sgd_step)
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import Splits, TrainConfig, _train
 from weedout.search import fitness
@@ -183,9 +183,9 @@ class TestReduceNetwork:
             mask = sample_structured(small_conv_spec, eta, rng.split(f"m{trial}"))
             red = reduce_network(net, mask)
             x = rng.split(f"x{trial}").normal((20, 10, 10, 1))
-            masked = forward(net, mask, x)
-            reduced = forward(red, None, x)
-            assert np.abs(masked - reduced).max() < 1e-9
+            assert helpers.reduced_logit_gap(net, mask, x) < 1e-9
+            pruned = forward(net, mask, x)
+            assert np.abs(pruned - forward(red, None, x)).max() < 1e-9
 
     def test_reduced_gradients_match_sliced_parent(self, small_conv_spec, rng):
         net = init_network(small_conv_spec, (10, 10, 1), seed=4)
@@ -193,8 +193,8 @@ class TestReduceNetwork:
         red = reduce_network(net, mask)
         x = rng.normal((6, 10, 10, 1))
         y = np.array([0, 1, 2, 0, 1, 2])
-        loss_m, grads_m = loss_and_grads(net, mask, x, y)
-        loss_r, grads_r = loss_and_grads(red, None, x, y)
+        loss_m, grads_m = loss_and_grads(masked_network(net, mask), x, y)
+        loss_r, grads_r = loss_and_grads(red, x, y)
         assert abs(loss_m - loss_r) < 1e-9
         sliced = helpers.slice_parent_gradients(net, mask, grads_m)
         assert helpers.gradients_close(sliced, grads_r, atol=1e-9)
@@ -213,7 +213,7 @@ class TestReduceNetwork:
         for eta in (0.0, 0.2, 0.4, 0.6, 0.8):
             mask = sample_structured(spec, eta, RngStream(8).split("m"))
             counts.append(active_parameter_count(net, mask))
-            assert counts[-1] == active_parameter_count(*sub_network(net, mask))
+            assert counts[-1] == active_parameter_count(sub_network(net, mask), None)
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == active_parameter_count(net, None)
 
@@ -249,11 +249,11 @@ class TestSubNetwork:
             loss_sum, correct = 0.0, 0
             for x, y in batches(splits.train, cfg.batch_size,
                                 RngStream(7).split(f"epoch{epoch}")):
-                loss, grads, logits = _forward_backward(oracle, mask, x, y)
+                loss, grads, logits = _forward_backward(masked_network(oracle, mask), x, y)
                 sgd_step(oracle, grads, cfg.lr, cfg.momentum, state)
                 loss_sum += loss * len(y)
                 correct += int((logits.argmax(axis=1) == y).sum())
-            test = evaluate(oracle, mask, splits.test)
+            test = evaluate(masked_network(oracle, mask), splits.test)
             assert abs(row.train_loss - loss_sum / len(splits.train)) < 1e-9
             assert abs(row.test_loss - test.mean_loss) < 1e-9
             assert row.train_accuracy == correct / len(splits.train)
@@ -268,10 +268,17 @@ class TestSubNetwork:
         for trial in range(4):
             mask = sample_structured(self.SPEC, eta, rng.split(f"m{trial}"))
             score = fitness(net, mask, (x, y))
-            assert abs(score + mean_loss(net, mask, x, y)) < 1e-12
+            assert abs(score + mean_loss(masked_network(net, mask), x, y)) < 1e-12
 
     def test_unstructured_mask_keeps_parent(self, rng):
+        """An unstructured sub-network is the parent with the mask multiplied
+        into its weights; the parent keeps its own."""
         net = init_network(self.SPEC, self.SHAPE, seed=11)
+        before = parent_checksum(net)
         mask = sample_mask(self.SPEC, self.SHAPE, 0.5, "unstructured", rng)
-        run_net, run_mask = sub_network(net, mask)
-        assert run_net is net and run_mask is mask
+        run_net = sub_network(net, mask)
+        assert parent_checksum(net) == before
+        for i, (p, q) in enumerate(zip(net.params, run_net.params)):
+            if p is not None:
+                w = p.weight * mask.masks[i] if i in mask.masks else p.weight
+                assert q.weight.tobytes() == w.tobytes() and q.bias is p.bias
