@@ -14,7 +14,7 @@ from weedout import SearchConfig, TrainConfig, synthetic_blobs
 from weedout.data import SplitSpec, split
 from weedout.network import default_dense_spec
 from weedout.pipeline import sweep
-from weedout.report import aggregate_records, arm_differences
+from weedout.report import write_report
 
 ds = synthetic_blobs(num_classes=10, per_class=200, dim=16, spread=0.35, seed=0)
 splits = split(ds, SplitSpec(0.7, 0.15, 0.15, seed=0))
@@ -33,7 +33,7 @@ results = sweep(spec, (16,), etas, ["weedout", "random_baseline"], seeds,
                 search_cfg, train_cfg, splits, out_dir)
 records = [r.record for r in results]
 
-agg = aggregate_records(records)
+agg, diffs, _ = write_report(records, out_dir.parent / "report")
 final_epoch = max(r.epoch for r in agg)
 print(f"\nfinal-epoch ({final_epoch}) test accuracy, mean over {len(seeds)} seeds:")
 print(f"{'arm':<16} {'eta':>5} {'mean':>8} {'ci95':>8}")
@@ -43,10 +43,11 @@ for row in sorted(agg, key=lambda r: (r.eta, r.arm)):
               f"{row.ci95_test_accuracy:>8.4f}")
 
 print("\nsearch effect (weedout - random baseline):")
-for d in arm_differences(records):
+for d in diffs:
     print(f"  eta={d.eta:g}: {d.difference:+.4f} "
           f"(pooled 95% CI half-width {d.pooled_ci95:.4f}) -> {d.verdict}")
 
-print(f"\nper-cell CSVs and manifests are under {out_dir}")
+print(f"\nper-cell CSVs and manifests are under {out_dir}, "
+      f"report tables under {out_dir.parent / 'report'}")
 print("the same experiment is available as a config file through the CLI: "
       "see README.md")

@@ -146,9 +146,11 @@ def cmd_inspect(args) -> int:
             print(f"  generation {gen}: best fitness {best:.6f}")
     else:
         print("search   : none")
-    print(f"mask     : mode={record.mask_mode} sample_seed={record.mask_sample_seed} "
-          f"realized sparsity {record.realized_sparsity:.4f}")
-    for i, (zeros, size) in sorted(record.mask_layer_zeros.items()):
+    mask = record.mask
+    print(f"mask     : mode={mask['mode']} sample_seed={mask['sample_seed']} "
+          f"realized sparsity {mask['realized_sparsity']:.4f}")
+    for i, layer in sorted(mask["per_layer"].items(), key=lambda item: int(item[0])):
+        zeros, size = layer["zeros"], layer["size"]
         print(f"  layer {i}: {zeros}/{size} off ({zeros / size:.4f})")
     row = record.final_row()
     test = "" if row.test_accuracy is None else \

@@ -22,7 +22,7 @@ from . import network as net_mod
 from .errors import ConfigError, WeedoutError, check_number
 from .network import LayerSpec
 from .numerics import MAX_SEED
-from .pipeline import ARMS, TrainConfig
+from .pipeline import ARMS, TrainConfig, run_label
 from .search import SearchConfig
 
 SCHEMA_VERSION = 1
@@ -125,8 +125,13 @@ def parse_config(raw: dict) -> dict:
     if not isinstance(etas, list) or not etas:
         problems.append("search.etas: expected a non-empty list")
         etas = []
+    labels: dict[str, float] = {}  # etas that format alike would share their cells
     for j, eta in enumerate(etas):
-        problems += check_number(f"search.etas[{j}]", eta, float, 0, 1, hi_open=True)
+        if bad := check_number(f"search.etas[{j}]", eta, float, 0, 1, hi_open=True):
+            problems += bad
+        elif (first := labels.setdefault(run_label(ARMS[0], eta, 0), eta)) != eta:
+            problems.append(f"search.etas: {first!r} and {eta!r} would share one cell "
+                            "directory per arm and seed")
     problems += [f"search.{p}" for p in _search_config(search).problems()]
     train = _expect_keys("train", raw.get("train", {}), _TRAIN_DEFAULTS, problems)
     problems += [f"train.{p}" for p in TrainConfig(**train).problems()]

@@ -33,8 +33,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
+from operator import attrgetter
 from pathlib import Path
 
 from .data import Splits, batches
@@ -47,11 +48,6 @@ from .sparsity import (MaskSet, active_parameter_count, realized_sparsity,
                        reduce_network, sample_mask)
 
 ARMS = ("weedout", "random_baseline")
-
-METRICS_COLUMNS = ("epoch", "train_accuracy", "train_loss",
-                   "test_accuracy", "test_loss")
-SEARCH_COLUMNS = ("generation", "candidate_id", "birth_generation",
-                  "fitness", "is_elite")
 
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.csv"
@@ -86,7 +82,11 @@ class EpochRow:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced, as persisted to its cell directory."""
+    """Everything one run produced, as persisted to its cell directory: the
+    rows of metrics.csv and search.csv, then the manifest's fields under the
+    manifest's names. ``mask`` holds ``mode``, ``eta``, ``sample_seed``,
+    ``per_layer`` (``{"zeros", "size"}`` per layer index, as a string) and
+    ``realized_sparsity``."""
 
     run_id: str
     arm: str
@@ -94,10 +94,8 @@ class RunRecord:
     seed: int
     epoch_rows: list[EpochRow] = field(default_factory=list)
     search_history: list[HistoryRow] | None = None
-    mask_mode: str = "structured"
-    mask_sample_seed: int = 0
-    mask_layer_zeros: dict[int, tuple[int, int]] = field(default_factory=dict)
-    realized_sparsity: float = 0.0
+    mask: dict = field(default_factory=lambda: {
+        "mode": "structured", "sample_seed": 0, "per_layer": {}, "realized_sparsity": 0.0})
     active_parameters: int = 0
     parent_checksum: str = ""
     fitness_evaluations: int = 0
@@ -196,16 +194,23 @@ def _csv_bytes(columns, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def metrics_csv_bytes(record: RunRecord) -> bytes:
-    rows = [(r.epoch, r.train_accuracy, r.train_loss, r.test_accuracy, r.test_loss)
-            for r in record.epoch_rows]
-    return _csv_bytes(METRICS_COLUMNS, rows)
+def _rows_csv(row_type, rows) -> bytes:
+    """``rows`` of the dataclass ``row_type`` as CSV, a column per field."""
+    names = [f.name for f in fields(row_type)]
+    return _csv_bytes(names, map(attrgetter(*names), rows))
 
 
-def search_csv_bytes(history: list[HistoryRow]) -> bytes:
-    rows = [(h.generation, h.candidate_id, h.birth_generation, h.fitness, h.is_elite)
-            for h in history]
-    return _csv_bytes(SEARCH_COLUMNS, rows)
+# how a CSV cell reads back, per row field type; _fmt writes them
+_PARSERS = {"int": int, "float": float, "bool": lambda text: text == "1",
+            "float | None": lambda text: float(text) if text else None}
+
+
+def _read_rows(path: Path, row_type) -> list:
+    """The rows :func:`_rows_csv` wrote to ``path``."""
+    parsers = [(f.name, _PARSERS[f.type]) for f in fields(row_type)]
+    with open(path, newline="", encoding="utf-8") as f:
+        return [row_type(**{name: parse(row[name]) for name, parse in parsers})
+                for row in csv.DictReader(f)]
 
 
 def _sha256(data: bytes) -> str:
@@ -223,13 +228,22 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_manifest(cell_dir: Path, manifest: dict) -> None:
+# RunRecord's manifest fields, the run's identity (run_id, arm, eta, seed) first
+_MANIFEST_FIELDS = tuple(f.name for f in fields(RunRecord)
+                         if f.name not in ("epoch_rows", "search_history"))
+
+
+def _write_manifest(cell_dir: Path, record: RunRecord, names, status: str,
+                    error: str | None, files: dict, effective_config) -> None:
+    manifest = {"schema_version": 1, **{n: getattr(record, n) for n in names},
+                "status": status, "error": error, "files": files,
+                "effective_config": effective_config}
     _write_atomic(cell_dir / MANIFEST_NAME,
                   (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_run_record(record: RunRecord, cell_dir,
-                     effective_config: dict | None = None) -> Path:
+                     effective_config: dict | None = None) -> None:
     """Persist one cell: metrics.csv, search.csv (if any), manifest.json.
 
     Each file appears whole or not at all. Any old manifest is removed
@@ -240,53 +254,22 @@ def write_run_record(record: RunRecord, cell_dir,
     cell_dir.mkdir(parents=True, exist_ok=True)
     (cell_dir / MANIFEST_NAME).unlink(missing_ok=True)
     files: dict[str, str] = {}
-    metrics = metrics_csv_bytes(record)
-    _write_atomic(cell_dir / METRICS_NAME, metrics)
-    files[METRICS_NAME] = _sha256(metrics)
-    if record.search_history is not None:
-        search = search_csv_bytes(record.search_history)
-        _write_atomic(cell_dir / SEARCH_NAME, search)
-        files[SEARCH_NAME] = _sha256(search)
-    manifest = {
-        "schema_version": 1,
-        "run_id": record.run_id,
-        "arm": record.arm,
-        "eta": record.eta,
-        "seed": record.seed,
-        "status": "completed",
-        "error": None,
-        "parent_checksum": record.parent_checksum,
-        "mask": {
-            "mode": record.mask_mode,
-            "eta": record.eta,
-            "sample_seed": record.mask_sample_seed,
-            "per_layer": {str(i): {"zeros": z, "size": s}
-                          for i, (z, s) in sorted(record.mask_layer_zeros.items())},
-            "realized_sparsity": record.realized_sparsity,
-        },
-        "active_parameters": record.active_parameters,
-        "fitness_evaluations": record.fitness_evaluations,
-        "wall_clock": record.wall_clock,
-        "files": files,
-        "effective_config": effective_config,
-    }
-    _write_manifest(cell_dir, manifest)
-    return cell_dir
+    for name, row_type, rows in ((METRICS_NAME, EpochRow, record.epoch_rows),
+                                 (SEARCH_NAME, HistoryRow, record.search_history)):
+        if rows is not None:
+            data = _rows_csv(row_type, rows)
+            _write_atomic(cell_dir / name, data)
+            files[name] = _sha256(data)
+    _write_manifest(cell_dir, record, _MANIFEST_FIELDS, "completed", None, files,
+                    effective_config)
 
 
 def write_failure(cell_dir, arm: str, eta: float, seed: int, error: str,
                   effective_config: dict | None = None) -> None:
     cell_dir = Path(cell_dir)
     cell_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema_version": 1,
-        "run_id": run_label(arm, eta, seed),
-        "arm": arm, "eta": eta, "seed": seed,
-        "status": "failed", "error": error,
-        "files": {},
-        "effective_config": effective_config,
-    }
-    _write_manifest(cell_dir, manifest)
+    _write_manifest(cell_dir, RunRecord(run_label(arm, eta, seed), arm, eta, seed),
+                    _MANIFEST_FIELDS[:4], "failed", error, {}, effective_config)
 
 
 @dataclass(frozen=True)
@@ -340,37 +323,21 @@ def cell_state(cell_dir) -> CellState:
 def read_run_record(cell_dir, manifest: dict) -> RunRecord:
     """Rehydrate a RunRecord from a completed cell directory and its manifest,
     once :func:`cell_state` has verified them. A field that every completed
-    manifest has and this one lacks raises ``KeyError``."""
+    manifest has and this one lacks raises ``KeyError``, and so does a mask
+    key (all but ``eta``) or a per-layer count; a ``metrics.csv`` without
+    rows raises ``ValueError``."""
     cell_dir = Path(cell_dir)
-    mask = manifest["mask"]
-    record = RunRecord(
-        run_id=manifest["run_id"], arm=manifest["arm"], eta=manifest["eta"],
-        seed=manifest["seed"], mask_mode=mask["mode"], mask_sample_seed=mask["sample_seed"],
-        mask_layer_zeros={int(i): (entry["zeros"], entry["size"])
-                          for i, entry in mask["per_layer"].items()},
-        realized_sparsity=mask["realized_sparsity"],
-        active_parameters=manifest["active_parameters"],
-        parent_checksum=manifest["parent_checksum"],
-        fitness_evaluations=manifest["fitness_evaluations"],
-        wall_clock=manifest["wall_clock"])
-    with open(cell_dir / METRICS_NAME, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            record.epoch_rows.append(EpochRow(
-                epoch=int(row["epoch"]),
-                train_accuracy=float(row["train_accuracy"]),
-                train_loss=float(row["train_loss"]),
-                test_accuracy=float(row["test_accuracy"]) if row["test_accuracy"] else None,
-                test_loss=float(row["test_loss"]) if row["test_loss"] else None))
+    record = RunRecord(**{name: manifest[name] for name in _MANIFEST_FIELDS})
+    mask = record.mask
+    mask["mode"], mask["sample_seed"]
+    for i, entry in mask["per_layer"].items():
+        int(i), entry["zeros"], entry["size"]
+    mask["realized_sparsity"]
+    record.epoch_rows = _read_rows(cell_dir / METRICS_NAME, EpochRow)
+    if not record.epoch_rows:
+        raise ValueError(f"{METRICS_NAME} has no rows")
     if SEARCH_NAME in manifest["files"]:
-        record.search_history = []
-        with open(cell_dir / SEARCH_NAME, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                record.search_history.append(HistoryRow(
-                    generation=int(row["generation"]),
-                    candidate_id=int(row["candidate_id"]),
-                    birth_generation=int(row["birth_generation"]),
-                    fitness=float(row["fitness"]),
-                    is_elite=row["is_elite"] == "1"))
+        record.search_history = _read_rows(cell_dir / SEARCH_NAME, HistoryRow)
     return record
 
 
@@ -433,11 +400,12 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
         t1 = t2  # a control's mask draw counts as init
     return RunRecord(
         run_id=run_id, arm=arm, eta=eta, seed=seed, epoch_rows=rows,
-        search_history=history, mask_mode=mask.mode,
-        mask_sample_seed=mask.sample_seed,
-        mask_layer_zeros={i: (m.size - int(m.sum()), m.size)
-                          for i, m in mask.masks.items()},
-        realized_sparsity=realized_sparsity(mask), active_parameters=active,
+        search_history=history,
+        mask={"mode": mask.mode, "eta": eta, "sample_seed": mask.sample_seed,
+              "per_layer": {str(i): {"zeros": m.size - int(m.sum()), "size": m.size}
+                            for i, m in mask.masks.items()},
+              "realized_sparsity": realized_sparsity(mask)},
+        active_parameters=active,
         parent_checksum=checksum, fitness_evaluations=len(history or ()),
         wall_clock={"init": t1 - t0, "weedout_phase": t2 - t1,
                     "training_phase": t3 - t2 - eval_s, "evaluation": eval_s})

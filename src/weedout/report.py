@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import pipeline
 
-EPOCH_METRICS = pipeline.METRICS_COLUMNS[1:]
+EPOCH_METRICS = tuple(f.name for f in fields(pipeline.EpochRow))[1:]
 PLOT_COLUMNS = ("arm", "eta", "epoch", "metric", "mean", "ci95", "n_runs")
 SPREAD_COLUMNS = ("arm", "eta", "generation", "best", "median", "std", "n")
 
@@ -116,17 +116,6 @@ def _metric_groups(records) -> dict[tuple[str, float, int], dict[str, list[float
     return dict(sorted(groups.items()))
 
 
-def _aggregate(groups) -> list[AggregateRow]:
-    return [AggregateRow(arm, eta, epoch, *_mean_ci(m["train_accuracy"]),
-                         *_mean_ci(m["test_accuracy"]), len(m["train_accuracy"]))
-            for (arm, eta, epoch), m in groups.items()]
-
-
-def aggregate_records(records) -> list[AggregateRow]:
-    """Per-(arm, eta, epoch) means with Student-t 95% half-widths."""
-    return _aggregate(_metric_groups(records))
-
-
 def pooled_ci_half_width(a: list[float], b: list[float]) -> float:
     """95% half-width for a difference of means under a pooled two-sample t."""
     n1, n2 = len(a), len(b)
@@ -212,24 +201,25 @@ def write_report(records, report_dir) -> tuple[list[AggregateRow], list[ArmDiffe
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     groups = _metric_groups(records)
-    agg = _aggregate(groups)
+    agg = [AggregateRow(arm, eta, epoch, *_mean_ci(m["train_accuracy"]),
+                        *_mean_ci(m["test_accuracy"]), len(m["train_accuracy"]))
+           for (arm, eta, epoch), m in groups.items()]
     diffs = arm_differences(records)
     plot = [(arm, eta, epoch, metric, *_mean_ci(values), len(values))
             for (arm, eta, epoch), metrics in groups.items()
             for metric, values in metrics.items() if values]
     tables = {
-        "aggregate": ("aggregate.csv", [f.name for f in fields(AggregateRow)],
-                      map(astuple, agg)),
-        "arm_difference": ("arm_difference.csv", [f.name for f in fields(ArmDifference)],
-                           map(astuple, diffs)),
-        "plot": ("plot_long.csv", PLOT_COLUMNS, plot),
-        "search_spread": ("search_spread.csv", SPREAD_COLUMNS, search_spread(records)),
+        "aggregate": ("aggregate.csv", pipeline._rows_csv(AggregateRow, agg)),
+        "arm_difference": ("arm_difference.csv", pipeline._rows_csv(ArmDifference, diffs)),
+        "plot": ("plot_long.csv", pipeline._csv_bytes(PLOT_COLUMNS, plot)),
+        "search_spread": ("search_spread.csv",
+                          pipeline._csv_bytes(SPREAD_COLUMNS, search_spread(records))),
     }
     paths = {}
-    for name, (file_name, columns, rows) in tables.items():
+    for name, (file_name, data) in tables.items():
         paths[name] = report_dir / file_name
         try:
-            pipeline._write_atomic(paths[name], pipeline._csv_bytes(columns, rows))
+            pipeline._write_atomic(paths[name], data)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, str(paths[name])) from exc
     return agg, diffs, paths

@@ -60,13 +60,6 @@ class MaskSet:
                 self.masks[i] = m.astype(bool)
 
 
-def _validate_eta(eta: float) -> float:
-    eta = float(eta)
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"sparsity ratio must lie in [0, 1), got {eta}")
-    return eta
-
-
 def resample_mask(spec: list[LayerSpec], input_shape, mode: str, eta: float,
                   sample_seed: int) -> MaskSet:
     """Build the mask that ``(spec, input_shape, mode, eta, sample_seed)`` names.
@@ -74,7 +67,9 @@ def resample_mask(spec: list[LayerSpec], input_shape, mode: str, eta: float,
     Layer ``i``'s zeros are placed by the stream ``sample_seed/mode/layer{i}``;
     ``input_shape`` is read only in unstructured mode, for the weight shapes.
     """
-    eta = _validate_eta(eta)
+    eta = float(eta)
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"sparsity ratio must lie in [0, 1), got {eta}")
     rng = RngStream(sample_seed).split(mode)
     shapes = weight_shapes(spec, input_shape) if mode == "unstructured" else None
     masks: dict[int, np.ndarray] = {}
@@ -94,8 +89,8 @@ def resample_mask(spec: list[LayerSpec], input_shape, mode: str, eta: float,
 
 def sample_mask(spec: list[LayerSpec], input_shape, eta: float, mode: str,
                 rng: RngStream) -> MaskSet:
-    """Draw a fresh mask: check eta, draw a seed from ``rng``, then resample."""
-    return resample_mask(spec, input_shape, mode, _validate_eta(eta), rng.spawn_seed())
+    """Draw a fresh mask: draw a seed from ``rng``, then resample."""
+    return resample_mask(spec, input_shape, mode, eta, rng.spawn_seed())
 
 
 def sample_structured(spec: list[LayerSpec], eta: float, rng: RngStream) -> MaskSet:

@@ -20,7 +20,7 @@ from weedout.network import (conv2d, default_dense_spec, dense, flatten_layer,
                              masked_network, relu_layer)
 from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import TrainConfig, sweep
-from weedout.report import aggregate_records, arm_differences
+from weedout.report import arm_differences, write_report
 from weedout.search import SearchConfig, run_search
 from weedout.sparsity import reduce_network, resample_mask, sample_structured
 
@@ -288,10 +288,10 @@ def test_criterion_5_determinism(tmp_path, blob_splits):
            f"{len(a)} cells compared at parallel=1 vs parallel=4")
 
 
-def test_criterion_6_monotone_degradation(desk_sweep):
+def test_criterion_6_monotone_degradation(desk_sweep, tmp_path):
     """Mean final test accuracy non-increasing in eta, up to CI overlap."""
     _, records, elapsed = desk_sweep
-    agg = aggregate_records(records)
+    agg, _, _ = write_report(records, tmp_path)
     final_epoch = max(r.epoch for r in agg)
     ok = True
     detail = []

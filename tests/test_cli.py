@@ -21,8 +21,8 @@ from weedout.network import default_dense_spec, init_network
 from weedout.numerics import round_half_up
 from weedout.pipeline import (EpochRow, RunRecord, TrainConfig, run_label,
                               write_failure, write_run_record)
-from weedout.report import (AggregateRow, _mean_ci, aggregate_records, arm_differences,
-                            load_records, pooled_ci_half_width, write_report)
+from weedout.report import (AggregateRow, _mean_ci, arm_differences, load_records,
+                            pooled_ci_half_width, write_report)
 from weedout.search import SearchConfig
 from weedout.sparsity import active_parameter_count
 
@@ -45,11 +45,13 @@ def minimal_raw(**overrides):
     return raw
 
 
-def unparseable_metrics(manifest, cell):
-    """Replace metrics.csv with a file that has a valid checksum and no columns."""
-    (cell / "metrics.csv").write_bytes(b"epoch\nx\n")
-    digest = hashlib.sha256(b"epoch\nx\n").hexdigest()
-    return dict(manifest, files=dict(manifest["files"], **{"metrics.csv": digest}))
+def replace_metrics(data):
+    """Damage that replaces metrics.csv with ``data`` under a valid checksum."""
+    def damage(manifest, cell):
+        (cell / "metrics.csv").write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        return dict(manifest, files=dict(manifest["files"], **{"metrics.csv": digest}))
+    return damage
 
 
 class TestParseConfig:
@@ -130,6 +132,20 @@ class TestCmdRun:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         return main(["run", "--config", str(cfg_path), *extra])
+
+    def test_etas_sharing_a_cell_directory_exit_two(self, tmp_path, capsys):
+        """Cell names keep 6 significant digits of eta: two etas that agree in
+        them would write one directory, so the config is refused before any
+        output exists."""
+        raw = minimal_raw(out_dir=str(tmp_path / "sweep"), arms=["random_baseline"])
+        raw["search"]["etas"] = [0.1234567, 0.1234568]
+        assert self.run_cli(tmp_path, raw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid config:", "  - search.etas: 0.1234567 and 0.1234568 would share "
+                               "one cell directory per arm and seed"]
+        assert not (tmp_path / "sweep").exists()
 
     def test_minimal_run_creates_one_record(self, tmp_path, capsys):
         raw = minimal_raw(out_dir=str(tmp_path / "sweep"))
@@ -397,16 +413,22 @@ class TestCmdRun:
         (lambda m, d: {"status": "failed", "files": {}}, "ValueError: manifest.json: run_id"),
         (lambda m, d: dict(m, files={"search.csv": m["files"]["search.csv"]}),
          "ValueError: manifest.json lists no metrics.csv"),
-        (unparseable_metrics, "ValueError: invalid literal for int()"),
+        (replace_metrics(b"epoch\nx\n"), "ValueError: invalid literal for int()"),
+        (replace_metrics(b"epoch,train_accuracy,train_loss,test_accuracy,test_loss\n"),
+         "ValueError: metrics.csv has no rows"),
         (lambda m, d: {k: v for k, v in m.items()
                        if k not in ("mask", "parent_checksum", "active_parameters",
                                     "wall_clock", "fitness_evaluations")},
          "KeyError: 'mask'"),
         (lambda m, d: {k: v for k, v in m.items() if k != "fitness_evaluations"},
          "KeyError: 'fitness_evaluations'"),
+        (lambda m, d: dict(m, mask={}), "KeyError: 'mode'"),
+        (lambda m, d: dict(m, mask=dict(m["mask"], per_layer={"0": {}})),
+         "KeyError: 'zeros'"),
     ], ids=["bare_completed", "no_run_id", "files_a_list", "bare_failed",
-            "completed_without_metrics", "unparseable_record", "completed_without_mask",
-            "completed_without_fitness_evaluations"])
+            "completed_without_metrics", "unparseable_record", "record_without_rows",
+            "completed_without_mask",
+            "completed_without_fitness_evaluations", "empty_mask", "empty_layer_entry"])
     def test_malformed_manifest_is_corrupt(self, tmp_path, capsys, damage, reason):
         """run recomputes the cell, report excludes it and inspect exits 1."""
         raw = minimal_raw(out_dir=str(tmp_path / "sweep"))
@@ -526,7 +548,7 @@ class TestAggregation:
         finals = [0.9, 0.92, 0.88, 0.91, 0.89]
         sweep_dir = fabricate_sweep(tmp_path, {("random_baseline", 0.2): finals})
         records, _ = load_records(sweep_dir)
-        rows = [r for r in aggregate_records(records) if r.epoch == 3]
+        rows = [r for r in write_report(records, tmp_path / "report")[0] if r.epoch == 3]
         assert len(rows) == 1
         row = rows[0]
         mean = sum(finals) / 5
@@ -539,13 +561,13 @@ class TestAggregation:
     def test_identical_values_give_zero_ci(self, tmp_path):
         sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.4): [0.8] * 5})
         records, _ = load_records(sweep_dir)
-        row = [r for r in aggregate_records(records) if r.epoch == 3][0]
+        row = [r for r in write_report(records, tmp_path / "report")[0] if r.epoch == 3][0]
         assert row.ci95_test_accuracy == 0.0
 
     def test_single_run_has_no_ci(self, tmp_path):
         sweep_dir = fabricate_sweep(tmp_path, {("weedout", 0.4): [0.8]})
         records, _ = load_records(sweep_dir)
-        row = [r for r in aggregate_records(records) if r.epoch == 3][0]
+        row = [r for r in write_report(records, tmp_path / "report")[0] if r.epoch == 3][0]
         assert row.ci95_test_accuracy is None
         assert row.n_runs == 1
 
@@ -817,6 +839,23 @@ class TestCmdInspect:
 
     def test_missing_manifest_exits_two(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path)]) == 2
+
+    def test_layers_listed_in_index_order(self, tmp_path, capsys):
+        """Six hidden dense layers put maskable layers at 0, 2, ..., 10; layer
+        10 comes last, where a sort of the manifest's string keys would put
+        it second."""
+        hidden = [{"kind": "dense", "width": 8}, {"kind": "relu"}] * 6
+        cfg = minimal_raw(out_dir=str(tmp_path / "sweep"), arms=["random_baseline"],
+                          architecture=hidden + [{"kind": "dense", "width": 4}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "sweep" / run_label("random_baseline", 0.3, 0)
+        assert main(["inspect", str(run_dir)]) == 0
+        layers = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  layer ")]
+        assert layers == [f"  layer {i}: 2/8 off (0.2500)" for i in range(0, 12, 2)]
 
     @pytest.mark.parametrize("damage, reason", [
         (lambda d: (d / "manifest.json").write_bytes(

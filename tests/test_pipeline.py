@@ -10,17 +10,24 @@ import pytest
 from weedout import pipeline
 from weedout.errors import DivergenceError
 from weedout.network import default_dense_spec, init_network, parent_checksum
-from weedout.pipeline import (ARMS, TrainConfig, cell_state, metrics_csv_bytes,
-                              read_run_record, run_cell, run_label,
-                              search_csv_bytes, sweep, sweep_cells,
-                              write_failure, write_run_record)
-from weedout.search import SearchConfig
+from weedout.pipeline import (ARMS, EpochRow, TrainConfig, cell_state,
+                              read_run_record, run_cell, run_label, sweep,
+                              sweep_cells, write_failure, write_run_record)
+from weedout.search import HistoryRow, SearchConfig
 from weedout.numerics import RngStream
 from weedout.sparsity import MASK_MODES, active_parameter_count, sample_mask
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SPEC = default_dense_spec(10)
 SHAPE = (16,)
+
+
+def metrics_csv_bytes(record):
+    return pipeline._rows_csv(EpochRow, record.epoch_rows)
+
+
+def search_csv_bytes(history):
+    return pipeline._rows_csv(HistoryRow, history)
 
 
 def small_search(**kw):
@@ -56,7 +63,7 @@ class TestSingleRuns:
         assert metrics_csv_bytes(a) == metrics_csv_bytes(b)
         assert search_csv_bytes(a.search_history) == search_csv_bytes(b.search_history)
         assert a.parent_checksum == b.parent_checksum
-        assert a.mask_sample_seed == b.mask_sample_seed
+        assert a.mask["sample_seed"] == b.mask["sample_seed"]
 
     def test_epochs_contiguous_from_one(self, blob_splits):
         rec = run("weedout", 0.4, 1, blob_splits)
@@ -91,7 +98,7 @@ class TestSingleRuns:
         assert w.parent_checksum == b.parent_checksum
         parent = init_network(SPEC, SHAPE, 2)
         assert w.parent_checksum == parent_checksum(parent)
-        assert w.realized_sparsity == b.realized_sparsity == 0.0
+        assert w.mask["realized_sparsity"] == b.mask["realized_sparsity"] == 0.0
         assert w.active_parameters == b.active_parameters == \
             active_parameter_count(parent, None)
 
@@ -141,8 +148,8 @@ class TestSingleRuns:
         assert (rec.fitness_evaluations == 8 * 2) == searched
         assert rec.eta == 0.4
         assert rec.run_id == run_label(arm, 0.4, 10)
-        assert rec.mask_mode == "unstructured"
-        assert rec.realized_sparsity == pytest.approx(0.4, abs=1e-3)
+        assert rec.mask["mode"] == "unstructured"
+        assert rec.mask["realized_sparsity"] == pytest.approx(0.4, abs=1e-3)
         if not searched:
             assert rec.wall_clock["weedout_phase"] == 0.0
 
@@ -158,7 +165,30 @@ class TestPersistence:
         assert metrics_csv_bytes(back) == metrics_csv_bytes(rec)
         assert search_csv_bytes(back.search_history) == search_csv_bytes(rec.search_history)
         assert back.parent_checksum == rec.parent_checksum
-        assert back.mask_layer_zeros == rec.mask_layer_zeros
+        assert back.mask == rec.mask
+
+    def test_cell_file_formats_are_pinned(self, tmp_path, blob_splits):
+        """The CSV headers and manifest keys come from the dataclasses' field
+        names, so renaming a field would rename a column or a key."""
+        rec = run("weedout", 0.4, 1, blob_splits)
+        write_run_record(rec, tmp_path / "done")
+        write_failure(tmp_path / "failed", "weedout", 0.4, 1, "RuntimeError: boom")
+        heads = {name: (tmp_path / "done" / name).read_text().split("\n")[0]
+                 for name in ("metrics.csv", "search.csv")}
+        assert heads == {
+            "metrics.csv": "epoch,train_accuracy,train_loss,test_accuracy,test_loss",
+            "search.csv": "generation,candidate_id,birth_generation,fitness,is_elite"}
+        done, failed = (json.loads((tmp_path / cell / "manifest.json").read_text())
+                        for cell in ("done", "failed"))
+        identity = {"schema_version", "run_id", "arm", "eta", "seed", "status", "error",
+                    "files", "effective_config"}
+        assert set(failed) == identity
+        assert set(done) == identity | {"mask", "active_parameters", "parent_checksum",
+                                        "fitness_evaluations", "wall_clock"}
+        assert set(done["mask"]) == {"mode", "eta", "sample_seed", "per_layer",
+                                     "realized_sparsity"}
+        assert done["mask"]["per_layer"] == {"0": {"zeros": 26, "size": 64},
+                                             "2": {"zeros": 13, "size": 32}}
 
     def test_corrupt_metrics_detected(self, tmp_path, blob_splits):
         rec = run("random_baseline", 0.2, 1, blob_splits)
