@@ -11,7 +11,7 @@ import numpy as np
 
 from weedout import RngStream, forward, init_network, loss_and_grads, reduce_network
 from weedout.network import conv2d, dense, flatten_layer, masked_network, relu_layer
-from weedout.sparsity import active_parameter_count, realized_sparsity, sample_structured
+from weedout.sparsity import active_parameter_count, realized_sparsity, sample_mask
 
 spec = [
     conv2d(8, 3), relu_layer(),
@@ -23,18 +23,18 @@ spec = [
 input_shape = (12, 12, 1)
 
 net = init_network(spec, input_shape, seed=7)
-parent_count = active_parameter_count(net, None)  # every weight and bias
+parent_count = active_parameter_count(net)  # every weight and bias
 print(f"parent network: {parent_count} parameters")
 
 rng = RngStream(2024)
-mask = sample_structured(spec, eta=0.6, rng=rng.split("mask"))
+mask = sample_mask(spec, input_shape, 0.6, "structured", rng.split("mask"))
 print(f"\nsampled a structured mask at eta=0.6 "
       f"(realized sparsity {realized_sparsity(mask):.3f})")
 for i, m in mask.masks.items():
     print(f"  layer {i} ({spec[i].kind}, width {spec[i].width}): {int((~m).sum())} nodes off")
 
 reduced = reduce_network(net, mask)
-reduced_count = active_parameter_count(reduced, None)
+reduced_count = active_parameter_count(reduced)
 print(f"\nreduced network: {reduced_count} parameters "
       f"({parent_count - reduced_count} deleted)")
 

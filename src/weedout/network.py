@@ -24,15 +24,15 @@ which run their pieces on it in contiguous runs. The threads only choose
 who computes a piece, so at a fixed BLAS thread count every result is the
 same bytes for any pool size, ``None`` (one thread) included.
 
-An unstructured mask is multiplied into the weights once: per candidate in
-search fitness and per cell in training, which then masks only the update
-(``sgd_step``'s ``weight_masks``). Structured masks execute on the smaller
-network that ``sparsity.reduce_network`` builds (see
-``sparsity.sub_network``). ``mean_loss`` and ``evaluate`` forward in the
-same tile-aligned row blocks (``_blocked_logits``) and take one loss over
-the joined logits. Those logits are the bytes of one pass only on one BLAS
-thread: a multi-threaded BLAS splits a GEMM's rows among its threads by the
-GEMM's size (see _ROW_ALIGN).
+Search fitness and training both run ``sparsity.sub_network(net, mask)``:
+the smaller network ``sparsity.reduce_network`` builds for a structured
+mask, or a copy with an unstructured mask multiplied into its weights, whose
+training then masks only the update (``sgd_step``'s ``weight_masks``).
+``mean_loss`` and ``evaluate`` forward in tile-aligned row blocks sized from
+the network they run (``_blocked_logits``, ``activation_block_rows``) and
+take one loss over the joined logits. Those logits are the bytes of one pass
+only on one BLAS thread: a multi-threaded BLAS splits a GEMM's rows among
+its threads by the GEMM's size (see _ROW_ALIGN).
 """
 
 from __future__ import annotations
@@ -544,24 +544,25 @@ def activation_block_rows(net: Network) -> int:
     return max(_ROW_ALIGN, rows - rows % _ROW_ALIGN)
 
 
-def _blocked_logits(net: Network, rows, n: int, block_rows: int | None,
+def _blocked_logits(net: Network, rows, n: int, block_rows: int | None = None,
                     pool: KernelPool | None = None) -> Tensor:
     """Logits of ``n`` examples, ``rows(a, b)`` giving the inputs of rows a to
-    b, forwarded in blocks of ``block_rows`` rounded down to a multiple of
-    _ROW_ALIGN, at least _ROW_ALIGN (default: one block); a last block of
-    fewer than _ROW_ALIGN rows joins the block before it. With one BLAS
-    thread, the logits keep the bits of one pass."""
-    step = max(_ROW_ALIGN, block_rows - block_rows % _ROW_ALIGN) if block_rows else n
+    b, forwarded in blocks of ``block_rows`` (default:
+    ``activation_block_rows(net)``) rounded down to a multiple of _ROW_ALIGN,
+    at least _ROW_ALIGN; a last block of fewer than _ROW_ALIGN rows joins the
+    block before it. With one BLAS thread, the logits keep the bits of one pass."""
+    block_rows = block_rows or activation_block_rows(net)
+    step = max(_ROW_ALIGN, block_rows - block_rows % _ROW_ALIGN)
     starts = range(0, max(n - _ROW_ALIGN, 0) + 1, step)
     logits = [_forward_pass(net, None, rows(a, b), False, pool)[0]
               for a, b in zip(starts, [*starts[1:], n])]
     return logits[0] if len(logits) == 1 else np.concatenate(logits)
 
 
-def mean_loss(net: Network, batch: Tensor, labels, block_rows: int | None = None) -> float:
+def mean_loss(net: Network, batch: Tensor, labels) -> float:
     """Forward-only mean cross-entropy (no gradient work), the forward on
-    ``_blocked_logits``'s blocks of ``block_rows`` examples."""
-    logits = _blocked_logits(net, lambda a, b: batch[a:b], len(batch), block_rows)
+    ``_blocked_logits``'s blocks."""
+    logits = _blocked_logits(net, lambda a, b: batch[a:b], len(batch))
     loss, _ = softmax_cross_entropy(logits, labels, with_grad=False)
     return loss
 
@@ -572,13 +573,12 @@ class EvalResult(NamedTuple):
 
 
 def evaluate(net: Network, dataset, batch_size: int = 512,
-             pool: KernelPool | None = None, block_rows: int | None = None) -> EvalResult:
+             pool: KernelPool | None = None) -> EvalResult:
     """Accuracy and mean loss over a dataset; deterministic, in dataset order.
 
     The loss is taken over chunks of ``batch_size`` examples, the forward on
-    ``_blocked_logits``'s blocks of ``block_rows`` of them (default: whole
-    chunks), which bounds the activations held at once. ``pool`` runs the
-    kernels' pieces; the result does not depend on it.
+    ``_blocked_logits``'s blocks of them, which bounds the activations held at
+    once. ``pool`` runs the kernels' pieces; the result does not depend on it.
     """
     n = len(dataset.labels)
     if n == 0:
@@ -589,7 +589,7 @@ def evaluate(net: Network, dataset, batch_size: int = 512,
         stop = min(start + batch_size, n)
         logits = _blocked_logits(
             net, lambda a, b: dataset.take(slice(start + a, start + b))[0],
-            stop - start, block_rows, pool)
+            stop - start, pool=pool)
         y = dataset.labels[start:stop]
         loss, _ = softmax_cross_entropy(logits, y, with_grad=False)
         loss_sum += loss * len(y)

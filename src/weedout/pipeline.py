@@ -1,8 +1,8 @@
 """End-to-end runs: parent init, mask selection, SGD training, evaluation.
 
 ``run_cell`` runs every cell the same way: init the seed's parent, take the
-arm's mask, train it and evaluate it. The two arms differ only in where the
-mask comes from:
+arm's mask, drop the parent for the mask's ``sparsity.sub_network``, train
+that and evaluate it. The two arms differ only in where the mask comes from:
 
 * ``weedout``          -- the winner of the population search at eta,
 * ``random_baseline``  -- one random mask at the same eta, no search.
@@ -39,13 +39,13 @@ from operator import attrgetter
 from pathlib import Path
 
 from .data import Splits, batches
-from .errors import ChecksumError, DivergenceError, check_number
+from .errors import ChecksumError, DivergenceError, check_member, check_number
 from .network import (KernelPool, Network, SgdState, _forward_backward, evaluate,
                       init_network, kernel_pool, parent_checksum, sgd_step)
 from .numerics import RngStream
 from .search import HistoryRow, SearchConfig, run_search
-from .sparsity import (MaskSet, active_parameter_count, realized_sparsity,
-                       reduce_network, sample_mask)
+from .sparsity import (MASK_MODES, active_parameter_count, realized_sparsity,
+                       sample_mask, sub_network)
 
 ARMS = ("weedout", "random_baseline")
 
@@ -113,23 +113,14 @@ def _parent_for(spec, input_shape, seed: int) -> Network:
     return init_network(spec, input_shape, seed)
 
 
-def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
+def _train(net: Network, weight_masks: dict, train_cfg: TrainConfig, splits: Splits,
            rng_train: RngStream, run_id: str,
-           pool: KernelPool | None = None) -> tuple[list[EpochRow], float, int]:
-    """Train the sub-network ``mask`` selects from ``net``.
-
-    A structured mask trains its reduced network and leaves ``net``
-    untouched; an unstructured mask is multiplied into ``net``'s weights once,
-    in place, and the update masks each gradient, so a masked weight stays the
-    same signed zero. The cell's ``pool``, if any, runs the kernels, with the
-    same results as one thread. Returns epoch rows, seconds spent in
-    evaluation and the active parameter count.
-    """
-    if mask.mode == "structured":
-        net, mask = reduce_network(net, mask), None
-    weight_masks = {} if mask is None else mask.masks
-    for i, m in weight_masks.items():
-        net.params[i].weight *= m
+           pool: KernelPool | None = None) -> tuple[list[EpochRow], float]:
+    """Train ``net``, a cell's sub-network, in place; ``weight_masks`` (an
+    unstructured mask's arrays by layer index, or ``{}``) mask each gradient,
+    so a masked weight stays the same signed zero. The cell's ``pool``, if
+    any, runs the kernels, with the same results as one thread. Returns epoch
+    rows and seconds spent in evaluation."""
     state = SgdState.zeros(net)
     rows: list[EpochRow] = []
     eval_seconds = 0.0
@@ -161,14 +152,13 @@ def _train(net: Network, mask: MaskSet, train_cfg: TrainConfig, splits: Splits,
         test_acc = test_loss = None
         if epoch % train_cfg.eval_every == 0 or epoch == train_cfg.epochs:
             t_eval = time.perf_counter()
-            res = evaluate(net, splits.test, pool=pool,
-                           block_rows=train_cfg.batch_size)
+            res = evaluate(net, splits.test, pool=pool)
             eval_seconds += time.perf_counter() - t_eval
             test_acc, test_loss = res.accuracy, res.mean_loss
         rows.append(EpochRow(epoch=epoch, train_accuracy=correct / seen,
                              train_loss=loss_sum / seen,
                              test_accuracy=test_acc, test_loss=test_loss))
-    return rows, eval_seconds, active_parameter_count(net, mask)
+    return rows, eval_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +314,20 @@ def read_run_record(cell_dir, manifest: dict) -> RunRecord:
     """Rehydrate a RunRecord from a completed cell directory and its manifest,
     once :func:`cell_state` has verified them. A field that every completed
     manifest has and this one lacks raises ``KeyError``, and so does a mask
-    key (all but ``eta``) or a per-layer count; a ``metrics.csv`` without
-    rows raises ``ValueError``."""
+    key (all but ``eta``) or a per-layer count; a mask value of the wrong
+    type or range, or a ``metrics.csv`` without rows, raises ``ValueError``."""
     cell_dir = Path(cell_dir)
     record = RunRecord(**{name: manifest[name] for name in _MANIFEST_FIELDS})
     mask = record.mask
-    mask["mode"], mask["sample_seed"]
+    problems = check_member("mode", mask["mode"], MASK_MODES) \
+        + check_number("sample_seed", mask["sample_seed"], int)
     for i, entry in mask["per_layer"].items():
-        int(i), entry["zeros"], entry["size"]
-    mask["realized_sparsity"]
+        zeros, size = entry["zeros"], entry["size"]
+        problems += check_number(f"layer {int(i)} size", size, int, 1) \
+            or check_number(f"layer {i} zeros", zeros, int, 0, size)
+    problems += check_number("realized_sparsity", mask["realized_sparsity"], float)
+    if problems:
+        raise ValueError(f"{MANIFEST_NAME}: mask " + "; ".join(problems))
     record.epoch_rows = _read_rows(cell_dir / METRICS_NAME, EpochRow)
     if not record.epoch_rows:
         raise ValueError(f"{METRICS_NAME} has no rows")
@@ -365,7 +360,7 @@ def sweep_cells(etas, arms, seeds) -> list[tuple[str, float, int]]:
 def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
              search_cfg: SearchConfig, train_cfg: TrainConfig, splits: Splits, *,
              parallel: int = 1) -> RunRecord:
-    """Run one cell: init the seed's parent, take the arm's mask, train it.
+    """Run one cell: init the seed's parent, take the arm's mask, train its sub-network.
 
     ``weedout`` takes the winner of a search at ``eta``; ``random_baseline``
     draws one mask at ``eta`` in the search's mask mode. At eta 0 both take
@@ -393,8 +388,10 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
             mask = sample_mask(spec, input_shape, eta, search_cfg.mask_mode,
                                RngStream(seed).split("baseline-mask"))
         t2 = time.perf_counter()
-        rows, eval_s, active = _train(net, mask, train_cfg, splits,
-                                      RngStream(seed).split("train"), run_id, pool)
+        net = sub_network(net, mask)  # the parent is freed before training
+        weight_masks = mask.masks if mask.mode == "unstructured" else {}
+        rows, eval_s = _train(net, weight_masks, train_cfg, splits,
+                              RngStream(seed).split("train"), run_id, pool)
     t3 = time.perf_counter()
     if history is None:
         t1 = t2  # a control's mask draw counts as init
@@ -405,7 +402,7 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
               "per_layer": {str(i): {"zeros": m.size - int(m.sum()), "size": m.size}
                             for i, m in mask.masks.items()},
               "realized_sparsity": realized_sparsity(mask)},
-        active_parameters=active,
+        active_parameters=active_parameter_count(net, weight_masks),
         parent_checksum=checksum, fitness_evaluations=len(history or ()),
         wall_clock={"init": t1 - t0, "weedout_phase": t2 - t1,
                     "training_phase": t3 - t2 - eval_s, "evaluation": eval_s})

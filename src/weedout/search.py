@@ -20,11 +20,11 @@ same pool then runs the kernel pieces of training and evaluation. Scoring
 passes no pool to the kernels, so a pool never waits on itself.
 
 A thread holds one candidate's forward at a time, run on row blocks of the
-validation batch sized once per search by ``network.activation_block_rows``
-(48 rows for the structured conv net on 28x28 images at eta 0.6, 4,096 for
-the desk-scale dense net). On one BLAS thread, one loss over the joined
-logits keeps the bits of a whole-batch pass; an unstructured mask is
-multiplied into the weights once per candidate, not per block.
+validation batch that ``network.activation_block_rows`` sizes from the
+candidate's network (48 rows for the structured conv net on 28x28 images at
+eta 0.6, 4,096 for the desk-scale dense net). On one BLAS thread, one loss
+over the joined logits keeps the bits of a whole-batch pass; an unstructured
+mask is multiplied into the weights once per candidate, not per block.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ import numpy as np
 
 from .data import Dataset, sample_batch
 from .errors import check_member, check_number
-from .network import (KernelPool, Network, activation_block_rows, mean_loss,
-                      run_pieces)
+from .network import KernelPool, Network, mean_loss, run_pieces
 from .numerics import RngStream
-from .sparsity import (MASK_MODES, MaskSet, reduce_network, sample_mask,
-                       sub_network)
+from .sparsity import MASK_MODES, MaskSet, sample_mask, sub_network
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +82,17 @@ class SearchResult:
     history: list[HistoryRow]
 
 
-def fitness(net: Network, mask: MaskSet, validation_batch,
-            block_rows: int | None = None) -> float:
+def fitness(net: Network, mask: MaskSet, validation_batch) -> float:
     """Score a mask: negative mean cost on the given validation batch.
 
     The parent's weights are used untouched; this is a pre-training signal.
-    A structured mask is scored on its reduced network, and the forward runs
-    on blocks of ``block_rows`` examples as in ``network.mean_loss``.
+    The mask's sub-network (a structured mask's reduced network) is scored,
+    its forward on ``network.mean_loss``'s row blocks.
     """
     x, y = validation_batch
     if len(y) == 0:
         raise ValueError("validation batch is empty")
-    return -mean_loss(sub_network(net, mask), x, y, block_rows)
+    return -mean_loss(sub_network(net, mask), x, y)
 
 
 def _mask_key(mask: MaskSet) -> tuple:
@@ -105,7 +102,7 @@ def _mask_key(mask: MaskSet) -> tuple:
 
 
 def _evaluate_population(net: Network, population: list[Candidate], batch,
-                         pool: KernelPool | None, block_rows: int) -> list[float]:
+                         pool: KernelPool | None) -> list[float]:
     """Each candidate's score on ``batch``, scoring each distinct mask once."""
     first: dict[tuple, int] = {}
     owner = [first.setdefault(_mask_key(c.mask), k) for k, c in enumerate(population)]
@@ -113,7 +110,7 @@ def _evaluate_population(net: Network, population: list[Candidate], batch,
     scores = [0.0] * len(population)
 
     def score(j: int) -> None:
-        scores[distinct[j]] = fitness(net, population[distinct[j]].mask, batch, block_rows)
+        scores[distinct[j]] = fitness(net, population[distinct[j]].mask, batch)
 
     run_pieces(pool, score, len(distinct))
     return [scores[k] for k in owner]
@@ -148,13 +145,9 @@ def run_search(net: Network, cfg: SearchConfig, eta: float, d_validation: Datase
         population += [Candidate(sample_mask(net.spec, net.input_shape, eta,
                                              cfg.mask_mode, rng_masks), next_id + j, gen)
                        for j in range(cfg.population_size - len(population))]
-        if gen == 1:  # every candidate's network has the first one's shapes
-            first = population[0].mask
-            block_rows = activation_block_rows(
-                reduce_network(net, first) if first.mode == "structured" else net)
         batch = sample_batch(d_validation, cfg.validation_batch_size,
                              rng_batches.split(f"gen{gen}"))
-        scores = _evaluate_population(net, population, batch, pool, block_rows)
+        scores = _evaluate_population(net, population, batch, pool)
         history += [HistoryRow(gen, c.candidate_id, c.birth_generation, s,
                                c.birth_generation < gen)
                     for c, s in zip(population, scores)]

@@ -8,11 +8,10 @@ at identical sparsity, so configuration quality is the only variable.
 ``resample_mask`` is the one sampler.
 
 ``reduce_network`` physically deletes deactivated nodes (dense units or conv
-channels) and their incident weight rows/columns. ``sub_network`` is the
-network a search scores a mask on: a structured mask's reduced network, or
-the parent with an unstructured mask multiplied into its weights
-(``network.masked_network``). Training builds the same network, an
-unstructured one in place.
+channels) and their incident weight rows/columns. ``sub_network`` is the one
+place a mask becomes a network, which a search scores and a cell trains: a
+structured mask's reduced network, or a copy of the parent with an
+unstructured mask multiplied into its weights (``network.masked_network``).
 """
 
 from __future__ import annotations
@@ -94,7 +93,8 @@ def sample_mask(spec: list[LayerSpec], input_shape, eta: float, mode: str,
 
 
 def sample_structured(spec: list[LayerSpec], eta: float, rng: RngStream) -> MaskSet:
-    """Draw a node mask: exactly round_half_up(eta*width) zeros per maskable layer."""
+    """``sample_mask(spec, None, eta, "structured", rng)``, which the
+    benchmark's self-tests import under this name."""
     return sample_mask(spec, None, eta, "structured", rng)
 
 
@@ -140,28 +140,18 @@ def reduce_network(net: Network, mask: MaskSet) -> Network:
 
 
 def sub_network(net: Network, mask: MaskSet) -> Network:
-    """The network that computes ``net`` under ``mask``: the reduced network
-    for a structured mask, ``masked_network(net, mask)`` for an unstructured
-    one. Neither shares a masked weight with ``net``."""
+    """The network that computes ``net`` under ``mask``, scored and trained:
+    the reduced network for a structured mask; for an unstructured one
+    ``masked_network(net, mask)``, which shares ``net``'s unmasked arrays."""
     if mask.mode == "structured":
         return reduce_network(net, mask)
     return masked_network(net, mask)
 
 
-def active_parameter_count(net: Network, mask: MaskSet | None) -> int:
-    """Number of parameters of ``net`` that can still influence the output.
-
-    A structured mask counts its reduced network's parameters, which is what
-    the reduced network counts with no mask. An unstructured mask counts the
-    weights it leaves on plus every bias.
-    """
-    if mask is not None and mask.mode == "structured":
-        net, mask = reduce_network(net, mask), None
-    total = 0
-    for i, p in enumerate(net.params):
-        if p is None:
-            continue
-        kept = int(mask.masks[i].sum()) if mask is not None and i in mask.masks \
-            else p.weight.size
-        total += kept + p.bias.size
-    return total
+def active_parameter_count(net: Network, weight_masks: dict | None = None) -> int:
+    """Number of parameters of a sub-network that can still influence the
+    output: every bias, and every weight that ``weight_masks`` (by layer
+    index, as ``sgd_step`` takes them) leaves on; a reduced network has none."""
+    weight_masks = weight_masks or {}
+    return sum((int(weight_masks[i].sum()) if i in weight_masks else p.weight.size)
+               + p.bias.size for i, p in enumerate(net.params) if p is not None)

@@ -22,7 +22,7 @@ from weedout.numerics import RngStream, round_half_up
 from weedout.pipeline import TrainConfig, sweep
 from weedout.report import arm_differences, write_report
 from weedout.search import SearchConfig, run_search
-from weedout.sparsity import reduce_network, resample_mask, sample_structured
+from weedout.sparsity import reduce_network, resample_mask, sample_mask
 
 
 def report(num, name, ok, detail=""):
@@ -67,7 +67,7 @@ def desk_sweep(tmp_path_factory, desk_splits):
 def oracle_instance(spec, shape, eta, r):
     """A parent, a structured mask at ``eta`` and a labelled batch of 4."""
     net = init_network(spec, shape, seed=r.spawn_seed())
-    mask = sample_structured(spec, eta, r.split("mask"))
+    mask = sample_mask(spec, None, eta, "structured", r.split("mask"))
     x = r.split("x").normal((4,) + shape)
     y = np.asarray(r.split("y").integers(0, 3, size=4))
     return net, mask, x, y
@@ -147,7 +147,7 @@ def test_criterion_2_gradient_checks():
                 r = rng.split(f"{len(shape)}d/{trial}/{attempt}")
                 net = init_network(spec, shape, seed=r.spawn_seed())
                 mask = None if trial % 2 == 0 else \
-                    sample_structured(spec, 0.4, r.split("mask"))
+                    sample_mask(spec, None, 0.4, "structured", r.split("mask"))
                 x = r.split("x").normal((4,) + shape)
                 y = np.asarray(r.split("y").integers(0, 3, size=4))
                 if helpers.kink_distance(net, mask, x) > 10 * eps:
@@ -185,7 +185,7 @@ def test_criterion_3_sparsity_exactness():
         rng = RngStream(int(eta * 10)).split("masks")
         off_totals = {i: np.zeros(spec[i].width) for i in layer_idx}
         for trial in range(n_freq):
-            mask = sample_structured(spec, eta, rng)
+            mask = sample_mask(spec, None, eta, "structured", rng)
             for i in layer_idx:
                 m = mask.masks[i]
                 if trial < 1000:  # the stated count-verification sample
@@ -204,7 +204,7 @@ def test_criterion_3_sparsity_exactness():
     spec10 = [dense(10), relu_layer(), dense(3)]
     off = np.zeros(10)
     for _ in range(n_freq):
-        off += sample_structured(spec10, 0.2, rng).masks[0] == 0.0
+        off += sample_mask(spec10, None, 0.2, "structured", rng).masks[0] == 0.0
     literal_ok = bool(np.all(np.abs(off / n_freq - 0.2) <= 0.02))
 
     ok = counts_ok and freq_ok and ratio_ok and literal_ok

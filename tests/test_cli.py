@@ -425,10 +425,21 @@ class TestCmdRun:
         (lambda m, d: dict(m, mask={}), "KeyError: 'mode'"),
         (lambda m, d: dict(m, mask=dict(m["mask"], per_layer={"0": {}})),
          "KeyError: 'zeros'"),
+        (lambda m, d: dict(m, mask=dict(m["mask"], per_layer={"0": {"zeros": 0, "size": 0}})),
+         "ValueError: manifest.json: mask layer 0 size: must be >= 1, got 0"),
+        (lambda m, d: dict(m, mask=dict(m["mask"], per_layer={"0": {"zeros": 9, "size": 8}})),
+         "ValueError: manifest.json: mask layer 0 zeros: must be <= 8, got 9"),
+        (lambda m, d: dict(m, mask=dict(m["mask"], realized_sparsity="0.3")),
+         "ValueError: manifest.json: mask realized_sparsity: expected float, got '0.3'"),
+        (lambda m, d: dict(m, mask=dict(m["mask"], mode="global", sample_seed=True)),
+         "ValueError: manifest.json: mask mode: must be one of ('structured', "
+         "'unstructured'), got 'global'; sample_seed: expected int, got True"),
     ], ids=["bare_completed", "no_run_id", "files_a_list", "bare_failed",
             "completed_without_metrics", "unparseable_record", "record_without_rows",
             "completed_without_mask",
-            "completed_without_fitness_evaluations", "empty_mask", "empty_layer_entry"])
+            "completed_without_fitness_evaluations", "empty_mask", "empty_layer_entry",
+            "layer_of_size_zero", "more_zeros_than_size", "string_realized_sparsity",
+            "unknown_mode_and_bool_seed"])
     def test_malformed_manifest_is_corrupt(self, tmp_path, capsys, damage, reason):
         """run recomputes the cell, report excludes it and inspect exits 1."""
         raw = minimal_raw(out_dir=str(tmp_path / "sweep"))

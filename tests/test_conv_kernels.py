@@ -22,7 +22,7 @@ from weedout import network
 from weedout.network import (conv2d, dense, flatten_layer, init_network,
                              loss_and_grads, masked_network, relu_layer)
 from weedout.numerics import RngStream
-from weedout.sparsity import reduce_network, sample_mask, sample_structured
+from weedout.sparsity import reduce_network, sample_mask
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 NETWORK_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -129,7 +129,7 @@ class TestMaskedReducedFiniteDifferences:
         rng = RngStream(seed)
         net = init_network(spec, shape, seed=seed)
         nonzero_biases(net, rng.split("bias"))
-        mask = sample_structured(spec, eta, rng.split("mask"))
+        mask = sample_mask(spec, None, eta, "structured", rng.split("mask"))
         x = rng.split("x").normal((4,) + shape)
         y = np.asarray(rng.split("y").integers(0, 3, size=4))
         assume(helpers.kink_distance(net, mask, x) > 10 * FD_EPS)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import write_idx_images, write_idx_labels
-from weedout import network, pipeline, search
+from weedout import network, pipeline, search, sparsity
 from weedout.cli import main
 from weedout.data import Dataset, batches
 from weedout.network import (KernelPool, LayerParams, SgdState, conv2d, dense,
@@ -278,11 +278,11 @@ class TestPasses:
 @pytest.mark.parametrize("threads", [1, 2])
 def test_evaluate_in_training_batch_blocks_keeps_its_result(small_pieces, monkeypatch,
                                                            threads):
-    """300 examples in one loss chunk, forwarded as blocks of 128, 128 and 44
-    rows, give the same result as one 300-row forward, with or without a pool."""
+    """300 examples forwarded as blocks of 128, 128 and 44 rows give the
+    logits of one 300-row block, with or without a pool."""
     net, mask, x, y = instance("unstructured", batch=300)
-    net, dataset = network.masked_network(net, mask), Dataset(x, y, 3)
-    whole = network.evaluate(net, dataset)
+    net = network.masked_network(net, mask)
+    whole = network._blocked_logits(net, lambda a, b: x[a:b], 300, block_rows=300)
     real_forward, rows = network._forward_pass, []
 
     def forward_spy(net, mask, x, keep_inputs, pool=None):
@@ -291,9 +291,10 @@ def test_evaluate_in_training_batch_blocks_keeps_its_result(small_pieces, monkey
 
     monkeypatch.setattr(network, "_forward_pass", forward_spy)
     with network.kernel_pool(threads) as pool:
-        blocked = network.evaluate(net, dataset, pool=pool, block_rows=128)
+        blocked = network._blocked_logits(net, lambda a, b: x[a:b], 300,
+                                          block_rows=128, pool=pool)
     assert rows == [128, 128, 44]
-    assert blocked == whole
+    assert blocked.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["structured", "unstructured"])
@@ -305,11 +306,12 @@ def test_training_identical_for_every_thread_count(small_pieces, mode):
     outputs = []
     with pools() as by_threads:
         for pool in by_threads.values():
-            trained = net.copy()
-            rows, _, active = pipeline._train(trained, mask, cfg, splits,
-                                              RngStream(5).split("train"), "cell", pool)
-            # an unstructured mask trains the parent in place
-            outputs.append((rows, active, as_bytes(trained.params)))
+            # an unstructured sub-network shares the parent's unmasked arrays
+            trained = sparsity.sub_network(net.copy(), mask)
+            weight_masks = mask.masks if mode == "unstructured" else {}
+            rows, _ = pipeline._train(trained, weight_masks, cfg, splits,
+                                      RngStream(5).split("train"), "cell", pool)
+            outputs.append((rows, as_bytes(trained.params)))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 
@@ -361,10 +363,10 @@ def test_masked_update_equals_masking_the_gradient_first(monkeypatch, threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_unstructured_training_runs_unmasked_passes_on_premasked_weights(
         small_pieces, monkeypatch, threads):
-    """``_train`` multiplies an unstructured mask into the weights once and
-    masks only the update, to the rows of passes on ``masked_network`` with
-    the gradient masked before an unmasked update, which leaves the masked
-    weights at their initial values; no pass it runs receives the mask."""
+    """``_train`` on an unstructured mask's sub-network, its weights masked
+    once, masks only the update, to the rows of passes on ``masked_network``
+    with the gradient masked before an unmasked update, which leaves the
+    masked weights at their initial values; no pass it runs receives the mask."""
     net, mask, x, y = instance("unstructured", batch=40)
     splits = Splits(Dataset(x[:24], y[:24], 3), Dataset(x[24:32], y[24:32], 3),
                     Dataset(x[32:], y[32:], 3))
@@ -394,10 +396,10 @@ def test_unstructured_training_runs_unmasked_passes_on_premasked_weights(
         return real_forward(net, mask, x, keep_inputs, pool)
 
     monkeypatch.setattr(network, "_forward_pass", forward_spy)
-    trained = net.copy()
+    trained = sparsity.sub_network(net, mask)
     with network.kernel_pool(threads) as pool:
-        rows, _, _ = pipeline._train(trained, mask, cfg, splits,
-                                     RngStream(5).split("train"), "cell", pool)
+        rows, _ = pipeline._train(trained, mask.masks, cfg, splits,
+                                  RngStream(5).split("train"), "cell", pool)
     assert rows == expected
     assert masks_seen and all(m is None for m in masks_seen)
     for i, p in enumerate(trained.params):

@@ -18,8 +18,7 @@ from weedout.network import (LayerParams, SgdState, activation_block_rows, conv2
 from weedout.numerics import RngStream
 from weedout.pipeline import Splits, TrainConfig, _train, run_cell
 from weedout.search import SearchConfig, run_search
-from weedout.sparsity import (MaskSet, resample_mask, sample_mask, sample_structured,
-                              sub_network)
+from weedout.sparsity import MaskSet, resample_mask, sample_mask, sub_network
 from weedout.data import Dataset
 
 
@@ -182,7 +181,7 @@ class TestGradients:
 
     def test_masked_gradients_match_finite_differences(self, small_dense_spec, rng):
         net = init_network(small_dense_spec, (5,), seed=13)
-        mask = sample_structured(small_dense_spec, 0.4, rng.split("m"))
+        mask = sample_mask(small_dense_spec, None, 0.4, "structured", rng.split("m"))
         x = rng.normal((5, 5))
         y = np.array([2, 1, 0, 2, 1])
         _, grads = loss_and_grads(masked_network(net, mask), x, y)
@@ -200,7 +199,7 @@ class TestGradients:
 
     def test_masked_incident_gradients_exactly_zero(self, small_conv_spec, rng):
         net = init_network(small_conv_spec, (10, 10, 1), seed=15)
-        mask = sample_structured(small_conv_spec, 0.5, rng.split("m"))
+        mask = sample_mask(small_conv_spec, None, 0.5, "structured", rng.split("m"))
         x = rng.normal((4, 10, 10, 1))
         y = np.array([0, 1, 2, 0])
         _, grads = loss_and_grads(masked_network(net, mask), x, y)
@@ -259,7 +258,7 @@ class TestSgd:
         """Deactivated nodes' incident weights keep their init values while training."""
         net = init_network(small_dense_spec, (5,), seed=19)
         init_params = net.copy()
-        mask = sample_structured(small_dense_spec, 0.5, rng.split("m"))
+        mask = sample_mask(small_dense_spec, None, 0.5, "structured", rng.split("m"))
         state = SgdState.zeros(net)
         x = rng.normal((16, 5))
         y = rng.integers(0, 3, size=16)
@@ -323,8 +322,7 @@ class TestActivationMemory:
         steps = {
             "evaluate": lambda: evaluate(net, ds),
             "loss_and_grads": lambda: loss_and_grads(net, x, y),
-            "_train": lambda: _train(net, MaskSet("unstructured", {}),
-                                     TrainConfig(epochs=1, batch_size=16),
+            "_train": lambda: _train(net, {}, TrainConfig(epochs=1, batch_size=16),
                                      Splits(ds, ds, ds), RngStream(0), "run"),
         }
         for name, step in steps.items():
@@ -332,11 +330,12 @@ class TestActivationMemory:
             assert ds.inputs.tobytes() == before, name
 
     def test_evaluate_peak_stays_within_one_training_step(self):
-        """Forwarded in training-batch blocks, evaluation holds no more traced
-        memory than one forward and backward pass at that batch."""
+        """Forwarded in blocks of ``activation_block_rows`` (112 rows here),
+        evaluation holds no more traced memory than one forward and backward
+        pass at that batch."""
         spec = [conv2d(8, 3), relu_layer(), conv2d(16, 3), relu_layer(),
                 flatten_layer(), dense(32), relu_layer(), dense(10)]
-        shape, batch = (16, 16, 3), 32
+        shape, batch = (16, 16, 3), 112
         rng = RngStream(8)
         net = init_network(spec, shape, seed=1)
         net = masked_network(net, sample_mask(spec, shape, 0.5, "unstructured",
@@ -344,7 +343,8 @@ class TestActivationMemory:
         x = rng.split("x").normal((512,) + shape)
         y = np.asarray(rng.split("y").integers(0, 10, size=512))
         ds = Dataset(x, y, 10)
-        eval_peak = traced_peak(lambda: evaluate(net, ds, block_rows=batch))
+        assert activation_block_rows(net) == batch
+        eval_peak = traced_peak(lambda: evaluate(net, ds))
         step_peak = traced_peak(
             lambda: network._forward_backward(net, x[:batch], y[:batch]))
         assert eval_peak <= step_peak
@@ -387,7 +387,7 @@ class TestActivationMemory:
             run_search(net, cfg, 0.6, val, RngStream(1))
 
         blocked_peak = traced_peak(one_search)
-        monkeypatch.setattr(search, "activation_block_rows", lambda net: 1 << 30)
+        monkeypatch.setattr(network, "activation_block_rows", lambda net: 1 << 30)
         assert blocked_peak <= 0.75 * traced_peak(one_search)
 
     def test_desk_search_forwards_each_candidate_once(self, monkeypatch):

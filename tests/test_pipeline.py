@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from weedout.pipeline import (ARMS, EpochRow, TrainConfig, cell_state,
                               sweep_cells, write_failure, write_run_record)
 from weedout.search import HistoryRow, SearchConfig
 from weedout.numerics import RngStream
-from weedout.sparsity import MASK_MODES, active_parameter_count, sample_mask
+from weedout.sparsity import (MASK_MODES, active_parameter_count, sample_mask,
+                              sub_network)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SPEC = default_dense_spec(10)
@@ -48,12 +50,11 @@ def run(arm, eta, seed, splits, search=None, train=None, **kw):
 
 
 def dense_training(seed, splits, train=None):
-    """Train the seed's whole parent under the all-ones mask, no search."""
-    mask = sample_mask(SPEC, SHAPE, 0.0, "structured", RngStream(seed).split("dense"))
-    rows, _, active = pipeline._train(init_network(SPEC, SHAPE, seed), mask,
-                                      train or small_train(), splits,
-                                      RngStream(seed).split("train"), "dense")
-    return rows, active
+    """Train the seed's whole parent, no mask and no search."""
+    net = init_network(SPEC, SHAPE, seed)
+    rows, _ = pipeline._train(net, {}, train or small_train(), splits,
+                              RngStream(seed).split("train"), "dense")
+    return rows, active_parameter_count(net)
 
 
 class TestSingleRuns:
@@ -109,6 +110,46 @@ class TestSingleRuns:
         assert len(w.search_history) == 16
         assert b.fitness_evaluations == 0
         assert b.search_history is None
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("mode", MASK_MODES)
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_parent_is_freed_before_training(self, monkeypatch, blob_splits, arm,
+                                             mode, parallel):
+        """A cell trains its mask's sub-network, and nothing refers to the
+        seed's parent once training starts, so the parent's weights are freed."""
+        parents, alive = [], []
+        real_parent_for, real_train = pipeline._parent_for, pipeline._train
+
+        def parent_for(*args):
+            parents.append(weakref.ref(net := real_parent_for(*args)))
+            return net
+
+        def train(*args):
+            alive.append(parents[-1]() is not None)
+            return real_train(*args)
+
+        monkeypatch.setattr(pipeline, "_parent_for", parent_for)
+        monkeypatch.setattr(pipeline, "_train", train)
+        run(arm, 0.4, 3, blob_splits, search=small_search(mask_mode=mode),
+            parallel=parallel)
+        assert alive == [False]
+
+    @pytest.mark.parametrize("mode,hand_count", [
+        # 16 inputs, widths 64 and 32 keep 38 and 19 units, then 10 logits
+        ("structured", 16 * 38 + 38 + 38 * 19 + 19 + 19 * 10 + 10),
+        # 614 of 1,024 and 1,229 of 2,048 weights, all 320 logits weights, 106 biases
+        ("unstructured", 614 + 1229 + 320 + 106),
+    ])
+    def test_active_parameters_counted_on_the_sub_network(self, blob_splits, mode,
+                                                          hand_count):
+        rec = run("random_baseline", 0.4, 3, blob_splits,
+                  search=small_search(mask_mode=mode))
+        mask = sample_mask(SPEC, SHAPE, 0.4, mode, RngStream(3).split("baseline-mask"))
+        weight_masks = mask.masks if mode == "unstructured" else {}
+        sub = sub_network(init_network(SPEC, SHAPE, 3), mask)
+        assert active_parameter_count(sub, weight_masks) == hand_count
+        assert rec.active_parameters == hand_count
 
     def test_arms_share_parent_and_parameter_count(self, blob_splits):
         w = run("weedout", 0.8, 5, blob_splits)
@@ -340,19 +381,27 @@ class TestAtomicWrites:
             "RuntimeError: second"
 
 
+def in_one_blas_thread(code: str) -> list[str]:
+    """What ``code`` prints, split into words, run in a child process on one
+    BLAS thread: a multi-threaded BLAS splits a GEMM's rows by its size."""
+    one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=str(SRC), **one_thread)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestEvaluationBlocks:
     def test_blocks_of_any_training_batch_keep_one_pass_bits(self):
-        """A cell evaluates in blocks of its training batch size, which need
-        not be a multiple of 16: blocks are cut down to whole BLAS tiles, and a
-        short tail joins the block before it, so on one BLAS thread every logit
-        and the result equal one pass. 129 rows in blocks of 128 run as one
-        block; 500 rows in blocks of 50 as 48-row blocks and a 20-row tail. A
-        multi-threaded BLAS splits a GEMM's rows by its size, so the check runs
-        in a child process with one BLAS thread."""
+        """Row blocks need not be a multiple of 16: blocks are cut down to
+        whole BLAS tiles, and a short tail joins the block before it, so on
+        one BLAS thread every logit equals one pass. 129 rows in blocks of 128
+        run as one block; 500 rows in blocks of 50 as 48-row blocks and a
+        20-row tail."""
         code = """if True:
-            import numpy as np
             from weedout import network
-            from weedout.data import Dataset
             from weedout.numerics import RngStream
             nets = [(network.default_dense_spec(10), (16,)),
                     (network.default_conv_spec(10), (28, 28, 1)),
@@ -361,9 +410,7 @@ class TestEvaluationBlocks:
             for spec, shape in nets:
                 net = network.init_network(spec, shape, seed=0)
                 for n, rows in ((129, 128), (500, 50)):
-                    rng = RngStream(n)
-                    ds = Dataset(rng.split("x").normal((n,) + shape),
-                                 np.asarray(rng.split("y").integers(0, 10, size=n)), 10)
+                    x = RngStream(n).split("x").normal((n,) + shape)
                     blocks = []
 
                     def forward_spy(*args):
@@ -371,17 +418,39 @@ class TestEvaluationBlocks:
                         return blocks[-1]
 
                     network._forward_pass = forward_spy
-                    blocked = network.evaluate(net, ds, block_rows=rows)
+                    blocked = network._blocked_logits(net, lambda a, b: x[a:b], n,
+                                                      block_rows=rows)
                     network._forward_pass = real_forward
-                    logits = np.concatenate([b[0] for b in blocks])
-                    whole = real_forward(net, None, ds.inputs, False)[0]
-                    print(logits.tobytes() == whole.tobytes(),
-                          blocked == network.evaluate(net, ds))
+                    whole = real_forward(net, None, x, False)[0]
+                    print(blocked.tobytes() == whole.tobytes(),
+                          [len(b[0]) for b in blocks] == ([129] if n == 129
+                                                           else [48] * 10 + [20]))
         """
-        one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                       "MKL_NUM_THREADS")}
-        env = dict(os.environ, PYTHONPATH=str(SRC), **one_thread)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "True"] * 6
+        assert in_one_blas_thread(code) == ["True", "True"] * 6
+
+    def test_desk_evaluation_in_one_pass_equals_training_batch_blocks(self):
+        """``evaluate`` sizes its blocks from the network: the desk net's
+        4,096-row blocks forward a 512-example chunk in one pass, with the
+        result of the 128-row blocks of a cell's training batch."""
+        code = """if True:
+            import numpy as np
+            from weedout import network
+            from weedout.data import Dataset
+            from weedout.numerics import RngStream
+            net = network.init_network(network.default_dense_spec(10), (16,), seed=0)
+            rng = RngStream(5)
+            ds = Dataset(rng.split("x").normal((512, 16)),
+                         np.asarray(rng.split("y").integers(0, 10, size=512)), 10)
+            real_forward, rows = network._forward_pass, []
+
+            def forward_spy(net, mask, x, keep_inputs, pool=None):
+                rows.append(len(x))
+                return real_forward(net, mask, x, keep_inputs, pool)
+
+            network._forward_pass = forward_spy
+            one_pass = network.evaluate(net, ds)
+            network.activation_block_rows = lambda net: 128
+            print(rows == [512], one_pass == network.evaluate(net, ds),
+                  rows == [512, 128, 128, 128, 128])
+        """
+        assert in_one_blas_thread(code) == ["True", "True", "True"]

@@ -14,7 +14,7 @@ from weedout.network import (KernelPool, conv2d, dense, flatten_layer, init_netw
 from weedout.numerics import RngStream
 from weedout.search import (Candidate, SearchConfig, _evaluate_population,
                             fitness, run_search)
-from weedout.sparsity import resample_mask, sample_mask, sample_structured
+from weedout.sparsity import resample_mask, sample_mask
 
 from weedout.network import default_dense_spec
 
@@ -51,7 +51,7 @@ def search_with_scores(monkeypatch, net, splits, scores):
 
 
 def make_population(spec, eta, m, rng):
-    return [Candidate(mask=sample_structured(spec, eta, rng), candidate_id=i,
+    return [Candidate(mask=sample_mask(spec, None, eta, "structured", rng), candidate_id=i,
                       birth_generation=1) for i in range(m)]
 
 
@@ -77,15 +77,17 @@ class TestFitness:
     def test_serial_equals_parallel(self, net16, blob_splits, rng):
         batch = sample_batch(blob_splits.validation, 64, rng.split("b"))
         population = make_population(net16.spec, 0.4, 12, RngStream(5).split("m"))
-        serial = _evaluate_population(net16, population, batch, None, 64)
+        serial = _evaluate_population(net16, population, batch, None)
         with KernelPool(4) as pool:
-            parallel = _evaluate_population(net16, population, batch, pool, 64)
+            parallel = _evaluate_population(net16, population, batch, pool)
         assert serial == parallel
         assert serial == [fitness(net16, c.mask, batch) for c in population]
 
 
 class TestBlockedScores:
-    """Scores forwarded in row blocks keep the bits of one whole-batch pass."""
+    """Scores forwarded in row blocks keep the bits of one whole-batch pass.
+    ``_blocked_logits`` sizes the blocks from the network it runs; the tests
+    pin them through its ``block_rows``."""
 
     @pytest.mark.parametrize("mode", ["structured", "unstructured"])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -101,7 +103,15 @@ class TestBlockedScores:
                  np.asarray(rng.split("y").integers(0, 3, size=rows)))
         population = [Candidate(sample_mask(spec, shape, 0.5, mode, rng.split(f"m{k}")), k, 1)
                       for k in range(6)]
-        whole = _evaluate_population(net, population, batch, None, rows)
+        real_blocked_logits = network._blocked_logits
+
+        def scores_in_blocks_of(block_rows, pool=None):
+            monkeypatch.setattr(network, "_blocked_logits",
+                                lambda net, rows, n, pool=None: real_blocked_logits(
+                                    net, rows, n, block_rows=block_rows, pool=pool))
+            return _evaluate_population(net, population, batch, pool)
+
+        whole = scores_in_blocks_of(rows)
         real_forward, real_masked_network = network._forward_pass, sparsity.masked_network
         forwarded, masked = [], []
 
@@ -116,7 +126,7 @@ class TestBlockedScores:
         monkeypatch.setattr(network, "_forward_pass", forward_spy)
         monkeypatch.setattr(sparsity, "masked_network", masked_network_spy)
         with kernel_pool(threads) as pool:
-            blocked = _evaluate_population(net, population, batch, pool, 32)
+            blocked = scores_in_blocks_of(32, pool)
         assert np.array(blocked).tobytes() == np.array(whole).tobytes()
         assert sorted(forwarded) == sorted(blocks * 6)
         # an unstructured mask goes into the weights once per candidate, not
@@ -362,8 +372,8 @@ class TestScoreEachMaskOnce:
 
     def test_mask_key_tells_masks_apart(self, net16):
         rng = RngStream(9)
-        a = sample_structured(net16.spec, 0.5, rng)
-        b = sample_structured(net16.spec, 0.5, rng)
+        a = sample_mask(net16.spec, None, 0.5, "structured", rng)
+        b = sample_mask(net16.spec, None, 0.5, "structured", rng)
         assert search._mask_key(a) != search._mask_key(b)
         assert search._mask_key(a) == search._mask_key(
             type(a)(a.mode, {i: m.copy() for i, m in a.masks.items()}, a.eta, 0))

@@ -12,7 +12,7 @@ from weedout.pipeline import Splits, TrainConfig, _train
 from weedout.search import fitness
 from weedout.sparsity import (MaskSet, active_parameter_count, realized_sparsity,
                               reduce_network, resample_mask, sample_mask,
-                              sample_structured, sub_network)
+                              sub_network)
 
 import helpers
 
@@ -30,7 +30,7 @@ def widths_spec():
 
 class TestStructuredSampling:
     def test_eta_zero_all_ones(self, rng):
-        mask = sample_structured(widths_spec(), 0.0, rng)
+        mask = sample_mask(widths_spec(), None, 0.0, "structured", rng)
         for m in mask.masks.values():
             assert np.all(m == 1.0)
 
@@ -38,20 +38,20 @@ class TestStructuredSampling:
     def test_exact_zero_counts(self, eta, rng):
         spec = widths_spec()
         for trial in range(25):
-            mask = sample_structured(spec, eta, rng)
+            mask = sample_mask(spec, None, eta, "structured", rng)
             for i, m in mask.masks.items():
                 width = spec[i].width
                 assert int((m == 0.0).sum()) == round_half_up(eta * width)
 
     def test_width_10_eta_08_has_8_zeros(self, rng):
         spec = [dense(10), relu_layer(), dense(3)]
-        mask = sample_structured(spec, 0.8, rng)
+        mask = sample_mask(spec, None, 0.8, "structured", rng)
         assert int((mask.masks[0] == 0.0).sum()) == 8
         assert int(mask.masks[0].sum()) == 2
 
     def test_half_counts_round_up(self, rng):
         spec = [dense(10), relu_layer(), dense(3)]
-        mask = sample_structured(spec, 0.25, rng)  # 2.5 -> 3
+        mask = sample_mask(spec, None, 0.25, "structured", rng)  # 2.5 -> 3
         assert int((mask.masks[0] == 0.0).sum()) == 3
 
     def test_masking_frequency_roughly_uniform(self):
@@ -61,34 +61,34 @@ class TestStructuredSampling:
         trials = 2000
         off_counts = np.zeros(10)
         for _ in range(trials):
-            off_counts += sample_structured(spec, 0.2, rng).masks[0] == 0.0
+            off_counts += sample_mask(spec, None, 0.2, "structured", rng).masks[0] == 0.0
         freq = off_counts / trials
         assert np.all(np.abs(freq - 0.2) < 0.03)
 
     def test_reconstructible_from_recorded_seed(self, rng):
         spec = widths_spec()
-        mask = sample_structured(spec, 0.6, rng)
+        mask = sample_mask(spec, None, 0.6, "structured", rng)
         again = resample_mask(spec, None, "structured", 0.6, mask.sample_seed)
         for i in mask.masks:
             np.testing.assert_array_equal(mask.masks[i], again.masks[i])
 
     def test_same_rng_state_same_mask(self):
         spec = widths_spec()
-        a = sample_structured(spec, 0.4, RngStream(3).split("m"))
-        b = sample_structured(spec, 0.4, RngStream(3).split("m"))
+        a = sample_mask(spec, None, 0.4, "structured", RngStream(3).split("m"))
+        b = sample_mask(spec, None, 0.4, "structured", RngStream(3).split("m"))
         for i in a.masks:
             np.testing.assert_array_equal(a.masks[i], b.masks[i])
 
     def test_infeasible_layer_named(self, rng):
         spec = [dense(1), relu_layer(), dense(3)]
         with pytest.raises(InfeasibleSparsityError, match="layer 0"):
-            sample_structured(spec, 0.5, rng)
+            sample_mask(spec, None, 0.5, "structured", rng)
 
     def test_eta_out_of_range(self, rng):
         with pytest.raises(ValueError):
-            sample_structured(widths_spec(), 1.0, rng)
+            sample_mask(widths_spec(), None, 1.0, "structured", rng)
         with pytest.raises(ValueError):
-            sample_structured(widths_spec(), -0.1, rng)
+            sample_mask(widths_spec(), None, -0.1, "structured", rng)
 
 
 class TestUnstructuredSampling:
@@ -135,7 +135,7 @@ class TestRealizedSparsity:
             spec.append(dense(w))
             spec.append(relu_layer())
         spec.append(dense(3))
-        mask = sample_structured(spec, 0.6, rng)
+        mask = sample_mask(spec, None, 0.6, "structured", rng)
         expected = sum(round_half_up(0.6 * w) for w in widths) / sum(widths)
         assert realized_sparsity(mask) == pytest.approx(expected, abs=1e-12)
 
@@ -146,7 +146,7 @@ class TestRealizedSparsity:
 
     def test_per_layer_view(self, rng):
         spec = widths_spec()
-        mask = sample_structured(spec, 0.8, rng)
+        mask = sample_mask(spec, None, 0.8, "structured", rng)
         for i, m in mask.masks.items():
             width = spec[i].width
             assert (~m).mean() == round_half_up(0.8 * width) / width
@@ -180,7 +180,8 @@ class TestReduceNetwork:
         rng = RngStream(31)
         net = init_network(small_conv_spec, (10, 10, 1), seed=3)
         for trial in range(5):
-            mask = sample_structured(small_conv_spec, eta, rng.split(f"m{trial}"))
+            mask = sample_mask(small_conv_spec, None, eta, "structured",
+                               rng.split(f"m{trial}"))
             red = reduce_network(net, mask)
             x = rng.split(f"x{trial}").normal((20, 10, 10, 1))
             assert helpers.reduced_logit_gap(net, mask, x) < 1e-9
@@ -189,7 +190,7 @@ class TestReduceNetwork:
 
     def test_reduced_gradients_match_sliced_parent(self, small_conv_spec, rng):
         net = init_network(small_conv_spec, (10, 10, 1), seed=4)
-        mask = sample_structured(small_conv_spec, 0.5, rng.split("m"))
+        mask = sample_mask(small_conv_spec, None, 0.5, "structured", rng.split("m"))
         red = reduce_network(net, mask)
         x = rng.normal((6, 10, 10, 1))
         y = np.array([0, 1, 2, 0, 1, 2])
@@ -211,9 +212,8 @@ class TestReduceNetwork:
         net = init_network(spec, (7,), seed=6)
         counts = []
         for eta in (0.0, 0.2, 0.4, 0.6, 0.8):
-            mask = sample_structured(spec, eta, RngStream(8).split("m"))
-            counts.append(active_parameter_count(net, mask))
-            assert counts[-1] == active_parameter_count(sub_network(net, mask), None)
+            mask = sample_mask(spec, None, eta, "structured", RngStream(8).split("m"))
+            counts.append(active_parameter_count(sub_network(net, mask)))
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == active_parameter_count(net, None)
 
@@ -237,11 +237,10 @@ class TestSubNetwork:
         splits = self.splits()
         cfg = TrainConfig(epochs=4, batch_size=16, lr=0.05, momentum=0.9)
         net = init_network(self.SPEC, self.SHAPE, seed=9)
-        mask = sample_structured(self.SPEC, 0.4, RngStream(5))
+        mask = sample_mask(self.SPEC, None, 0.4, "structured", RngStream(5))
         before = parent_checksum(net)
-        rows, _, active = _train(net, mask, cfg, splits, RngStream(7), "oracle")
+        rows, _ = _train(sub_network(net, mask), {}, cfg, splits, RngStream(7), "oracle")
         assert parent_checksum(net) == before  # the reduced copy was trained
-        assert active == active_parameter_count(reduce_network(net, mask), None)
 
         oracle = net.copy()
         state = SgdState.zeros(oracle)
@@ -266,7 +265,7 @@ class TestSubNetwork:
         x, y = splits.validation.take(slice(None))
         rng = RngStream(12)
         for trial in range(4):
-            mask = sample_structured(self.SPEC, eta, rng.split(f"m{trial}"))
+            mask = sample_mask(self.SPEC, None, eta, "structured", rng.split(f"m{trial}"))
             score = fitness(net, mask, (x, y))
             assert abs(score + mean_loss(masked_network(net, mask), x, y)) < 1e-12
 
