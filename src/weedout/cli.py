@@ -24,7 +24,7 @@ from . import pipeline
 from .config import (build_experiment, canonical_json, check_same_sweep, load_config,
                      parse_config, resolve_out_dir)
 from .errors import ConfigError
-from .report import load_records, write_report
+from .report import load_records, search_spread, write_report
 
 
 def cmd_run(args) -> int:
@@ -136,13 +136,10 @@ def cmd_inspect(args) -> int:
         return 0
     record = state.record
     if record.search_history:
-        per_gen: dict[int, float] = {}
-        for h in record.search_history:
-            if h.generation not in per_gen or h.fitness > per_gen[h.generation]:
-                per_gen[h.generation] = h.fitness
-        print(f"search   : {len(per_gen)} generations, "
+        spread = search_spread([record])
+        print(f"search   : {len(spread)} generations, "
               f"{record.fitness_evaluations} fitness evaluations")
-        for gen, best in sorted(per_gen.items()):
+        for _, _, gen, best, *_ in spread:
             print(f"  generation {gen}: best fitness {best:.6f}")
     else:
         print("search   : none")

@@ -26,8 +26,9 @@ same bytes for any pool size, ``None`` (one thread) included.
 
 Search fitness and training both run ``sparsity.sub_network(net, mask)``:
 the smaller network ``sparsity.reduce_network`` builds for a structured
-mask, or a copy with an unstructured mask multiplied into its weights, whose
-training then masks only the update (``sgd_step``'s ``weight_masks``).
+mask, or a copy with an unstructured mask multiplied into its weights. That
+copy's layers carry their masks (``LayerParams.weight_mask``), and
+``sgd_step`` masks only those layers' updates.
 ``mean_loss`` and ``evaluate`` forward in tile-aligned row blocks sized from
 the network they run (``_blocked_logits``, ``activation_block_rows``) and
 take one loss over the joined logits. Those logits are the bytes of one pass
@@ -176,6 +177,10 @@ def weight_shapes(spec: list[LayerSpec], input_shape) -> dict[int, tuple[int, ..
 class LayerParams:
     weight: Tensor
     bias: Tensor
+    weight_mask: Tensor | None = None  # weights training holds at zero; never written
+
+    def copy(self) -> "LayerParams":
+        return LayerParams(self.weight.copy(), self.bias.copy(), self.weight_mask)
 
 
 Gradients = list  # list[LayerParams | None], congruent with Network.params
@@ -194,8 +199,7 @@ class Network:
     params: list[LayerParams | None]
 
     def copy(self) -> "Network":
-        params = [LayerParams(p.weight.copy(), p.bias.copy()) if p is not None else None
-                  for p in self.params]
+        params = [p.copy() if p is not None else None for p in self.params]
         return Network(list(self.spec), tuple(self.input_shape), params)
 
 
@@ -229,17 +233,19 @@ def _check_mask(net: Network, mask: "MaskSet | None") -> None:
 
 
 def masked_network(net: Network, mask: "MaskSet | None") -> Network:
-    """``net`` with ``mask`` applied to its parameters, or ``net`` itself for
-    no mask: each weight times its weight mask (unstructured), or a dead
+    """A copy of ``net`` with ``mask`` applied to its parameters, sharing no
+    array with it, or ``net`` itself for no mask: each weight times its weight
+    mask, which the layer keeps as ``weight_mask`` (unstructured), or a dead
     node's incoming weights and bias zeroed (structured, the node vector
     broadcast over the weight's last axis)."""
     if mask is None:
         return net
     _check_mask(net, mask)
     structured = mask.mode == "structured"
-    params = [p if i not in mask.masks else LayerParams(
-        p.weight * mask.masks[i], p.bias * mask.masks[i] if structured else p.bias)
-        for i, p in enumerate(net.params)]
+    params = [p if p is None else p.copy() if (m := mask.masks.get(i)) is None
+              else LayerParams(p.weight * m, p.bias * m) if structured
+              else LayerParams(p.weight * m, p.bias.copy(), m)
+              for i, p in enumerate(net.params)]
     return Network(net.spec, net.input_shape, params)
 
 
@@ -611,13 +617,12 @@ class SgdState:
 
 
 def sgd_step(net: Network, grads: Gradients, lr: float, momentum: float,
-             state: SgdState, pool: KernelPool | None = None,
-             weight_masks: dict | None = None) -> Network:
+             state: SgdState, pool: KernelPool | None = None) -> Network:
     """One momentum-SGD update, in place on an exclusively-owned network.
 
     velocity <- momentum * velocity + grads; params <- params - lr * velocity.
-    ``weight_masks`` (by layer index) zero those gradients' masked entries in
-    place first, so a weight already masked to zero keeps its signed zero.
+    A layer's ``weight_mask`` zeroes its gradient's masked entries in place
+    first, so a weight already masked to zero keeps its signed zero.
     ``pool`` runs large weights' updates in pieces, to the same bytes.
     """
     if not lr > 0:
@@ -634,16 +639,15 @@ def sgd_step(net: Network, grads: Gradients, lr: float, momentum: float,
         g *= m
         update(p, g, out)
 
-    weight_masks = weight_masks or {}
-    for i, (p, g, v) in enumerate(zip(net.params, grads, state.velocities)):
+    for p, g, v in zip(net.params, grads, state.velocities):
         if p is None:
             continue
         if g is None or v is None:
             raise ValueError("gradients/state are not congruent with the network")
         if g.weight.shape != p.weight.shape or g.bias.shape != p.bias.shape:
             raise ValueError("gradient shapes are not congruent with the network")
-        if i in weight_masks:
-            _elementwise(pool, masked_update, p.weight, g.weight, weight_masks[i],
+        if p.weight_mask is not None:
+            _elementwise(pool, masked_update, p.weight, g.weight, p.weight_mask,
                          out=v.weight)
         else:
             _elementwise(pool, update, p.weight, g.weight, out=v.weight)

@@ -113,14 +113,12 @@ def _parent_for(spec, input_shape, seed: int) -> Network:
     return init_network(spec, input_shape, seed)
 
 
-def _train(net: Network, weight_masks: dict, train_cfg: TrainConfig, splits: Splits,
-           rng_train: RngStream, run_id: str,
-           pool: KernelPool | None = None) -> tuple[list[EpochRow], float]:
-    """Train ``net``, a cell's sub-network, in place; ``weight_masks`` (an
-    unstructured mask's arrays by layer index, or ``{}``) mask each gradient,
-    so a masked weight stays the same signed zero. The cell's ``pool``, if
-    any, runs the kernels, with the same results as one thread. Returns epoch
-    rows and seconds spent in evaluation."""
+def _train(net: Network, train_cfg: TrainConfig, splits: Splits, rng_train: RngStream,
+           run_id: str, pool: KernelPool | None = None) -> tuple[list[EpochRow], float]:
+    """Train ``net``, a cell's sub-network, in place; a layer's ``weight_mask``
+    masks its gradient, so a masked weight stays the same signed zero. The
+    cell's ``pool``, if any, runs the kernels, with the same results as one
+    thread. Returns epoch rows and seconds spent in evaluation."""
     state = SgdState.zeros(net)
     rows: list[EpochRow] = []
     eval_seconds = 0.0
@@ -140,7 +138,7 @@ def _train(net: Network, weight_masks: dict, train_cfg: TrainConfig, splits: Spl
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"{run_id}: non-finite loss at epoch {epoch}, batch {batch_no}")
-            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state, pool, weight_masks)
+            sgd_step(net, grads, train_cfg.lr, train_cfg.momentum, state, pool)
             n = len(y)
             seen += n
             loss_sum += loss * n
@@ -389,9 +387,8 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
                                RngStream(seed).split("baseline-mask"))
         t2 = time.perf_counter()
         net = sub_network(net, mask)  # the parent is freed before training
-        weight_masks = mask.masks if mask.mode == "unstructured" else {}
-        rows, eval_s = _train(net, weight_masks, train_cfg, splits,
-                              RngStream(seed).split("train"), run_id, pool)
+        rows, eval_s = _train(net, train_cfg, splits, RngStream(seed).split("train"),
+                              run_id, pool)
     t3 = time.perf_counter()
     if history is None:
         t1 = t2  # a control's mask draw counts as init
@@ -402,7 +399,7 @@ def run_cell(spec, input_shape, arm: str, eta: float, seed: int,
               "per_layer": {str(i): {"zeros": m.size - int(m.sum()), "size": m.size}
                             for i, m in mask.masks.items()},
               "realized_sparsity": realized_sparsity(mask)},
-        active_parameters=active_parameter_count(net, weight_masks),
+        active_parameters=active_parameter_count(net),
         parent_checksum=checksum, fitness_evaluations=len(history or ()),
         wall_clock={"init": t1 - t0, "weedout_phase": t2 - t1,
                     "training_phase": t3 - t2 - eval_s, "evaluation": eval_s})

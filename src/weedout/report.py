@@ -147,7 +147,9 @@ def arm_differences(records) -> list[ArmDifference]:
         diff = float(np.mean(w) - np.mean(b))
         half = pooled_ci_half_width(w, b)
         significant = half > 0.0 and abs(diff) > half
-        if half == 0.0:
+        if min(len(w), len(b)) < 2:  # half is inf
+            verdict = "no test possible: an arm has fewer than 2 runs"
+        elif half == 0.0:
             verdict = "no test possible: both arms have zero variance"
         elif not significant:
             verdict = "consistent: no detectable search advantage"

@@ -11,7 +11,8 @@ at identical sparsity, so configuration quality is the only variable.
 channels) and their incident weight rows/columns. ``sub_network`` is the one
 place a mask becomes a network, which a search scores and a cell trains: a
 structured mask's reduced network, or a copy of the parent with an
-unstructured mask multiplied into its weights (``network.masked_network``).
+unstructured mask multiplied into its weights (``network.masked_network``),
+whose layers carry the mask. Neither shares an array with the parent.
 """
 
 from __future__ import annotations
@@ -142,16 +143,15 @@ def reduce_network(net: Network, mask: MaskSet) -> Network:
 def sub_network(net: Network, mask: MaskSet) -> Network:
     """The network that computes ``net`` under ``mask``, scored and trained:
     the reduced network for a structured mask; for an unstructured one
-    ``masked_network(net, mask)``, which shares ``net``'s unmasked arrays."""
+    ``masked_network(net, mask)``. Neither shares an array with ``net``."""
     if mask.mode == "structured":
         return reduce_network(net, mask)
     return masked_network(net, mask)
 
 
-def active_parameter_count(net: Network, weight_masks: dict | None = None) -> int:
+def active_parameter_count(net: Network) -> int:
     """Number of parameters of a sub-network that can still influence the
-    output: every bias, and every weight that ``weight_masks`` (by layer
-    index, as ``sgd_step`` takes them) leaves on; a reduced network has none."""
-    weight_masks = weight_masks or {}
-    return sum((int(weight_masks[i].sum()) if i in weight_masks else p.weight.size)
-               + p.bias.size for i, p in enumerate(net.params) if p is not None)
+    output: every bias, and every weight its layer's ``weight_mask`` leaves
+    on; a reduced network's layers carry no mask."""
+    return sum((p.weight.size if p.weight_mask is None else int(p.weight_mask.sum()))
+               + p.bias.size for p in net.params if p is not None)

@@ -508,7 +508,7 @@ class TestCmdRun:
             assert self.run_cli(tmp_path, raw, "--out", str(out),
                                 "--parallel", str(parallel)) == 0
             outputs[parallel] = out
-        total = active_parameter_count(init_network(default_dense_spec(4), (12,), 0), None)
+        total = active_parameter_count(init_network(default_dense_spec(4), (12,), 0))
         cells = sorted(p.name for p in outputs[1].iterdir() if p.is_dir())
         assert cells == sorted(run_label(arm, eta, seed)
                                for arm in ("weedout", "random_baseline")
@@ -637,6 +637,23 @@ class TestAggregation:
         assert d.pooled_ci95 == 0.0 and d.difference != 0.0
         assert not d.significant
         assert d.verdict == "no test possible: both arms have zero variance"
+
+    def test_an_arm_with_one_run_is_not_tested(self, tmp_path, capsys):
+        """One weedout run against two baseline runs: the pooled half-width is
+        infinite, so no difference can be tested, and the verdict says why."""
+        sweep_dir = fabricate_sweep(tmp_path, {
+            ("weedout", 0.3): [30 / 36],
+            ("random_baseline", 0.3): [27 / 36, 28 / 36],
+        })
+        assert main(["report", str(sweep_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "n=1/2) -> no test possible: an arm has fewer than 2 runs" in out
+        assert "FLAG" not in out and "consistent" not in out
+        records, _ = load_records(sweep_dir)
+        [d] = arm_differences(records)
+        assert d.pooled_ci95 == math.inf and d.difference != 0.0
+        assert not d.significant
+        assert d.verdict == "no test possible: an arm has fewer than 2 runs"
 
 
 class TestCmdReport:

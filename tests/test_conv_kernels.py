@@ -184,7 +184,7 @@ class TestFirstLayerInputGradient:
         if masked:  # a masked-off weight has no effect, so no numeric gradient
             for i, m in mask.masks.items():
                 assert (~m).any() and np.all(numeric[i].weight[~m] == 0.0)
-                grads[i].weight *= m  # as sgd_step's weight_masks does
+                grads[i].weight *= m  # as sgd_step does for a layer's weight_mask
         assert helpers.max_rel_error(grads, numeric) < 1e-6
 
     def test_conv_first_layer_skips_input_gradient(self, monkeypatch):

@@ -306,11 +306,9 @@ def test_training_identical_for_every_thread_count(small_pieces, mode):
     outputs = []
     with pools() as by_threads:
         for pool in by_threads.values():
-            # an unstructured sub-network shares the parent's unmasked arrays
-            trained = sparsity.sub_network(net.copy(), mask)
-            weight_masks = mask.masks if mode == "unstructured" else {}
-            rows, _ = pipeline._train(trained, weight_masks, cfg, splits,
-                                      RngStream(5).split("train"), "cell", pool)
+            trained = sparsity.sub_network(net, mask)
+            rows, _ = pipeline._train(trained, cfg, splits, RngStream(5).split("train"),
+                                      "cell", pool)
             outputs.append((rows, as_bytes(trained.params)))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
@@ -318,8 +316,8 @@ def test_training_identical_for_every_thread_count(small_pieces, mode):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_masked_update_equals_masking_the_gradient_first(monkeypatch, threads):
-    """Weight masks given to sgd_step zero the gradient inside the update, to
-    the bytes of masking it first and stepping without them; a weight masked
+    """A layer's weight mask zeroes its gradient inside sgd_step's update, to
+    the bytes of masking it first and stepping without a mask; a weight masked
     beforehand keeps its signed zero. On a pool the update runs in pieces."""
     monkeypatch.setattr(network, "_PIECE_SIZE", 7)
     monkeypatch.setattr(network, "_MIN_PIECES", 2)
@@ -348,11 +346,12 @@ def test_masked_update_equals_masking_the_gradient_first(monkeypatch, threads):
 
     monkeypatch.setattr(network, "run_pieces", run_pieces_spy)
     with network.kernel_pool(threads) as pool:
-        stepped, stepped_state = net.copy(), SgdState.zeros(net)
+        # net's weights are masked already, so the masked copy keeps their bytes
+        stepped, stepped_state = network.masked_network(net, mask), SgdState.zeros(net)
         for grads in steps:
             fresh = [g if g is None else LayerParams(g.weight.copy(), g.bias.copy())
                      for g in grads]
-            sgd_step(stepped, fresh, 0.1, 0.9, stepped_state, pool, mask.masks)
+            sgd_step(stepped, fresh, 0.1, 0.9, stepped_state, pool)
     assert any(piece_calls) == (threads == 2)
     assert as_bytes(stepped.params) == as_bytes(reference.params)
     assert as_bytes(stepped_state.velocities) == as_bytes(state.velocities)
@@ -398,8 +397,8 @@ def test_unstructured_training_runs_unmasked_passes_on_premasked_weights(
     monkeypatch.setattr(network, "_forward_pass", forward_spy)
     trained = sparsity.sub_network(net, mask)
     with network.kernel_pool(threads) as pool:
-        rows, _ = pipeline._train(trained, mask.masks, cfg, splits,
-                                  RngStream(5).split("train"), "cell", pool)
+        rows, _ = pipeline._train(trained, cfg, splits, RngStream(5).split("train"),
+                                  "cell", pool)
     assert rows == expected
     assert masks_seen and all(m is None for m in masks_seen)
     for i, p in enumerate(trained.params):

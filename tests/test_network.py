@@ -322,7 +322,7 @@ class TestActivationMemory:
         steps = {
             "evaluate": lambda: evaluate(net, ds),
             "loss_and_grads": lambda: loss_and_grads(net, x, y),
-            "_train": lambda: _train(net, {}, TrainConfig(epochs=1, batch_size=16),
+            "_train": lambda: _train(net, TrainConfig(epochs=1, batch_size=16),
                                      Splits(ds, ds, ds), RngStream(0), "run"),
         }
         for name, step in steps.items():

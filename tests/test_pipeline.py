@@ -52,7 +52,7 @@ def run(arm, eta, seed, splits, search=None, train=None, **kw):
 def dense_training(seed, splits, train=None):
     """Train the seed's whole parent, no mask and no search."""
     net = init_network(SPEC, SHAPE, seed)
-    rows, _ = pipeline._train(net, {}, train or small_train(), splits,
+    rows, _ = pipeline._train(net, train or small_train(), splits,
                               RngStream(seed).split("train"), "dense")
     return rows, active_parameter_count(net)
 
@@ -101,7 +101,7 @@ class TestSingleRuns:
         assert w.parent_checksum == parent_checksum(parent)
         assert w.mask["realized_sparsity"] == b.mask["realized_sparsity"] == 0.0
         assert w.active_parameters == b.active_parameters == \
-            active_parameter_count(parent, None)
+            active_parameter_count(parent)
 
     def test_fitness_evaluation_budgets(self, blob_splits):
         w = run("weedout", 0.4, 4, blob_splits)
@@ -146,9 +146,8 @@ class TestSingleRuns:
         rec = run("random_baseline", 0.4, 3, blob_splits,
                   search=small_search(mask_mode=mode))
         mask = sample_mask(SPEC, SHAPE, 0.4, mode, RngStream(3).split("baseline-mask"))
-        weight_masks = mask.masks if mode == "unstructured" else {}
         sub = sub_network(init_network(SPEC, SHAPE, 3), mask)
-        assert active_parameter_count(sub, weight_masks) == hand_count
+        assert active_parameter_count(sub) == hand_count
         assert rec.active_parameters == hand_count
 
     def test_arms_share_parent_and_parameter_count(self, blob_splits):

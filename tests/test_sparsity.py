@@ -157,7 +157,7 @@ class TestReduceNetwork:
         net = init_network(small_conv_spec, (10, 10, 1), seed=1)
         ones = resample_mask(small_conv_spec, None, "structured", 0.0, 0)
         red = reduce_network(net, ones)
-        assert active_parameter_count(red, None) == active_parameter_count(net, None)
+        assert active_parameter_count(red) == active_parameter_count(net)
         x = rng.normal((3, 10, 10, 1))
         np.testing.assert_array_equal(forward(red, None, x), forward(net, None, x))
 
@@ -215,7 +215,7 @@ class TestReduceNetwork:
             mask = sample_mask(spec, None, eta, "structured", RngStream(8).split("m"))
             counts.append(active_parameter_count(sub_network(net, mask)))
         assert counts == sorted(counts, reverse=True)
-        assert counts[0] == active_parameter_count(net, None)
+        assert counts[0] == active_parameter_count(net)
 
 
 class TestSubNetwork:
@@ -239,7 +239,7 @@ class TestSubNetwork:
         net = init_network(self.SPEC, self.SHAPE, seed=9)
         mask = sample_mask(self.SPEC, None, 0.4, "structured", RngStream(5))
         before = parent_checksum(net)
-        rows, _ = _train(sub_network(net, mask), {}, cfg, splits, RngStream(7), "oracle")
+        rows, _ = _train(sub_network(net, mask), cfg, splits, RngStream(7), "oracle")
         assert parent_checksum(net) == before  # the reduced copy was trained
 
         oracle = net.copy()
@@ -270,8 +270,9 @@ class TestSubNetwork:
             assert abs(score + mean_loss(masked_network(net, mask), x, y)) < 1e-12
 
     def test_unstructured_mask_keeps_parent(self, rng):
-        """An unstructured sub-network is the parent with the mask multiplied
-        into its weights; the parent keeps its own."""
+        """An unstructured sub-network is a copy of the parent with the mask
+        multiplied into its weights and kept on its layers; it shares no array
+        with the parent, which keeps its own."""
         net = init_network(self.SPEC, self.SHAPE, seed=11)
         before = parent_checksum(net)
         mask = sample_mask(self.SPEC, self.SHAPE, 0.5, "unstructured", rng)
@@ -280,4 +281,27 @@ class TestSubNetwork:
         for i, (p, q) in enumerate(zip(net.params, run_net.params)):
             if p is not None:
                 w = p.weight * mask.masks[i] if i in mask.masks else p.weight
-                assert q.weight.tobytes() == w.tobytes() and q.bias is p.bias
+                assert q.weight.tobytes() == w.tobytes()
+                assert q.bias.tobytes() == p.bias.tobytes()
+                assert not np.shares_memory(q.weight, p.weight)
+                assert not np.shares_memory(q.bias, p.bias)
+                if i in mask.masks:
+                    assert np.array_equal(q.weight_mask, mask.masks[i])
+                else:
+                    assert q.weight_mask is None
+
+    @pytest.mark.parametrize("mode", ["structured", "unstructured"])
+    def test_sub_networks_of_one_parent_train_independently(self, mode):
+        """Two sub-networks of one parent, trained in turn, each give the rows
+        of the same sub-network of a fresh parent, and the parent is unchanged."""
+        splits = self.splits()
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=0.05, momentum=0.9)
+        parent = init_network(self.SPEC, self.SHAPE, seed=12)
+        before = parent_checksum(parent)
+        for k in range(2):
+            mask = sample_mask(self.SPEC, self.SHAPE, 0.4, mode, RngStream(13).split(f"m{k}"))
+            rows, _ = _train(sub_network(parent, mask), cfg, splits, RngStream(7), "shared")
+            fresh = init_network(self.SPEC, self.SHAPE, seed=12)
+            expected, _ = _train(sub_network(fresh, mask), cfg, splits, RngStream(7), "fresh")
+            assert rows == expected
+            assert parent_checksum(parent) == before
